@@ -4,7 +4,7 @@ and error-bound claims that justify the construction."""
 
 from .adversarial import (Discriminator, ExpertBuffer,
                           discriminator_loss_and_grads, discriminator_prob,
-                          extract_reward, f_value, gradient_alignment_gap,
+                          extract_reward, gradient_alignment_gap,
                           mce_irl_gradient)
 from .bounds import (BoundCheckRow, FeasibleRewardWitness, IrlProblem,
                      feasible_reward, performance_difference_bound,
@@ -16,16 +16,14 @@ from .config import (ConfigError, EnvSpec, ExperimentConfig, RunSpec,
                      build_env, load_config, parse_config_text, save_config,
                      serialize_config)
 from .dynamics import (GaussianDynamicsModel, TabularDynamicsEstimate,
-                       fit_tabular, gaussian_nll_loss, rollout_synthetic,
-                       tv_distance)
+                       fit_tabular, rollout_synthetic, tv_distance)
 from .mdp import (ContinuousEnv, ConvergenceError, DemoFormatError, DemoSet,
                   TabularEnv, TabularMDP, TabularPolicy, Trajectory,
                   discounted_occupancy, load_demos, make_gridworld,
                   make_noisy_pointmass, sample_trajectory,
-                  save_continuous_demos, save_tabular_demos,
-                  trajectory_log_prob)
+                  save_continuous_demos, save_tabular_demos)
 from .neural import AdamState, Mlp, adam_step, clip_by_global_norm
-from .policy_opt import SacAgent, sac_update, soft_policy_update_tabular
+from .policy_opt import SacAgent
 from .shaping import (InvarianceReport, ShapedReward, check_policy_invariance,
                       q_shift_identity_gap, shape_reward)
 from .soft_dp import (HardValues, SoftValues, finite_horizon_policy_value,

@@ -159,8 +159,7 @@ class Discriminator:
             if rng is None:
                 raise ValueError("model shaping needs an rng for successor draws")
             n = self.n_model_samples if n_samples is None else int(n_samples)
-            draws = np.stack([self.dynamics.sample_next(states, actions, rng)
-                              for _ in range(n)])  # (n, B, d)
+            draws = self.dynamics.sample_next(states, actions, rng, n=n)  # (n, B, d)
             flat = draws.reshape(-1, states.shape[1])
             phi_next = self.phi_net.forward(flat).ravel().reshape(n, -1)
             expected_phi = phi_next.mean(axis=0)
@@ -179,19 +178,6 @@ class Discriminator:
             return self._f_tabular(states, actions, next_states)
         f, _ = self._f_continuous(states, actions, next_states, rng, n_samples)
         return f
-
-
-def f_value(disc: Discriminator, state, action, next_state=None, rng=None,
-            n_samples=None) -> float:
-    """Single-point f."""
-    if disc.mode == "tabular":
-        out = disc.f_values(np.array([state]), np.array([action]),
-                            None if next_state is None else np.array([next_state]))
-    else:
-        out = disc.f_values(np.atleast_2d(state), np.atleast_2d(action),
-                            None if next_state is None else np.atleast_2d(next_state),
-                            rng=rng, n_samples=n_samples)
-    return float(out[0])
 
 
 def _log_policy(policy, states, actions):

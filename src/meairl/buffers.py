@@ -13,11 +13,13 @@ class ReplayBuffer:
     Physical storage is sized once (phys_capacity, default = capacity);
     the logical capacity can move below that at any time. Shrinking drops
     the oldest entries. Sampling is uniform with replacement, which also
-    covers batches larger than the current size.
+    covers batches larger than the current size. A buffer made with
+    `with_reward=True` also stores a scalar reward per transition and
+    returns it as a fourth column.
     """
 
     def __init__(self, capacity: int, state_shape=(), action_shape=(),
-                 dtype=np.int64, phys_capacity: int = None):
+                 dtype=np.int64, phys_capacity: int = None, with_reward: bool = False):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         phys = int(capacity if phys_capacity is None else phys_capacity)
@@ -28,16 +30,19 @@ class ReplayBuffer:
         self.states = np.zeros((phys, *state_shape), dtype=dtype)
         self.actions = np.zeros((phys, *action_shape), dtype=dtype)
         self.next_states = np.zeros((phys, *state_shape), dtype=dtype)
+        self.rewards = np.zeros(phys) if with_reward else None
         self._head = 0  # next write position
         self._count = 0
 
     def __len__(self) -> int:
         return self._count
 
-    def add(self, state, action, next_state) -> None:
+    def add(self, state, action, next_state, reward=None) -> None:
         self.states[self._head] = state
         self.actions[self._head] = action
         self.next_states[self._head] = next_state
+        if self.rewards is not None:
+            self.rewards[self._head] = reward
         self._head = (self._head + 1) % self._phys
         self._count = min(self._count + 1, self.capacity)
 
@@ -53,26 +58,21 @@ class ReplayBuffer:
         if self._count > capacity:
             self._count = capacity
 
-    def _indices(self, n, rng) -> np.ndarray:
+    def _columns(self, idx):
+        """(states, actions, next_states), plus rewards in a reward buffer."""
+        cols = (self.states[idx], self.actions[idx], self.next_states[idx])
+        return cols if self.rewards is None else cols + (self.rewards[idx],)
+
+    def sample(self, n, rng):
         if self._count == 0:
             raise ValueError("cannot sample from an empty buffer")
         offsets = rng.integers(0, self._count, size=n)
-        return (self._head - self._count + offsets) % self._phys
-
-    def sample(self, n, rng):
-        idx = self._indices(n, rng)
-        return self.states[idx], self.actions[idx], self.next_states[idx]
-
-    def oldest_first(self):
-        """Contents in insertion order (oldest first); for tests."""
-        idx = (self._head - self._count + np.arange(self._count)) % self._phys
-        return self.states[idx], self.actions[idx], self.next_states[idx]
+        return self._columns((self._head - self._count + offsets) % self._phys)
 
     def newest(self, k: int):
-        """The k most recently added transitions, no randomness involved."""
+        """The k most recently added transitions, oldest first, no randomness involved."""
         k = min(k, self._count)
-        idx = (self._head - k + np.arange(k)) % self._phys
-        return self.states[idx], self.actions[idx], self.next_states[idx]
+        return self._columns((self._head - k + np.arange(k)) % self._phys)
 
 
 @dataclass

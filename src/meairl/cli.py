@@ -155,6 +155,14 @@ def _expert_threshold(config: ExperimentConfig):
     return None if math.isnan(value) else value
 
 
+def _require_eval_row(config: ExperimentConfig) -> None:
+    """A run shorter than one evaluation period would write an empty record."""
+    train = config.train
+    if train.total_steps < train.eval_period:
+        raise ConfigError(f"train.total_steps ({train.total_steps}) < train.eval_period "
+                          f"({train.eval_period}): the run would record no evaluation row")
+
+
 def cmd_expert(args) -> int:
     config = load_config(args.config)
     env = build_env(config.env)
@@ -177,6 +185,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(
             config, train=dataclasses.replace(config.train, seed=args.seed))
+    _require_eval_row(config)
     env = build_env(config.env)
     out_dir = resolve_out_dir(args.out, config.run.out_dir,
                               config.run.label)
@@ -191,13 +200,13 @@ def cmd_train(args) -> int:
         out_dir, f"train_{config.train.algorithm}_seed{config.train.seed}.csv")
     record.to_csv(csv_path)
     save_config(os.path.join(out_dir, "resolved.cfg"), config)
-    final = record.rows[-1].return_mean if record.rows else float("nan")
-    print(f"wrote {csv_path} (final return {final:.4f})")
+    print(f"wrote {csv_path} (final return {record.rows[-1].return_mean:.4f})")
     return 0
 
 
 def cmd_compare(args) -> int:
     config = load_config(args.config)
+    _require_eval_row(config)
     env = build_env(config.env)
     out_dir = resolve_out_dir(args.out, config.run.out_dir,
                               config.run.label)
@@ -215,8 +224,7 @@ def cmd_compare(args) -> int:
             record = run_meairl(env, expert, train_cfg)
             record.to_csv(os.path.join(out_dir, f"{alg}_seed{seed}.csv"))
             results[(alg, seed)] = record
-            final = record.rows[-1].return_mean if record.rows else float("nan")
-            print(f"{alg} seed {seed}: final return {final:.4f}")
+            print(f"{alg} seed {seed}: final return {record.rows[-1].return_mean:.4f}")
     target = expert_return_target(env, config)
     threshold = attainment_threshold(target)
     rows = per_seed_rows(results, threshold)

@@ -7,8 +7,6 @@ treat them interchangeably. The Gaussian model predicts the state
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mdp import TabularPolicy, _row_sample, _row_sample_batch
@@ -159,12 +157,19 @@ class GaussianDynamicsModel:
         _, states2d, mean_delta, _, log_std = self._stats(states, actions)
         return states2d + mean_delta, np.exp(log_std)
 
-    def sample_next(self, state, action, rng) -> np.ndarray:
+    def sample_next(self, state, action, rng, n: int = None) -> np.ndarray:
+        """One successor draw per row; with n, n draws of shape (n, B, d).
+
+        The n draws share one pass through the model nets.
+        """
         single = np.asarray(state).ndim == 1
         mean, std = self.predict(state, action)
-        nxt = mean + std * rng.standard_normal(mean.shape)
+        shape = mean.shape if n is None else (int(n), *mean.shape)
+        nxt = mean + std * rng.standard_normal(shape)
         if self.state_low is not None:
             nxt = np.clip(nxt, self.state_low, self.state_high)
+        if n is not None:
+            return nxt
         return nxt[0] if single else nxt
 
     def loss_and_grads(self, states, actions, next_states):
@@ -186,11 +191,6 @@ class GaussianDynamicsModel:
         g_mean, _ = self.mean_net.backward(x, d_mean)
         g_logstd, _ = self.logstd_net.backward(x, d_raw)
         return loss, np.concatenate([g_mean, g_logstd])
-
-
-def gaussian_nll_loss(model: GaussianDynamicsModel, states, actions, next_states):
-    """(loss, flat gradient) of the model's mean NLL on a batch."""
-    return model.loss_and_grads(states, actions, next_states)
 
 
 def rollout_synthetic(model, policy, start_states, horizon: int, seed):

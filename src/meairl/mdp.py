@@ -150,10 +150,6 @@ class TabularPolicy:
     def sample_batch(self, states, rng) -> np.ndarray:
         return _row_sample_batch(self._cum[states], rng)
 
-    def greedy_actions(self) -> np.ndarray:
-        """Most probable action per state, ties to the lowest index."""
-        return np.argmax(self.probs, axis=1)
-
 
 @dataclass
 class Trajectory:
@@ -186,22 +182,6 @@ def sample_trajectory(mdp: TabularMDP, policy: TabularPolicy, horizon: int, seed
         steps.append((s, a))
         s = s_next
     return Trajectory(steps, s)
-
-
-def trajectory_log_prob(mdp: TabularMDP, policy: TabularPolicy, traj: Trajectory) -> float:
-    """Log-likelihood of a path: log rho0(s0) + sum_t [log pi(a|s) + log T(s'|s,a)].
-
-    Plain path likelihood, no per-step discounting. Any zero-probability
-    factor makes the whole thing -inf.
-    """
-    factors = [mdp.init_dist[traj.steps[0][0]]]
-    for s, a, s_next in traj.transitions():
-        factors.append(policy.probs[s, a])
-        factors.append(mdp.kernel[s, a, s_next])
-    factors = np.array(factors)
-    if np.any(factors == 0.0):
-        return float("-inf")
-    return float(np.log(factors).sum())
 
 
 def discounted_occupancy(mdp: TabularMDP, policy: TabularPolicy, tol: float = 1e-10,

@@ -6,7 +6,7 @@ state, checkpointing and finite-difference checks stay generic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,10 +1,9 @@
-"""Policy optimization against extracted rewards.
+"""Policy optimization against extracted rewards for continuous runs.
 
-Tabular: exact soft policy update (entropy-regularized value iteration on
-the supplied reward table). Continuous: a deliberately small soft
-actor-critic with one critic, a Polyak-averaged target and a fixed
-entropy temperature. All gradients are hand-derived through the tanh
-squash and checked against finite differences in the tests.
+A deliberately small soft actor-critic with one critic, a Polyak-averaged
+target and a fixed entropy temperature. All gradients are hand-derived
+through the tanh squash and checked against finite differences in the
+tests. (Tabular runs take their soft TD policy step in the training loop.)
 """
 
 from __future__ import annotations
@@ -13,29 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TabularMDP, TabularPolicy
 from .neural import AdamState, Mlp, adam_step
 from .seeding import as_generator
-from .soft_dp import INNER_TOL, soft_optimal_policy, soft_value_iteration
 
 ACTOR_LOG_STD_MIN = -5.0
 ACTOR_LOG_STD_MAX = 2.0
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Keeps atanh and the jacobian log finite at the squash boundary.
 SQUASH_EPS = 1e-6
-
-
-def soft_policy_update_tabular(mdp: TabularMDP, reward_table: np.ndarray,
-                               tol: float = INNER_TOL, max_iters: int = 10 ** 6,
-                               q_init=None) -> TabularPolicy:
-    """Soft-optimal policy for the given reward table on mdp's dynamics.
-
-    mdp's own reward is ignored; the entropy bonus is supplied by the soft
-    backup itself, so reward_table should not already include a -log pi term.
-    """
-    values = soft_value_iteration(mdp.with_reward(reward_table), tol=tol,
-                                  max_iters=max_iters, q_init=q_init)
-    return soft_optimal_policy(values)
 
 
 @dataclass
@@ -168,8 +152,3 @@ class SacAgent:
                                    + self.tau * self.critic.params)
         entropy = float(-np.mean(self._sample_with_log_prob(states, eps)["log_prob"]))
         return SacDiagnostics(critic_loss=critic_loss, actor_loss=actor_loss, entropy=entropy)
-
-
-def sac_update(agent: SacAgent, batch, rng) -> SacDiagnostics:
-    """batch = (states, actions, rewards, next_states, dones), batched arrays."""
-    return agent.update(batch, rng)

@@ -19,8 +19,6 @@ from .mdp import ConvergenceError, TabularMDP, TabularPolicy
 
 ORACLE_TOL = 1e-10
 ORACLE_MAX_ITERS = 10 ** 6
-# Loose setting for inner-loop policy updates during training.
-INNER_TOL = 1e-6
 
 
 def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversarial import gradient_alignment_gap
+from .bounds import GAMMA_CHOICES
 from .mdp import TabularMDP
 from .seeding import as_generator
 from .shaping import check_policy_invariance, q_shift_identity_gap, shape_reward
-
-GAMMA_CHOICES = (0.5, 0.9, 0.99)
 
 
 def random_mdp(rng, max_states: int = 10, max_actions: int = 4,

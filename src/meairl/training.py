@@ -1,10 +1,14 @@
 """The interactive reward-learning loop and expert-demonstration generation.
 
-One environment step per iteration: act (optionally from a model-predicted
-state), store the real transition, update the transition model, take
-discriminator and policy steps, and periodically push synthetic model
-rollouts into a second buffer whose share of the policy batches follows a
-ramped schedule. Variants:
+`run_meairl` runs one loop for tabular and continuous environments. Each
+step acts (past pretraining, meairl acts through `mix_action`, from a
+model-predicted stand-in of the current state), takes the environment
+step, stores the real transition and takes a model step. Past pretraining
+the adversarial variants then take discriminator steps, push a short model
+rollout into a second buffer and take policy steps on batches whose
+synthetic share follows a ramped schedule; behavior cloning takes a BC
+step instead. Evaluation rows and checkpoints follow on their periods.
+Variants:
 
   meairl               model inside the shaping term + synthetic data
   airl_sample_baseline single-sample shaping, no model, real data only
@@ -20,18 +24,23 @@ runs learn
 with a state-only reward g, so the shaping term decides which advantages
 f can represent; continuous runs use a net r(s, a) in place of g(s).
 
-Tabular policy updates keep a persistent per-pair reward table, moved
-toward the discriminator's current f at the pairs seen in each batch, and
-re-solve the soft-optimal policy against it (the entropy bonus enters
-through the soft backup, so f itself is the right target, not f - log pi).
-Everything is driven by named child generators of one seed, so records
-are bit-reproducible.
+Four parts differ between the cases, one method each of `_TabularRun` and
+`_ContinuousRun`. Model step: count the transition, or an Adam step on the
+Gaussian model's NLL. Policy step: a soft TD backup of a Q table toward
+f + gamma * soft V(s') at the pairs in the batch (the entropy bonus enters
+through the soft backup, so f itself is the right target, not f - log pi),
+or a SAC update on f - log pi. BC step: none, the tabular BC policy is
+fixed by the expert's action counts, or a regression step of a tanh net.
+Model columns of an evaluation row: the count model's NLL and worst-row TV
+error, or the last Gaussian NLL. Everything is driven by named child
+generators of one seed, so records are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,10 +49,10 @@ from .adversarial import (REWARD_CLAMP, Discriminator, ExpertBuffer,
 from .buffers import RatioSchedule, ReplayBuffer
 from .dynamics import (GaussianDynamicsModel, TabularDynamicsEstimate,
                        rollout_synthetic, tv_distance)
-from .mdp import (ContinuousEnv, TabularEnv, TabularMDP, TabularPolicy,
+from .mdp import (ContinuousEnv, TabularEnv, TabularPolicy,
                   sample_trajectory, save_continuous_demos, save_tabular_demos)
 from .neural import AdamState, Mlp, adam_step, save_params
-from .policy_opt import SacAgent, sac_update
+from .policy_opt import SacAgent
 from .seeding import as_generator, spawn_streams
 from .soft_dp import logsumexp, soft_optimal_policy, soft_value_iteration
 
@@ -146,7 +155,6 @@ class TrainingConfig:
     mix_prob_start: float = 0.1
     mix_prob_end: float = 0.1
     use_synthetic: bool = True
-    disc_use_synthetic: bool = False
     eval_period: int = 1_000
     eval_episodes: int = 10
     checkpoint_period: int = 0
@@ -187,8 +195,6 @@ class TrainingConfig:
 def _act(agent, state, rng):
     if isinstance(agent, TabularPolicy):
         return agent.sample(state, rng)
-    if isinstance(agent, SacAgent):
-        return agent.act(state, rng)
     return agent(state, rng)
 
 
@@ -196,11 +202,12 @@ def mix_action(real_state, agent, model, mix_prob: float, prev_transition, rng):
     """Pick the action from a model-predicted stand-in of the current state.
 
     With probability mix_prob (and when a previous transition and a model
-    exist), the agent is queried at s_hat sampled from the model's
-    prediction for the previous (state, action) instead of at the real
-    state. Returns (action, used_model_state). The stored transition must
-    still record the real state; this only shifts where the policy is
-    evaluated, which counters train/deploy distribution mismatch.
+    exist), the agent (a TabularPolicy or a callable act(state, rng)) is
+    queried at s_hat sampled from the model's prediction for the previous
+    (state, action) instead of at the real state. Returns (action,
+    used_model_state). The stored transition must still record the real
+    state; this only shifts where the policy is evaluated, which counters
+    train/deploy distribution mismatch.
     """
     rng = as_generator(rng)
     coin = rng.random()
@@ -214,10 +221,123 @@ def mix_action(real_state, agent, model, mix_prob: float, prev_transition, rng):
 def run_meairl(env, expert: ExpertBuffer, config: TrainingConfig) -> TrainingRecord:
     """Run the full loop; returns the evaluation record."""
     if isinstance(env, TabularEnv):
-        return _run_tabular(env, expert, config)
+        return _TabularRun(env, expert, config).run()
     if isinstance(env, ContinuousEnv):
-        return _run_continuous(env, expert, config)
+        return _ContinuousRun(env, expert, config).run()
     raise TypeError(f"unsupported env type {type(env).__name__}")
+
+
+STREAMS = ("interact", "disc", "rollout", "policy", "mix", "eval", "init")
+
+
+class _Run:
+    """The step loop and everything in it that both cases share.
+
+    A subclass sets `reset`, `step` (returning the successor only),
+    `horizon`, `actor` (what acts and rolls out), `pi` (what the
+    discriminator scores against), `model`, `disc` and `disc_adam`, and
+    defines the four differing parts plus `evaluate` and `checkpoint_params`.
+    """
+
+    def __init__(self, env, expert, config, **buffer_kwargs):
+        self.env = env
+        self.expert = expert
+        self.config = config
+        self.model_based = config.algorithm == "meairl"
+        self.shaping = "model" if self.model_based else "sample"
+        self.synthetic = self.model_based and config.use_synthetic
+        self.streams = spawn_streams(config.seed, STREAMS)
+        self.ratio = config.ratio_schedule()
+        self.d_env = ReplayBuffer(config.env_buffer_capacity, **buffer_kwargs)
+        self.d_gen = ReplayBuffer(self.ratio.cap_init, phys_capacity=self.ratio.cap_max,
+                                  **buffer_kwargs)
+        self.model = self.disc = None
+
+    def run(self) -> TrainingRecord:
+        config, streams = self.config, self.streams
+        last_disc_loss = float("nan")
+        record = TrainingRecord()
+        state = self.reset(streams["interact"])
+        ep_t = 0
+        prev = None
+        for t in range(1, config.total_steps + 1):
+            if self.model_based and t > config.pretrain_steps:
+                action, _ = mix_action(state, self.actor, self.model, config.mix_prob_at(t),
+                                       prev, streams["mix"])
+            else:
+                action = _act(self.actor, state, streams["interact"])
+            s_next = self.step(state, action, streams["interact"])
+            self.d_env.add(state, action, s_next)
+            if self.model is not None:
+                self.model_step(t, state, action, s_next)
+            prev = (state, action)
+            ep_t += 1
+            if ep_t >= self.horizon:
+                state = self.reset(streams["interact"])
+                ep_t, prev = 0, None
+            else:
+                state = s_next
+            if t > config.pretrain_steps:
+                if self.disc is not None:
+                    for _ in range(config.disc_updates_per_step):
+                        last_disc_loss = self.disc_step(t)
+                    if self.synthetic:
+                        self.rollout(t)
+                    for _ in range(config.policy_updates_per_step):
+                        self.policy_step(t, *self.mixed_batch(t, streams["policy"]))
+                else:
+                    self.bc_step()
+            if t % config.eval_period == 0:
+                mean, std = self.evaluate(streams["eval"])
+                model_nll, eps_t = self.model_columns()
+                record.rows.append(EvalRow(t, mean, std, last_disc_loss, model_nll,
+                                           eps_t, self.synthetic_fraction(t)))
+            if (config.checkpoint_period and config.checkpoint_dir
+                    and t % config.checkpoint_period == 0):
+                self.checkpoint(t)
+        return record
+
+    def disc_step(self, t) -> float:
+        rng = self.streams["disc"]
+        e_batch = self.expert.sample(self.config.batch_size, rng)
+        p_batch = self.d_env.sample(self.config.batch_size, rng)
+        loss, grads = discriminator_loss_and_grads(self.disc, e_batch, p_batch, self.pi,
+                                                   rng=rng)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(t, {"disc_loss": loss})
+        self.disc.params = adam_step(self.disc_adam, self.disc.params, grads)
+        return loss
+
+    def rollout(self, t) -> None:
+        rng = self.streams["rollout"]
+        self.d_gen.set_capacity(self.ratio.capacity(t))
+        starts, _, _ = self.d_env.sample(self.config.rollout_starts, rng)
+        self.d_gen.add_batch(*rollout_synthetic(self.model, self.actor, starts,
+                                                self.config.rollout_horizon, rng))
+
+    def synthetic_fraction(self, t) -> float:
+        """Synthetic share of the policy batches at step t."""
+        if self.synthetic and t > self.config.pretrain_steps:
+            return self.ratio.fraction(t)
+        return 0.0
+
+    def mixed_batch(self, t, rng):
+        """A policy batch: real transitions, then synthetic ones once there are any."""
+        batch_size = self.config.batch_size
+        n_syn = int(round(self.synthetic_fraction(t) * batch_size)) if len(self.d_gen) else 0
+        real = self.d_env.sample(batch_size - n_syn, rng)
+        if n_syn == 0:
+            return real
+        return tuple(np.concatenate(pair) for pair in zip(real, self.d_gen.sample(n_syn, rng)))
+
+    def checkpoint(self, t) -> None:
+        named = self.checkpoint_params()
+        if self.disc is not None:
+            named["disc"] = ([self.disc.n_params], self.disc.params)
+        os.makedirs(self.config.checkpoint_dir, exist_ok=True)
+        for name, (sizes, params) in named.items():
+            save_params(os.path.join(self.config.checkpoint_dir, f"step{t}_{name}.txt"),
+                        sizes, params)
 
 
 def _bc_policy_tabular(expert: ExpertBuffer, n_states: int, n_actions: int) -> TabularPolicy:
@@ -248,132 +368,71 @@ def evaluate_tabular_policy(env: TabularEnv, policy: TabularPolicy, episodes: in
     return float(returns.mean()), float(returns.std())
 
 
-def _checkpoint(config, step, named_params):
-    if not config.checkpoint_period or not config.checkpoint_dir:
-        return
-    if step % config.checkpoint_period != 0:
-        return
-    os.makedirs(config.checkpoint_dir, exist_ok=True)
-    for name, (sizes, params) in named_params.items():
-        save_params(os.path.join(config.checkpoint_dir, f"step{step}_{name}.txt"),
-                    sizes, params)
-
-
-def _run_tabular(env: TabularEnv, expert: ExpertBuffer, config: TrainingConfig) -> TrainingRecord:
-    mdp = env.mdp
-    n_states, n_actions = mdp.n_states, mdp.n_actions
-    alg = config.algorithm
-    model_based = alg == "meairl"
-    adversarial = alg in ("meairl", "airl_sample_baseline")
-    streams = spawn_streams(config.seed, ("interact", "disc", "rollout", "policy", "mix", "eval"))
-    d_env = ReplayBuffer(config.env_buffer_capacity)
-    ratio = config.ratio_schedule()
-    d_gen = ReplayBuffer(ratio.cap_init, phys_capacity=ratio.cap_max)
-    model = TabularDynamicsEstimate(n_states, n_actions, alpha=config.model_alpha) \
-        if model_based else None
-    disc = None
-    if adversarial:
-        disc = Discriminator.tabular(n_states, n_actions, mdp.discount,
-                                     dynamics=model,
-                                     shaping="model" if model_based else "sample",
-                                     state_only=True)
-        disc_adam = AdamState.for_params(disc.params, lr=config.disc_lr)
-    policy = _bc_policy_tabular(expert, n_states, n_actions) if alg == "bc_none" \
-        else TabularPolicy.uniform(n_states, n_actions)
-    q_pol = np.zeros((n_states, n_actions))
-    last_disc_loss = float("nan")
-    record = TrainingRecord()
-    state = mdp.sample_init(streams["interact"])
-    ep_t = 0
-    prev = None
-    for t in range(1, config.total_steps + 1):
-        if model_based and t > config.pretrain_steps:
-            action, _ = mix_action(state, policy, model, config.mix_prob_at(t),
-                                   prev, streams["mix"])
+class _TabularRun(_Run):
+    def __init__(self, env: TabularEnv, expert: ExpertBuffer, config: TrainingConfig):
+        super().__init__(env, expert, config)
+        mdp = env.mdp
+        self.reset, self.step = mdp.sample_init, mdp.sample_next
+        self.horizon = env.episode_horizon
+        n_states, n_actions = mdp.n_states, mdp.n_actions
+        if self.model_based:
+            self.model = TabularDynamicsEstimate(n_states, n_actions, alpha=config.model_alpha)
+        if config.algorithm != "bc_none":
+            self.disc = Discriminator.tabular(n_states, n_actions, mdp.discount,
+                                              dynamics=self.model, shaping=self.shaping,
+                                              state_only=True)
+            self.disc_adam = AdamState.for_params(self.disc.params, lr=config.disc_lr)
+            self.policy = TabularPolicy.uniform(n_states, n_actions)
+            self.q_pol = np.zeros((n_states, n_actions))
         else:
-            action = policy.sample(state, streams["interact"])
-        s_next = mdp.sample_next(state, action, streams["interact"])
-        d_env.add(state, action, s_next)
-        if model_based:
-            model.add(state, action, s_next)
-        prev = (state, action)
-        ep_t += 1
-        if ep_t >= env.episode_horizon:
-            state = mdp.sample_init(streams["interact"])
-            ep_t, prev = 0, None
-        else:
-            state = s_next
-        if adversarial and t > config.pretrain_steps:
-            for _ in range(config.disc_updates_per_step):
-                e_batch = expert.sample(config.batch_size, streams["disc"])
-                n_syn_d = 0
-                if model_based and config.disc_use_synthetic and len(d_gen) > 0:
-                    n_syn_d = int(round(ratio.fraction(t) * config.batch_size))
-                ps, pa, pn = d_env.sample(config.batch_size - n_syn_d, streams["disc"])
-                if n_syn_d > 0:
-                    gs, ga, gn = d_gen.sample(n_syn_d, streams["disc"])
-                    ps = np.concatenate([ps, gs])
-                    pa = np.concatenate([pa, ga])
-                    pn = np.concatenate([pn, gn])
-                p_batch = (ps, pa, pn)
-                loss, grads = discriminator_loss_and_grads(disc, e_batch, p_batch, policy)
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(t, {"disc_loss": loss})
-                disc.params = adam_step(disc_adam, disc.params, grads)
-                last_disc_loss = loss
-            if model_based and config.use_synthetic:
-                d_gen.set_capacity(ratio.capacity(t))
-                starts, _, _ = d_env.sample(config.rollout_starts, streams["rollout"])
-                d_gen.add_batch(*rollout_synthetic(model, policy, starts,
-                                                   config.rollout_horizon,
-                                                   streams["rollout"]))
-            for _ in range(config.policy_updates_per_step):
-                frac = ratio.fraction(t) if (model_based and config.use_synthetic) else 0.0
-                n_syn = int(round(frac * config.batch_size))
-                if len(d_gen) == 0:
-                    n_syn = 0
-                bs, ba, bn = d_env.sample(config.batch_size - n_syn, streams["policy"])
-                if n_syn > 0:
-                    gs, ga, gn = d_gen.sample(n_syn, streams["policy"])
-                    bs = np.concatenate([bs, gs])
-                    ba = np.concatenate([ba, ga])
-                    bn = np.concatenate([bn, gn])
-                rewards = np.clip(disc.f_values(bs, ba, bn), -REWARD_CLAMP, REWARD_CLAMP)
-                if not np.all(np.isfinite(rewards)):
-                    raise TrainingDivergedError(t, {"reward_targets": "non-finite"})
-                # One soft TD backup per sampled transition, the tabular
-                # counterpart of a single actor-critic step. Duplicate
-                # (s,a) rows fold into one convex step per pair; a plain
-                # scatter-add would multiply the step size by the duplicate
-                # count (batches pile onto absorbing states) and diverge.
-                v_soft = logsumexp(q_pol, axis=1)
-                td = rewards + mdp.discount * v_soft[bn]
-                pair = bs * n_actions + ba
-                counts = np.bincount(pair, minlength=q_pol.size)
-                hit = counts > 0
-                sums = np.bincount(pair, weights=td, minlength=q_pol.size)
-                decay = (1.0 - config.policy_td_rate) ** counts[hit]
-                flat = q_pol.ravel()
-                flat[hit] = decay * flat[hit] + (1.0 - decay) * (sums[hit] / counts[hit])
-                adv = q_pol - logsumexp(q_pol, axis=1)[:, None]
-                policy = TabularPolicy(np.exp(adv))
-        if t % config.eval_period == 0:
-            mean, std = evaluate_tabular_policy(env, policy, config.eval_episodes,
-                                                streams["eval"])
-            eps_t = model_nll = float("nan")
-            if model_based:
-                eps_t = tv_distance(mdp.kernel, model.kernel)[0]
-                es, ea, en = d_env.newest(256)
-                model_nll = model.nll(es, ea, en)
-            frac = ratio.fraction(t) if (model_based and config.use_synthetic
-                                         and t > config.pretrain_steps) else 0.0
-            record.rows.append(EvalRow(t, mean, std, last_disc_loss, model_nll,
-                                       eps_t, frac))
-        named = {"policy": ([n_states, n_actions], policy.probs.ravel())}
-        if disc is not None:
-            named["disc"] = ([disc.n_params], disc.params)
-        _checkpoint(config, t, named)
-    return record
+            self.policy = _bc_policy_tabular(expert, n_states, n_actions)
+
+    @property
+    def actor(self):
+        return self.policy
+
+    pi = actor
+
+    def model_step(self, t, state, action, s_next) -> None:
+        self.model.add(state, action, s_next)
+
+    def policy_step(self, t, bs, ba, bn) -> None:
+        rewards = np.clip(self.disc.f_values(bs, ba, bn), -REWARD_CLAMP, REWARD_CLAMP)
+        if not np.all(np.isfinite(rewards)):
+            raise TrainingDivergedError(t, {"reward_targets": "non-finite"})
+        # One soft TD backup per sampled transition, the tabular counterpart
+        # of a single actor-critic step. Duplicate (s,a) rows fold into one
+        # convex step per pair; a plain scatter-add would multiply the step
+        # size by the duplicate count (batches pile onto absorbing states)
+        # and diverge.
+        q_pol = self.q_pol
+        td = rewards + self.env.mdp.discount * logsumexp(q_pol, axis=1)[bn]
+        pair = bs * q_pol.shape[1] + ba
+        counts = np.bincount(pair, minlength=q_pol.size)
+        hit = counts > 0
+        sums = np.bincount(pair, weights=td, minlength=q_pol.size)
+        decay = (1.0 - self.config.policy_td_rate) ** counts[hit]
+        flat = q_pol.ravel()
+        flat[hit] = decay * flat[hit] + (1.0 - decay) * (sums[hit] / counts[hit])
+        self.policy = TabularPolicy(np.exp(q_pol - logsumexp(q_pol, axis=1)[:, None]))
+
+    def bc_step(self) -> None:
+        pass
+
+    def evaluate(self, rng):
+        return evaluate_tabular_policy(self.env, self.policy, self.config.eval_episodes, rng)
+
+    def model_columns(self):
+        """(model_nll on the newest 256 transitions, worst-row TV error)."""
+        if self.model is None:
+            return float("nan"), float("nan")
+        es, ea, en = self.d_env.newest(256)
+        return (self.model.nll(es, ea, en),
+                tv_distance(self.env.mdp.kernel, self.model.kernel)[0])
+
+    def checkpoint_params(self) -> dict:
+        return {"policy": ([self.policy.n_states, self.policy.n_actions],
+                           self.policy.probs.ravel())}
 
 
 def evaluate_continuous_policy(env: ContinuousEnv, act_fn, episodes: int, rng):
@@ -390,141 +449,86 @@ def evaluate_continuous_policy(env: ContinuousEnv, act_fn, episodes: int, rng):
     return float(returns.mean()), float(returns.std())
 
 
-def _run_continuous(env: ContinuousEnv, expert: ExpertBuffer,
-                    config: TrainingConfig) -> TrainingRecord:
-    alg = config.algorithm
-    model_based = alg == "meairl"
-    adversarial = alg in ("meairl", "airl_sample_baseline")
-    streams = spawn_streams(config.seed,
-                            ("interact", "disc", "rollout", "policy", "mix", "eval", "init"))
-    d = env.state_dim
-    k = env.action_dim
-    d_env = ReplayBuffer(config.env_buffer_capacity, state_shape=(d,), action_shape=(k,),
+class _ContinuousRun(_Run):
+    def __init__(self, env: ContinuousEnv, expert: ExpertBuffer, config: TrainingConfig):
+        d, k = env.state_dim, env.action_dim
+        super().__init__(env, expert, config, state_shape=(d,), action_shape=(k,),
                          dtype=np.float64)
-    ratio = config.ratio_schedule()
-    d_gen = ReplayBuffer(ratio.cap_init, phys_capacity=ratio.cap_max,
-                         state_shape=(d,), action_shape=(k,), dtype=np.float64)
-    model = None
-    if model_based:
-        model = GaussianDynamicsModel(d, k, hidden=config.model_hidden,
-                                      state_low=env.state_low, state_high=env.state_high,
-                                      rng=streams["init"])
-        model_adam = AdamState.for_params(model.params, lr=config.model_lr)
-    agent = SacAgent(d, k, env.action_low, env.action_high, config.discount,
-                     hidden=config.sac_hidden, lr=config.sac_lr,
-                     alpha_ent=config.alpha_ent, tau=config.tau, rng=streams["init"])
-    disc = None
-    if adversarial:
-        disc = Discriminator.continuous(d, k, config.discount, dynamics=model,
-                                        shaping="model" if model_based else "sample",
-                                        hidden=config.disc_hidden,
-                                        n_model_samples=config.n_model_samples,
-                                        rng=streams["init"])
-        disc_adam = AdamState.for_params(disc.params, lr=config.disc_lr)
-    bc_net = None
-    if alg == "bc_none":
-        bc_net = Mlp([d, *config.sac_hidden, k], output="tanh", rng=streams["init"])
-        bc_adam = AdamState.for_params(bc_net.params, lr=config.sac_lr)
+        self.reset, self.horizon = env.reset, env.horizon
+        init = self.streams["init"]
+        if self.model_based:
+            self.model = GaussianDynamicsModel(d, k, hidden=config.model_hidden,
+                                               state_low=env.state_low,
+                                               state_high=env.state_high, rng=init)
+            self.model_adam = AdamState.for_params(self.model.params, lr=config.model_lr)
+        self.agent = SacAgent(d, k, env.action_low, env.action_high, config.discount,
+                              hidden=config.sac_hidden, lr=config.sac_lr,
+                              alpha_ent=config.alpha_ent, tau=config.tau, rng=init)
+        self.pi, self.actor = self.agent, self.agent.act
+        self.bc_net = None
+        self.last_model_nll = float("nan")
+        if config.algorithm != "bc_none":
+            self.disc = Discriminator.continuous(d, k, config.discount, dynamics=self.model,
+                                                 shaping=self.shaping,
+                                                 hidden=config.disc_hidden,
+                                                 n_model_samples=config.n_model_samples,
+                                                 rng=init)
+            self.disc_adam = AdamState.for_params(self.disc.params, lr=config.disc_lr)
+        else:
+            self.bc_net = Mlp([d, *config.sac_hidden, k], output="tanh", rng=init)
+            self.bc_adam = AdamState.for_params(self.bc_net.params, lr=config.sac_lr)
+            self.actor = self._bc_act
 
-    def bc_act(states, rng_, deterministic=True):
-        out = bc_net.forward(np.atleast_2d(states))
-        a = agent.center + agent.scale * out
+    def step(self, state, action, rng):
+        return self.env.step(state, action, rng)[0]
+
+    def _bc_act(self, states, rng=None):
+        out = self.bc_net.forward(np.atleast_2d(states))
+        a = self.agent.center + self.agent.scale * out
         return a[0] if np.asarray(states).ndim == 1 else a
 
-    def eval_act(s, rng_):
-        if bc_net is not None:
-            return bc_act(s, rng_)
-        return agent.act(s, rng_, deterministic=True)
+    def model_step(self, t, *transition) -> None:
+        config = self.config
+        if t > config.pretrain_steps and t % config.model_update_period != 0:
+            return
+        ms, ma, mn = self.d_env.sample(config.batch_size, self.streams["disc"])
+        nll, grads = self.model.loss_and_grads(ms, ma, mn)
+        if not np.isfinite(nll):
+            raise TrainingDivergedError(t, {"model_nll": nll})
+        self.model.params = adam_step(self.model_adam, self.model.params, grads,
+                                      clip_norm=config.model_clip_norm)
+        self.last_model_nll = nll
 
-    last_disc_loss = last_model_nll = float("nan")
-    record = TrainingRecord()
-    state = env.reset(streams["interact"])
-    ep_t = 0
-    prev = None
-    for t in range(1, config.total_steps + 1):
-        if model_based and t > config.pretrain_steps:
-            action, _ = mix_action(state, agent, model, config.mix_prob_at(t),
-                                   prev, streams["mix"])
-        elif bc_net is not None:
-            action = bc_act(state, streams["interact"])
-        else:
-            action = agent.act(state, streams["interact"])
-        s_next, _ = env.step(state, action, streams["interact"])
-        d_env.add(state, action, s_next)
-        prev = (state, action)
-        ep_t += 1
-        if ep_t >= env.horizon:
-            state = env.reset(streams["interact"])
-            ep_t, prev = 0, None
-        else:
-            state = s_next
-        if model_based and (t <= config.pretrain_steps
-                            or t % config.model_update_period == 0):
-            ms, ma, mn = d_env.sample(config.batch_size, streams["disc"])
-            nll, grads = model.loss_and_grads(ms, ma, mn)
-            if not np.isfinite(nll):
-                raise TrainingDivergedError(t, {"model_nll": nll})
-            model.params = adam_step(model_adam, model.params, grads,
-                                     clip_norm=config.model_clip_norm)
-            last_model_nll = nll
-        if t <= config.pretrain_steps:
-            pass
-        elif adversarial:
-            for _ in range(config.disc_updates_per_step):
-                e_batch = expert.sample(config.batch_size, streams["disc"])
-                p_batch = d_env.sample(config.batch_size, streams["disc"])
-                loss, grads = discriminator_loss_and_grads(disc, e_batch, p_batch,
-                                                           agent, rng=streams["disc"])
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(t, {"disc_loss": loss})
-                disc.params = adam_step(disc_adam, disc.params, grads)
-                last_disc_loss = loss
-            if model_based and config.use_synthetic:
-                d_gen.set_capacity(ratio.capacity(t))
-                starts, _, _ = d_env.sample(config.rollout_starts, streams["rollout"])
-                d_gen.add_batch(*rollout_synthetic(
-                    model, lambda s, r: agent.act(s, r), starts,
-                    config.rollout_horizon, streams["rollout"]))
-            for _ in range(config.policy_updates_per_step):
-                frac = ratio.fraction(t) if (model_based and config.use_synthetic) else 0.0
-                n_syn = int(round(frac * config.batch_size))
-                if len(d_gen) == 0:
-                    n_syn = 0
-                bs, ba, bn = d_env.sample(config.batch_size - n_syn, streams["policy"])
-                if n_syn > 0:
-                    gs, ga, gn = d_gen.sample(n_syn, streams["policy"])
-                    bs = np.concatenate([bs, gs])
-                    ba = np.concatenate([ba, ga])
-                    bn = np.concatenate([bn, gn])
-                rewards = extract_reward(disc, bs, ba,
-                                         log_policy_prob=agent.log_prob(bs, ba),
-                                         next_states=bn, rng=streams["policy"])
-                diag = sac_update(agent, (bs, ba, rewards, bn, np.zeros(len(bs))),
-                                  streams["policy"])
-                if not (np.isfinite(diag.critic_loss) and np.isfinite(diag.actor_loss)):
-                    raise TrainingDivergedError(t, {"critic_loss": diag.critic_loss,
-                                                    "actor_loss": diag.actor_loss})
-        else:  # behavior cloning
-            es, ea, _ = expert.sample(config.batch_size, streams["policy"])
-            target_t = np.clip((ea - agent.center) / agent.scale, -1.0, 1.0)
-            pred = bc_net.forward(es)
-            diff = pred - target_t
-            grads, _ = bc_net.backward(es, 2.0 * diff / diff.shape[0])
-            bc_net.params[...] = adam_step(bc_adam, bc_net.params, grads)
-        if t % config.eval_period == 0:
-            mean, std = evaluate_continuous_policy(env, eval_act, config.eval_episodes,
-                                                   streams["eval"])
-            frac = ratio.fraction(t) if (model_based and config.use_synthetic
-                                         and t > config.pretrain_steps) else 0.0
-            record.rows.append(EvalRow(t, mean, std, last_disc_loss, last_model_nll,
-                                       float("nan"), frac))
-        named = {}
-        if disc is not None:
-            named["disc"] = ([disc.n_params], disc.params)
-        if bc_net is None:
-            named["actor"] = (agent.actor.sizes, agent.actor.params)
-        _checkpoint(config, t, named)
-    return record
+    def policy_step(self, t, bs, ba, bn) -> None:
+        rng = self.streams["policy"]
+        rewards = extract_reward(self.disc, bs, ba,
+                                 log_policy_prob=self.agent.log_prob(bs, ba),
+                                 next_states=bn, rng=rng)
+        diag = self.agent.update((bs, ba, rewards, bn, np.zeros(len(bs))), rng)
+        if not (np.isfinite(diag.critic_loss) and np.isfinite(diag.actor_loss)):
+            raise TrainingDivergedError(t, {"critic_loss": diag.critic_loss,
+                                            "actor_loss": diag.actor_loss})
+
+    def bc_step(self) -> None:
+        es, ea, _ = self.expert.sample(self.config.batch_size, self.streams["policy"])
+        target_t = np.clip((ea - self.agent.center) / self.agent.scale, -1.0, 1.0)
+        diff = self.bc_net.forward(es) - target_t
+        grads, _ = self.bc_net.backward(es, 2.0 * diff / diff.shape[0])
+        self.bc_net.params[...] = adam_step(self.bc_adam, self.bc_net.params, grads)
+
+    def evaluate(self, rng):
+        act = self._bc_act if self.bc_net is not None else partial(self.agent.act,
+                                                                    deterministic=True)
+        return evaluate_continuous_policy(self.env, act, self.config.eval_episodes, rng)
+
+    def model_columns(self):
+        """(the last model step's NLL, NaN: there is no true kernel to compare)."""
+        return self.last_model_nll, float("nan")
+
+    def checkpoint_params(self) -> dict:
+        if self.bc_net is not None:
+            return {}
+        return {"actor": (self.agent.actor.sizes, self.agent.actor.params)}
 
 
 def generate_expert(env, seed: int, n_episodes: int, out_path,
@@ -557,8 +561,7 @@ def generate_expert(env, seed: int, n_episodes: int, out_path,
                      config.discount, hidden=config.sac_hidden, lr=config.sac_lr,
                      alpha_ent=config.alpha_ent, tau=config.tau, rng=streams["init"])
     buf = ReplayBuffer(config.env_buffer_capacity, state_shape=(env.state_dim,),
-                       action_shape=(env.action_dim,), dtype=np.float64)
-    rewards_col = np.zeros(config.env_buffer_capacity)
+                       action_shape=(env.action_dim,), dtype=np.float64, with_reward=True)
     state = env.reset(streams["interact"])
     ep_t = 0
     warmup = min(1_000, max_steps // 10)
@@ -570,8 +573,7 @@ def generate_expert(env, seed: int, n_episodes: int, out_path,
         else:
             action = agent.act(state, streams["interact"])
         s_next, reward = env.step(state, action, streams["interact"])
-        rewards_col[buf._head] = reward
-        buf.add(state, action, s_next)
+        buf.add(state, action, s_next, reward)
         ep_t += 1
         if ep_t >= env.horizon:
             state = env.reset(streams["interact"])
@@ -579,10 +581,8 @@ def generate_expert(env, seed: int, n_episodes: int, out_path,
         else:
             state = s_next
         if t > warmup:
-            idx = buf._indices(config.batch_size, streams["update"])
-            batch = (buf.states[idx], buf.actions[idx], rewards_col[idx],
-                     buf.next_states[idx], np.zeros(config.batch_size))
-            sac_update(agent, batch, streams["update"])
+            bs, ba, bn, br = buf.sample(config.batch_size, streams["update"])
+            agent.update((bs, ba, br, bn, np.zeros(config.batch_size)), streams["update"])
         if t % config.eval_period == 0 and t > warmup:
             mean, _ = evaluate_continuous_policy(
                 env, lambda s, r: agent.act(s, r, deterministic=True),

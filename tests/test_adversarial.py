@@ -9,7 +9,7 @@ from helpers import finite_difference_grad, max_rel_err, random_mdp
 from meairl import (Discriminator, ExpertBuffer, GaussianDynamicsModel, Mlp,
                     TabularMDP, TabularPolicy, discounted_occupancy,
                     discriminator_loss_and_grads, discriminator_prob,
-                    extract_reward, f_value, gradient_alignment_gap,
+                    extract_reward, gradient_alignment_gap,
                     make_gridworld, mce_irl_gradient, soft_optimal_policy,
                     soft_value_iteration)
 
@@ -27,21 +27,21 @@ class TestFValue:
         # f(0, 0) = 0 + 0.9 * 1.5 - 1 = 0.35
         disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
         disc.phi_table[:] = [1.0, 2.0]
-        assert abs(f_value(disc, 0, 0) - 0.35) < 1e-12
+        assert abs(disc.f_values([0], [0])[0] - 0.35) < 1e-12
 
     def test_hand_value_sample_shaping(self):
         # single-sample form uses the observed successor instead of the row
         disc = Discriminator.tabular(2, 1, 0.9, shaping="sample")
         disc.phi_table[:] = [1.0, 2.0]
-        assert abs(f_value(disc, 0, 0, next_state=1) - (0.9 * 2.0 - 1.0)) < 1e-12
-        assert abs(f_value(disc, 0, 0, next_state=0) - (0.9 * 1.0 - 1.0)) < 1e-12
+        assert abs(disc.f_values([0], [0], [1])[0] - (0.9 * 2.0 - 1.0)) < 1e-12
+        assert abs(disc.f_values([0], [0], [0])[0] - (0.9 * 1.0 - 1.0)) < 1e-12
 
     def test_model_shaping_ignores_observed_successor(self):
         disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
         disc.phi_table[:] = [1.0, 2.0]
         disc.r_table[0, 0] = 0.25
         for ns in (0, 1):
-            assert abs(f_value(disc, 0, 0, next_state=ns) - 0.6) < 1e-12
+            assert abs(disc.f_values([0], [0], [ns])[0] - 0.6) < 1e-12
 
     def test_sample_shaping_requires_next_state(self):
         disc = Discriminator.tabular(2, 1, 0.9, shaping="sample")

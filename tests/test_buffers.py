@@ -23,7 +23,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(3)
         for i in range(5):
             buf.add(i, 0, 0)
-        states, _, _ = buf.oldest_first()
+        states, _, _ = buf.newest(len(buf))
         assert list(states) == [2, 3, 4]
 
     def test_newest_returns_latest_in_order(self):
@@ -40,7 +40,7 @@ class TestReplayBuffer:
         for i in range(5):
             buf.add(i, 0, 0)
         buf.set_capacity(2)
-        states, _, _ = buf.oldest_first()
+        states, _, _ = buf.newest(len(buf))
         assert list(states) == [3, 4]
 
     def test_regrow_after_shrink(self):
@@ -51,7 +51,7 @@ class TestReplayBuffer:
         buf.add(10, 0, 0)
         buf.set_capacity(4)
         buf.add(11, 0, 0)
-        states, _, _ = buf.oldest_first()
+        states, _, _ = buf.newest(len(buf))
         assert list(states)[-2:] == [10, 11]
         assert len(buf) <= 4
 
@@ -90,9 +90,24 @@ class TestReplayBuffer:
         buf.set_capacity(8)
         for i in range(6, 10):
             buf.add(i, 0, 0)
-        states, _, _ = buf.oldest_first()
+        states, _, _ = buf.newest(len(buf))
         # shrunk window kept only the 2 newest, then growth appends
         assert list(states) == [4, 5, 6, 7, 8, 9]
+
+    def test_reward_column_follows_its_transitions(self):
+        buf = ReplayBuffer(3, with_reward=True)
+        for i in range(5):
+            buf.add(i, 0, i + 1, reward=10.0 * i)
+        states, _, next_states, rewards = buf.newest(len(buf))
+        assert list(rewards) == [20.0, 30.0, 40.0]
+        states, _, next_states, rewards = buf.sample(50, np.random.default_rng(0))
+        assert np.array_equal(rewards, 10.0 * states)
+        assert np.array_equal(next_states, states + 1)
+        # a plain buffer draws the same rows from the same generator state
+        plain = ReplayBuffer(3)
+        for i in range(5):
+            plain.add(i, 0, i + 1)
+        assert np.array_equal(plain.sample(50, np.random.default_rng(0))[0], states)
 
 
 class TestRatioSchedule:

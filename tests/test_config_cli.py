@@ -228,6 +228,22 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_run_without_evaluation_row_exits_two(self, tmp_path, capsys, command):
+        # total_steps below eval_period would record nothing; it is refused
+        # before the expert is generated or any run is trained
+        cfg_path = tmp_path / "short.cfg"
+        cfg_path.write_text(MICRO_CONFIG.replace("total_steps = 300", "total_steps = 50")
+                            .replace("pretrain_steps = 100", "pretrain_steps = 10"))
+        demos = tmp_path / "demos.txt"
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--demos", str(demos)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "total_steps" in err and "eval_period" in err
+        assert not demos.exists()
+        assert not (tmp_path / "o").exists()
+
     def test_verify_invariance_passes(self, tmp_path, capsys):
         code = main(["verify-invariance", "--cases", "10",
                      "--alignment-cases", "5", "--out", str(tmp_path)])

@@ -7,8 +7,8 @@ import pytest
 
 from helpers import finite_difference_grad, max_rel_err, random_mdp
 from meairl import (GaussianDynamicsModel, TabularDynamicsEstimate,
-                    TabularMDP, TabularPolicy, fit_tabular, gaussian_nll_loss,
-                    make_noisy_pointmass, rollout_synthetic, tv_distance)
+                    TabularMDP, TabularPolicy, fit_tabular, make_noisy_pointmass,
+                    rollout_synthetic, tv_distance)
 
 
 class TestFitTabular:
@@ -107,6 +107,20 @@ def tiny_model(rng=None, hidden=(4, 4)):
 
 
 class TestGaussianModel:
+    def test_n_draws_equal_sequential_draws(self):
+        # one model pass and one (n, B, d) normal draw give the same bits,
+        # clip included, as n separate calls on the same generator
+        model = tiny_model(np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        states = rng.uniform(-5, 5, size=(7, 1))
+        actions = rng.uniform(-1, 1, size=(7, 1))
+        together = model.sample_next(states, actions, np.random.default_rng(5), n=3)
+        one_by_one = np.random.default_rng(5)
+        apart = np.stack([model.sample_next(states, actions, one_by_one) for _ in range(3)])
+        assert together.shape == (3, 7, 1)
+        assert np.array_equal(together, apart)
+        assert together.min() >= -5.0 and together.max() <= 5.0
+
     def test_zero_residual_unit_sigma_loss(self):
         model = tiny_model()
         model.params = np.zeros(model.n_params)
@@ -128,7 +142,7 @@ class TestGaussianModel:
         def loss_fn(flat):
             probe = tiny_model()
             probe.params = flat
-            return gaussian_nll_loss(probe, states, actions, nxt)[0]
+            return probe.loss_and_grads(states, actions, nxt)[0]
 
         loss, grads = model.loss_and_grads(states, actions, nxt)
         fd = finite_difference_grad(loss_fn, model.params)

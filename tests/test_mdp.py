@@ -1,16 +1,13 @@
 """Core MDP types, sampling, occupancies, environments, demo files."""
 
-import math
-
 import numpy as np
 import pytest
 
 from helpers import random_mdp, random_policy
-from meairl import (DemoFormatError, TabularMDP, TabularPolicy, Trajectory,
+from meairl import (DemoFormatError, TabularMDP, TabularPolicy,
                     discounted_occupancy, load_demos, make_gridworld,
                     make_noisy_pointmass, sample_trajectory,
-                    save_continuous_demos, save_tabular_demos,
-                    trajectory_log_prob)
+                    save_continuous_demos, save_tabular_demos)
 
 
 def one_state_mdp(gamma=0.5, reward=1.0):
@@ -89,41 +86,6 @@ class TestSampling:
         draws = np.array([mdp.sample_next(0, 0, rng) for _ in range(n)])
         freqs = np.bincount(draws, minlength=3) / n
         assert np.max(np.abs(freqs - row)) < 0.01
-
-
-class TestLogProb:
-    def test_deterministic_path_logprob_zero(self):
-        kernel = np.zeros((2, 1, 2))
-        kernel[0, 0, 1] = 1.0
-        kernel[1, 0, 1] = 1.0
-        mdp = TabularMDP(kernel, np.zeros((2, 1)), 0.9, [1.0, 0.0])
-        traj = Trajectory(steps=[(0, 0), (1, 0)], terminal_state=1)
-        assert trajectory_log_prob(mdp, TabularPolicy([[1.0], [1.0]]), traj) == 0.0
-
-    def test_impossible_transition_is_minus_inf(self):
-        kernel = np.zeros((2, 1, 2))
-        kernel[0, 0, 1] = 1.0
-        kernel[1, 0, 1] = 1.0
-        mdp = TabularMDP(kernel, np.zeros((2, 1)), 0.9, [1.0, 0.0])
-        traj = Trajectory(steps=[(0, 0)], terminal_state=0)  # T(0|0,0) = 0
-        assert trajectory_log_prob(mdp, TabularPolicy([[1.0], [1.0]]), traj) == -math.inf
-
-    def test_hand_product_of_factors(self):
-        kernel = np.full((2, 2, 2), 0.5)
-        mdp = TabularMDP(kernel, np.zeros((2, 2)), 0.9, [0.5, 0.5])
-        pol = TabularPolicy(np.full((2, 2), 0.5))
-        traj = Trajectory(steps=[(0, 0), (1, 1)], terminal_state=0)
-        expected = 5 * math.log(0.5)
-        assert abs(trajectory_log_prob(mdp, pol, traj) - expected) < 1e-12
-        assert abs(expected - (-3.4657)) < 1e-3
-
-    def test_sampled_trajectory_has_finite_logprob(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            mdp = random_mdp(rng)
-            pol = random_policy(rng, mdp.n_states, mdp.n_actions)
-            traj = sample_trajectory(mdp, pol, horizon=15, seed=rng)
-            assert trajectory_log_prob(mdp, pol, traj) > -math.inf
 
 
 def occupancy_linear_solve(mdp, policy):

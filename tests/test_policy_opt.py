@@ -1,55 +1,41 @@
-"""Soft policy updates (tabular) and the small actor-critic (continuous)."""
+"""Soft-optimal tabular policies for a reward table, and the small actor-critic."""
 
 import math
 
 import numpy as np
 
 from helpers import finite_difference_grad, max_rel_err, random_mdp
-from meairl import (SacAgent, TabularMDP, make_noisy_pointmass,
-                    sac_update, shape_reward, soft_optimal_policy,
-                    soft_policy_update_tabular, soft_value_iteration)
+from meairl import (SacAgent, TabularMDP, make_noisy_pointmass, shape_reward,
+                    soft_optimal_policy, soft_value_iteration)
+
+
+def soft_update(mdp, reward_table, **kwargs):
+    """The soft-optimal policy for reward_table on mdp's dynamics."""
+    return soft_optimal_policy(soft_value_iteration(mdp.with_reward(reward_table),
+                                                    **kwargs))
 
 
 class TestTabularUpdate:
     def test_zero_reward_gives_uniform(self):
         rng = np.random.default_rng(0)
         mdp = random_mdp(rng, n_states=4, n_actions=3)
-        policy = soft_policy_update_tabular(mdp, np.zeros((4, 3)))
+        policy = soft_update(mdp, np.zeros((4, 3)))
         assert np.max(np.abs(policy.probs - 1.0 / 3.0)) < 1e-9
 
     def test_two_action_softmax_hand_value(self):
         # myopic limit with advantage gap 10: pi(0) = e^10 / (e^10 + 1)
         kernel = np.ones((1, 2, 1))
         mdp = TabularMDP(kernel, np.zeros((1, 2)), 1e-9, [1.0])
-        policy = soft_policy_update_tabular(mdp, np.array([[10.0, 0.0]]))
+        policy = soft_update(mdp, np.array([[10.0, 0.0]]))
         want = math.exp(10.0) / (math.exp(10.0) + 1.0)
         assert abs(policy.probs[0, 0] - want) < 1e-8
-
-    def test_matches_soft_vi_composition(self):
-        rng = np.random.default_rng(1)
-        mdp = random_mdp(rng)
-        table = rng.normal(size=(mdp.n_states, mdp.n_actions))
-        got = soft_policy_update_tabular(mdp, table, tol=1e-12)
-        want = soft_optimal_policy(soft_value_iteration(mdp.with_reward(table),
-                                                        tol=1e-12))
-        assert np.max(np.abs(got.probs - want.probs)) < 1e-10
-
-    def test_ignores_mdps_own_reward(self):
-        rng = np.random.default_rng(2)
-        mdp = random_mdp(rng)
-        table = rng.normal(size=(mdp.n_states, mdp.n_actions))
-        a = soft_policy_update_tabular(mdp, table, tol=1e-12)
-        b = soft_policy_update_tabular(mdp.with_reward(99.0 + 0.0 * table), table,
-                                       tol=1e-12)
-        assert np.max(np.abs(a.probs - b.probs)) < 1e-12
 
     def test_warm_start_matches_cold_start(self):
         rng = np.random.default_rng(3)
         mdp = random_mdp(rng, gamma=0.9)
         table = rng.normal(size=(mdp.n_states, mdp.n_actions))
-        cold = soft_policy_update_tabular(mdp, table, tol=1e-12)
-        warm = soft_policy_update_tabular(mdp, table, tol=1e-12,
-                                          q_init=rng.normal(size=table.shape))
+        cold = soft_update(mdp, table, tol=1e-12)
+        warm = soft_update(mdp, table, tol=1e-12, q_init=rng.normal(size=table.shape))
         assert np.max(np.abs(cold.probs - warm.probs)) < 1e-8
 
     def test_policy_invariant_under_model_shaping(self):
@@ -59,8 +45,8 @@ class TestTabularUpdate:
             mdp = random_mdp(rng)
             phi = rng.normal(size=mdp.n_states) * 10
             shaped = shape_reward(mdp, phi, mdp.kernel)
-            a = soft_policy_update_tabular(mdp, mdp.reward, tol=1e-12)
-            b = soft_policy_update_tabular(mdp, shaped.table, tol=1e-12)
+            a = soft_update(mdp, mdp.reward, tol=1e-12)
+            b = soft_update(mdp, shaped.table, tol=1e-12)
             assert np.max(np.abs(a.probs - b.probs)) < 1e-8
 
 
@@ -152,7 +138,7 @@ class TestSacMechanics:
         old_target = agent.target.params.copy()
         batch = (rng.normal(size=(8, 2)), rng.uniform(-1, 1, (8, 1)),
                  rng.normal(size=8), rng.normal(size=(8, 2)), np.zeros(8))
-        sac_update(agent, batch, rng)
+        agent.update(batch, rng)
         want = (1.0 - agent.tau) * old_target + agent.tau * agent.critic.params
         assert np.max(np.abs(agent.target.params - want)) < 1e-12
 
@@ -161,7 +147,7 @@ class TestSacMechanics:
         agent = tiny_agent(rng)
         batch = (rng.normal(size=(8, 2)), rng.uniform(-1, 1, (8, 1)),
                  rng.normal(size=8), rng.normal(size=(8, 2)), np.zeros(8))
-        diag = sac_update(agent, batch, rng)
+        diag = agent.update(batch, rng)
         assert np.isfinite([diag.critic_loss, diag.actor_loss, diag.entropy]).all()
 
 
@@ -200,7 +186,7 @@ class TestSacLearnsPointmass:
             if step >= 1000:
                 idx = rng.integers(0, size, size=256)
                 batch = (buf_s[idx], buf_a[idx], buf_r[idx], buf_n[idx], buf_d[idx])
-                sac_update(agent, batch, rng)
+                agent.update(batch, rng)
 
         def mean_return(act_fn, episodes=20):
             total = 0.0

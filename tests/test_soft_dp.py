@@ -158,13 +158,14 @@ class TestHardValueIteration:
             assert np.max(np.abs(values.v - v_lp)) < 1e-6
             greedy = greedy_policy(values)
             q_lp = mdp.reward + mdp.discount * np.einsum("sap,p->sa", mdp.kernel, v_lp)
-            assert np.array_equal(greedy.greedy_actions(), np.argmax(np.round(q_lp, 9), axis=1))
+            assert np.array_equal(np.argmax(greedy.probs, axis=1),
+                                  np.argmax(np.round(q_lp, 9), axis=1))
 
     def test_greedy_ties_break_low(self):
         kernel = np.ones((1, 3, 1))
         mdp = TabularMDP(kernel, [[1.0, 1.0, 0.0]], 0.5, [1.0])
         pol = greedy_policy(hard_value_iteration(mdp))
-        assert pol.greedy_actions()[0] == 0
+        assert np.argmax(pol.probs, axis=1)[0] == 0
 
 
 class TestPolicyValue:

@@ -1,6 +1,7 @@
 """The training loop: schedules, mixing, determinism, expert generation."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from meairl import (ExpertBuffer, TabularEnv, TabularMDP, TabularPolicy,
                     TrainingConfig, TrainingDivergedError, TrainingRecord,
                     evaluate_tabular_policy, generate_expert, load_demos,
                     make_gridworld, make_noisy_pointmass, mix_action,
-                    policy_value, run_meairl, soft_optimal_policy,
-                    soft_value_iteration)
+                    policy_value, run_meairl, save_continuous_demos,
+                    soft_optimal_policy, soft_value_iteration, training)
+from meairl.neural import load_params
 from meairl.seeding import spawn_streams
 from meairl.training import CSV_HEADER, EvalRow
 
@@ -25,6 +27,25 @@ def small_grid_env(slip=0.1, width=3, height=3, goal=5.0, discount=0.9,
 def expert_for(env, tmp_path, episodes=50, seed=7):
     path = tmp_path / "expert.txt"
     generate_expert(env, seed, episodes, path)
+    return ExpertBuffer.from_file(path)
+
+
+def pointmass_expert(env, tmp_path, episodes=5):
+    """Hand-rolled point-mass demos that drive toward the origin."""
+    rng = np.random.default_rng(0)
+    demos = []
+    for _ in range(episodes):
+        s = env.reset(rng)
+        states = [s.copy()]
+        actions = []
+        for _ in range(env.horizon):
+            a = np.clip(-5.0 * s, env.action_low, env.action_high)
+            s, _ = env.step(s, a, rng)
+            states.append(s.copy())
+            actions.append(a.copy())
+        demos.append((np.array(states), np.array(actions)))
+    path = tmp_path / "demos.txt"
+    save_continuous_demos(path, demos, env.name, 0, env.state_dim, env.action_dim)
     return ExpertBuffer.from_file(path)
 
 
@@ -294,24 +315,7 @@ class TestTabularLoop:
 class TestContinuousLoop:
     def test_smoke_runs_and_records(self, tmp_path):
         env = make_noisy_pointmass(0.5)
-        rng = np.random.default_rng(0)
-        # hand-rolled demos: drive toward the origin
-        episodes = []
-        for _ in range(5):
-            s = env.reset(rng)
-            states = [s.copy()]
-            actions = []
-            for _ in range(env.horizon):
-                a = np.clip(-5.0 * s, env.action_low, env.action_high)
-                s, _ = env.step(s, a, rng)
-                states.append(s.copy())
-                actions.append(a.copy())
-            episodes.append((np.array(states), np.array(actions)))
-        from meairl import save_continuous_demos
-        path = tmp_path / "demos.txt"
-        save_continuous_demos(path, episodes, env.name, 0, env.state_dim,
-                              env.action_dim)
-        expert = ExpertBuffer.from_file(path)
+        expert = pointmass_expert(env, tmp_path)
         cfg = TrainingConfig(total_steps=300, pretrain_steps=100,
                              eval_period=100, eval_episodes=2, batch_size=32,
                              model_hidden=(16,), disc_hidden=(16,),
@@ -335,6 +339,72 @@ class TestContinuousLoop:
             run_meairl(env, expert, cfg)
         assert info.value.step >= 1
         assert "disc_loss" in info.value.snapshot
+
+
+class TestCheckpointing:
+    """Checkpoint files hold the run's parameters as they stand at the end."""
+
+    @staticmethod
+    def spy(monkeypatch, seen, evaluate_name):
+        real_disc = training.discriminator_loss_and_grads
+        real_eval = getattr(training, evaluate_name)
+
+        def disc_spy(disc, expert_batch, policy_batch, policy, **kwargs):
+            seen["disc"], seen["pi"] = disc, policy
+            return real_disc(disc, expert_batch, policy_batch, policy, **kwargs)
+
+        def eval_spy(env, policy, *args):
+            seen["evaluated"] = policy
+            return real_eval(env, policy, *args)
+
+        monkeypatch.setattr(training, "discriminator_loss_and_grads", disc_spy)
+        monkeypatch.setattr(training, evaluate_name, eval_spy)
+
+    @staticmethod
+    def check_files(ckpt, names):
+        assert sorted(os.listdir(ckpt)) == sorted(
+            f"step{t}_{name}.txt" for t in (150, 300) for name in names)
+        for name in names:
+            _, mid = load_params(ckpt / f"step150_{name}.txt")
+            _, last = load_params(ckpt / f"step300_{name}.txt")
+            assert not np.array_equal(mid, last)
+
+    def test_tabular_run(self, tmp_path, monkeypatch):
+        env = small_grid_env()
+        expert = expert_for(env, tmp_path)
+        seen = {}
+        self.spy(monkeypatch, seen, "evaluate_tabular_policy")
+        ckpt = tmp_path / "ckpt"
+        run_meairl(env, expert, TrainingConfig(
+            total_steps=300, pretrain_steps=100, eval_period=100, eval_episodes=2,
+            batch_size=32, checkpoint_period=150, checkpoint_dir=str(ckpt), seed=1))
+        self.check_files(ckpt, ("policy", "disc"))
+        sizes, probs = load_params(ckpt / "step300_policy.txt")
+        # the policy evaluated at the last step is the run's final policy
+        assert sizes == [9, 4]
+        assert np.array_equal(probs, seen["evaluated"].probs.ravel())
+        sizes, params = load_params(ckpt / "step300_disc.txt")
+        assert sizes == [seen["disc"].n_params]
+        assert np.array_equal(params, seen["disc"].params)
+
+    def test_continuous_run(self, tmp_path, monkeypatch):
+        env = make_noisy_pointmass(0.5)
+        expert = pointmass_expert(env, tmp_path)
+        seen = {}
+        self.spy(monkeypatch, seen, "evaluate_continuous_policy")
+        ckpt = tmp_path / "ckpt"
+        run_meairl(env, expert, TrainingConfig(
+            total_steps=300, pretrain_steps=100, eval_period=100, eval_episodes=1,
+            batch_size=32, model_hidden=(16,), disc_hidden=(16,), sac_hidden=(16,),
+            n_model_samples=2, checkpoint_period=150, checkpoint_dir=str(ckpt),
+            seed=0))
+        self.check_files(ckpt, ("actor", "disc"))
+        actor = seen["pi"].actor
+        sizes, params = load_params(ckpt / "step300_actor.txt")
+        assert sizes == actor.sizes
+        assert np.array_equal(params, actor.params)
+        _, params = load_params(ckpt / "step300_disc.txt")
+        assert np.array_equal(params, seen["disc"].params)
 
 
 class TestDivergedError:
