@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import tv_distance
 from .mdp import TabularMDP
 from .seeding import as_generator
-from .soft_dp import greedy_policy, hard_value_iteration, policy_value
+from .soft_dp import greedy_policy, hard_value_iterations, policy_values
 
 BOUND_DP_SLACK = 1e-8  # absorbs value-iteration tolerance in the pass rule
 GAMMA_CHOICES = (0.5, 0.9, 0.99)
@@ -194,44 +194,63 @@ def verify_performance_difference_bound(problem: IrlProblem,
     hard Bellman equation exactly in each, so the observed gap sits at
     the solver tolerance; the pass rule carries a small slack for that.
     The same-learned-MDP value gap between the two greedy policies is
-    logged for inspection without being asserted.
+    logged for inspection without being asserted. This is the one-problem
+    case of the stacked path that `run_bound_sweep` takes.
     """
-    gamma = problem.mdp.discount
-    witness, rescaled = _premise_witness(problem)
-    r_true = feasible_reward(problem.mdp.kernel, witness, gamma)
-    r_model = feasible_reward(problem.model_kernel, witness, gamma)
-    true_mdp = problem.mdp.with_reward(r_true)
-    model_mdp = TabularMDP(problem.model_kernel, r_model, gamma,
-                           problem.mdp.init_dist)
-    true_values = hard_value_iteration(true_mdp)
-    model_values = hard_value_iteration(model_mdp)
-    observed = float(np.max(np.abs(true_values.v - model_values.v)))
-    pi_true = greedy_policy(true_values)
-    v_cross = policy_value(model_mdp, pi_true)
-    same_mdp_gap = float(np.max(np.abs(model_values.v - v_cross)))
-    eps_t = problem.eps_t
-    bound = performance_difference_bound(gamma, problem.mdp.n_states, eps_t,
-                                         problem.r_max)
-    ratio = observed / bound if bound > 0.0 else 0.0
-    return BoundCheckRow(instance_id, gamma, problem.mdp.n_states, eps_t,
-                         observed, bound, ratio,
-                         passed=observed <= bound + BOUND_DP_SLACK,
-                         witness_rescaled=rescaled,
-                         same_mdp_policy_gap=same_mdp_gap)
+    return _performance_rows([problem], [instance_id])[0]
+
+
+def _performance_rows(problems, instance_ids) -> list:
+    """The performance check on every problem, with all value iterations stacked.
+
+    Only each problem's arrays are kept, and each array is dropped once
+    nothing further needs it, which keeps the sweep's peak memory down.
+    """
+    true, model, inputs = [], [], []
+    for problem in problems:
+        gamma = problem.mdp.discount
+        witness, rescaled = _premise_witness(problem)
+        true.append((problem.mdp.kernel, feasible_reward(problem.mdp.kernel, witness, gamma),
+                     gamma))
+        model.append((problem.model_kernel,
+                      feasible_reward(problem.model_kernel, witness, gamma), gamma))
+        inputs.append((problem.mdp.n_states, problem.eps_t, problem.r_max, rescaled))
+    n = len(true)
+    values = hard_value_iterations(true + model)
+    del true  # only the model instances are solved again
+    observed = [float(np.max(np.abs(t.v - m.v))) for t, m in zip(values[:n], values[n:])]
+    model_v = [m.v for m in values[n:]]
+    greedy = [greedy_policy(t).probs for t in values[:n]]
+    del values  # the Q tables go before the policy solves
+    v_cross = policy_values(model, greedy)
+    rows = []
+    for i, (n_states, eps_t, r_max, rescaled) in enumerate(inputs):
+        gamma = model[i][2]
+        same_mdp_gap = float(np.max(np.abs(model_v[i] - v_cross[i])))
+        bound = performance_difference_bound(gamma, n_states, eps_t, r_max)
+        ratio = observed[i] / bound if bound > 0.0 else 0.0
+        rows.append(BoundCheckRow(instance_ids[i], gamma, n_states, eps_t,
+                                  observed[i], bound, ratio,
+                                  passed=observed[i] <= bound + BOUND_DP_SLACK,
+                                  witness_rescaled=rescaled,
+                                  same_mdp_policy_gap=same_mdp_gap))
+    return rows
 
 
 def run_bound_sweep(kind: str, n_instances: int, seed: int = 0) -> list:
-    """kind is 'reward' or 'performance'; returns one row per instance."""
+    """kind is 'reward' or 'performance'; returns one row per instance.
+
+    The performance sweep draws every problem first, in the same order,
+    then solves them all at once.
+    """
     if kind not in ("reward", "performance"):
         raise ValueError(f"kind must be 'reward' or 'performance', got {kind!r}")
-    verify = verify_reward_error_bound if kind == "reward" \
-        else verify_performance_difference_bound
     rng = as_generator(seed)
-    rows = []
-    for i in range(n_instances):
-        problem = random_problem(rng)
-        rows.append(verify(problem, instance_id=i))
-    return rows
+    if kind == "reward":
+        return [verify_reward_error_bound(random_problem(rng), instance_id=i)
+                for i in range(n_instances)]
+    return _performance_rows((random_problem(rng) for _ in range(n_instances)),
+                             range(n_instances))
 
 
 def sweep_csv_text(rows) -> str:

@@ -47,8 +47,22 @@ class ReplayBuffer:
         self._count = min(self._count + 1, self.capacity)
 
     def add_batch(self, states, actions, next_states) -> None:
-        for s, a, n in zip(states, actions, next_states):
-            self.add(s, a, n)
+        """Store the rows in order, as that many `add` calls would, in one write.
+
+        Only the last phys_capacity rows can survive, and they are the only
+        ones written, because numpy leaves the order of repeated-index
+        writes undefined.
+        """
+        n = len(states)
+        first = max(n - self._phys, 0)
+        idx = (self._head + np.arange(first, n)) % self._phys
+        self.states[idx] = np.asarray(states)[first:]
+        self.actions[idx] = np.asarray(actions)[first:]
+        self.next_states[idx] = np.asarray(next_states)[first:]
+        if self.rewards is not None:
+            self.rewards[idx] = np.nan  # what `add` stores for a missing reward
+        self._head = (self._head + n) % self._phys
+        self._count = min(self._count + n, self.capacity)
 
     def set_capacity(self, capacity: int) -> None:
         capacity = int(min(capacity, self._phys))

@@ -163,6 +163,14 @@ def _require_eval_row(config: ExperimentConfig) -> None:
                           f"({train.eval_period}): the run would record no evaluation row")
 
 
+def _require_tabular_model_period(config: ExperimentConfig) -> None:
+    """Tabular runs add every transition to the count model, so only period 1 means what it says."""
+    period = config.train.model_update_period
+    if config.env.name == "gridworld" and period != 1:
+        raise ConfigError(f"train.model_update_period = {period}: gridworld runs update "
+                          f"the count model on every step, so it must be 1")
+
+
 def cmd_expert(args) -> int:
     config = load_config(args.config)
     env = build_env(config.env)
@@ -186,6 +194,7 @@ def cmd_train(args) -> int:
         config = dataclasses.replace(
             config, train=dataclasses.replace(config.train, seed=args.seed))
     _require_eval_row(config)
+    _require_tabular_model_period(config)
     env = build_env(config.env)
     out_dir = resolve_out_dir(args.out, config.run.out_dir,
                               config.run.label)
@@ -207,6 +216,7 @@ def cmd_train(args) -> int:
 def cmd_compare(args) -> int:
     config = load_config(args.config)
     _require_eval_row(config)
+    _require_tabular_model_period(config)
     env = build_env(config.env)
     out_dir = resolve_out_dir(args.out, config.run.out_dir,
                               config.run.label)
@@ -280,6 +290,7 @@ def cmd_verify_bounds(args) -> int:
               f"(worst observed/bound ratio {worst:.3e}, {n_fail} violations)")
         if n_fail:
             status = 1
+        del rows  # written out; not held while the next sweep holds its problems
     return status
 
 

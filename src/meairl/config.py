@@ -49,8 +49,10 @@ class EnvSpec:
     def __post_init__(self):
         if self.name not in ENV_NAMES:
             raise ConfigError(f"env name must be one of {ENV_NAMES}, got {self.name!r}")
-        if not 0.0 <= self.slip_prob <= 1.0:
-            raise ConfigError(f"slip_prob must lie in [0, 1], got {self.slip_prob}")
+        if self.width < 1 or self.height < 1:
+            raise ConfigError(f"width and height must be >= 1, got {self.width}x{self.height}")
+        if not 0.0 <= self.slip_prob < 1.0:
+            raise ConfigError(f"slip_prob must lie in [0, 1), got {self.slip_prob}")
         if not 0.0 < self.discount < 1.0:
             raise ConfigError(f"discount must lie in (0, 1), got {self.discount}")
         if self.horizon < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import DIST_ATOL, TabularMDP
-from .soft_dp import ORACLE_TOL, soft_value_iteration
+from .soft_dp import ORACLE_TOL, SoftValues, soft_value_iteration
 
 
 @dataclass
@@ -76,7 +76,7 @@ def check_policy_invariance(mdp: TabularMDP, reward_a: np.ndarray, reward_b: np.
     """
     vals_a = soft_value_iteration(mdp.with_reward(reward_a), tol=dp_tol)
     vals_b = soft_value_iteration(mdp.with_reward(reward_b), tol=dp_tol)
-    adv_gap = float(np.abs(vals_a.adv - vals_b.adv).max())
+    adv_gap = advantage_gap(vals_a, vals_b)
     q_gap = float(np.abs(vals_a.q - vals_b.q).max())
     v_gap = float(np.abs(vals_a.v - vals_b.v).max())
     return InvarianceReport(adv_gap=adv_gap, q_gap=q_gap, v_gap=v_gap, tol=tol,
@@ -86,7 +86,17 @@ def check_policy_invariance(mdp: TabularMDP, reward_a: np.ndarray, reward_b: np.
 def q_shift_identity_gap(mdp: TabularMDP, phi: np.ndarray, dp_tol: float = ORACLE_TOL) -> float:
     """Sup-norm defect of Q_R = Q_shaped + phi when shaping uses the true kernel."""
     shaped = shape_reward(mdp, phi, mdp.kernel, label="true-kernel")
-    q_base = soft_value_iteration(mdp, tol=dp_tol).q
-    q_shaped = soft_value_iteration(mdp.with_reward(shaped.table), tol=dp_tol).q
+    base = soft_value_iteration(mdp, tol=dp_tol)
+    shaped_values = soft_value_iteration(mdp.with_reward(shaped.table), tol=dp_tol)
+    return q_shift_gap(base, shaped_values, phi)
+
+
+def advantage_gap(values_a: SoftValues, values_b: SoftValues) -> float:
+    """Sup-norm gap between the soft advantages of two solved rewards."""
+    return float(np.abs(values_a.adv - values_b.adv).max())
+
+
+def q_shift_gap(base: SoftValues, shaped: SoftValues, phi: np.ndarray) -> float:
+    """Sup-norm defect of Q_base = Q_shaped + phi for solved base and shaped rewards."""
     phi = np.asarray(phi, dtype=np.float64)
-    return float(np.abs(q_base - q_shaped - phi[:, None]).max())
+    return float(np.abs(base.q - shaped.q - phi[:, None]).max())

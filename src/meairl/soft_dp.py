@@ -7,11 +7,21 @@ returning junk. The soft backup is
     Q(s,a) = R(s,a) + gamma * E_T[V(s')],   V(s) = logsumexp_a Q(s,a),
 
 whose fixed point gives the soft-optimal policy pi(a|s) = exp(Q - V).
+
+Every solver runs one stacked kernel, `_iterate`, over instances that
+share (S, A), so each numpy call of a sweep serves the whole stack. Each
+instance stops at its own sweep, and stacking changes neither its
+arithmetic nor its result: `soft_value_iterations`,
+`hard_value_iterations` and `policy_values` return, bit for bit, what the
+single-MDP functions return one instance at a time, and those are the
+one-instance case of the same kernel. Policy evaluation is the
+one-action case of the hard backup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,11 +31,15 @@ ORACLE_TOL = 1e-10
 ORACLE_MAX_ITERS = 10 ** 6
 
 
-def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted logsumexp, stable for large magnitudes."""
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def logsumexp(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """Max-subtracted logsumexp, stable for large magnitudes.
+
+    The ufunc reductions are what `np.max` and `np.sum` run, minus their
+    Python wrappers, which cost as much as the arithmetic on small tables.
+    """
+    m = np.maximum.reduce(x, axis=axis, keepdims=True)
+    out = m + np.log(np.add.reduce(np.exp(x - m), axis=axis, keepdims=True))
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 @dataclass
@@ -45,38 +59,133 @@ class HardValues:
     residual: float
 
 
+class _Stack(NamedTuple):
+    """Instances of one (S, A): kernels (B, S*A, S), rewards (B, S, A) and
+    discounts (B, S*A, 1), each repeated down its rows so that the product
+    with the kernel needs no broadcasting."""
+
+    kernel_2d: np.ndarray
+    reward: np.ndarray
+    discount: np.ndarray
+
+    def take(self, rows) -> "_Stack":
+        return _Stack(self.kernel_2d[rows], self.reward[rows], self.discount[rows])
+
+    def keep(self, rows) -> "_Stack":
+        """The stack without the rows not kept, for a stack that owns its kernels.
+
+        Kernels move down inside their own buffer (a row is never read
+        after a lower one is written), because a fancy-indexed copy would
+        hold the largest array twice.
+        """
+        kept = np.flatnonzero(rows)
+        for dst, src in enumerate(kept):
+            if dst != src:
+                self.kernel_2d[dst] = self.kernel_2d[src]
+        return _Stack(self.kernel_2d[:len(kept)], self.reward[rows], self.discount[rows])
+
+
 def soft_backup(mdp: TabularMDP, q: np.ndarray) -> np.ndarray:
-    """One application of the soft Bellman operator."""
-    v = logsumexp(q, axis=1)
-    return mdp.reward + mdp.discount * (mdp.kernel_2d @ v).reshape(q.shape)
+    """One application of the soft Bellman operator.
+
+    `mdp` is a TabularMDP with q of shape (S, A), or a `_Stack` with q of
+    shape (B, S, A).
+    """
+    v = logsumexp(q, axis=-1, keepdims=True)
+    return mdp.reward + (mdp.discount * (mdp.kernel_2d @ v)).reshape(q.shape)
 
 
 def hard_backup(mdp: TabularMDP, q: np.ndarray) -> np.ndarray:
-    v = q.max(axis=1)
-    return mdp.reward + mdp.discount * (mdp.kernel_2d @ v).reshape(q.shape)
+    v = np.maximum.reduce(q, axis=-1, keepdims=True)
+    return mdp.reward + (mdp.discount * (mdp.kernel_2d @ v)).reshape(q.shape)
 
 
-def _iterate(mdp, backup, tol, max_iters, q_init):
-    q = np.zeros((mdp.n_states, mdp.n_actions)) if q_init is None else np.array(q_init, dtype=np.float64)
-    res = np.inf
+def _iterate(backup, stack: _Stack, q: np.ndarray, tol, max_iters, what):
+    """Sweep every instance of the stack from q until its residual is <= tol.
+
+    An instance's result is its first iterate within tol, and its residual
+    comes from one more backup of that iterate. Instances leave the stack
+    on the sweep they converge, so the stack is compacted only on sweeps
+    where some instance converges. Returns (q, residual), ordered like
+    the stack.
+    """
+    q_out = np.empty_like(q)
+    res_out = np.empty(len(q))
+    live = np.arange(len(q))
+    res = np.full(len(q), np.inf)
     for _ in range(max_iters):
-        q_new = backup(mdp, q)
-        res = float(np.abs(q_new - q).max())
+        q_new = backup(stack, q)
+        res = np.maximum.reduce(np.abs(q_new - q), axis=(1, 2))
         q = q_new
-        if res <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"value iteration: residual {res:.3e} > tol {tol:g} after {max_iters} sweeps",
-            residual=res)
-    return q, float(np.abs(backup(mdp, q) - q).max())
+        if res[res.argmin()] <= tol:  # a third the cost of a ufunc reduction
+            done = res <= tol
+            q_done = q[done]
+            q_out[live[done]] = q_done
+            res_out[live[done]] = np.maximum.reduce(
+                np.abs(backup(stack.take(done), q_done) - q_done), axis=(1, 2))
+            if done.all():
+                return q_out, res_out
+            keep = ~done
+            stack, q, live = stack.keep(keep), q[keep], live[keep]
+    worst = float(res.max())
+    raise ConvergenceError(
+        f"{what}: residual {worst:.3e} > tol {tol:g} after {max_iters} sweeps",
+        residual=worst)
+
+
+def _by_shape(arrays) -> list:
+    """Indices of the arrays grouped by shape, groups in first-seen order."""
+    groups = {}
+    for i, array in enumerate(arrays):
+        groups.setdefault(array.shape, []).append(i)
+    return list(groups.values())
+
+
+def _solve(backup, instances, q_inits, tol, max_iters, what) -> list:
+    """(q, residual) of every (kernel, reward, discount) instance, in stacks of one (S, A).
+
+    A kernel is (S, A, S), or already flattened to (S*A, S). S is never
+    padded to stack unequal instances: a padded kernel changes the BLAS
+    reduction and so the last bits.
+    """
+    out = [None] * len(instances)
+    for idx in _by_shape([reward for _, reward, _ in instances]):
+        kernels = np.stack([instances[i][0] for i in idx])
+        kernels = kernels.reshape(len(idx), -1, kernels.shape[-1])
+        discounts = np.array([instances[i][2] for i in idx], dtype=np.float64)
+        stack = _Stack(kernels, np.stack([instances[i][1] for i in idx]),
+                       np.repeat(discounts[:, None, None], kernels.shape[1], axis=1))
+        q = np.zeros(stack.reward.shape) if q_inits is None \
+            else np.stack([np.asarray(q_inits[i], dtype=np.float64) for i in idx])
+        q, res = _iterate(backup, stack, q, tol, max_iters, what)
+        for j, i in enumerate(idx):
+            out[i] = (q[j], float(res[j]))
+    return out
+
+
+def soft_value_iterations(instances, tol: float = ORACLE_TOL,
+                          max_iters: int = ORACLE_MAX_ITERS, q_inits=None) -> list:
+    """`soft_value_iteration` on many (kernel, reward, discount) instances at once."""
+    out = []
+    for q, residual in _solve(soft_backup, instances, q_inits, tol, max_iters,
+                              "value iteration"):
+        v = logsumexp(q, axis=1)
+        out.append(SoftValues(q=q, v=v, adv=q - v[:, None], residual=residual))
+    return out
+
+
+def hard_value_iterations(instances, tol: float = ORACLE_TOL,
+                          max_iters: int = ORACLE_MAX_ITERS, q_inits=None) -> list:
+    """`hard_value_iteration` on many (kernel, reward, discount) instances at once."""
+    return [HardValues(q=q, v=q.max(axis=1), residual=residual)
+            for q, residual in _solve(hard_backup, instances, q_inits, tol, max_iters,
+                                      "value iteration")]
 
 
 def soft_value_iteration(mdp: TabularMDP, tol: float = ORACLE_TOL,
                          max_iters: int = ORACLE_MAX_ITERS, q_init=None) -> SoftValues:
-    q, residual = _iterate(mdp, soft_backup, tol, max_iters, q_init)
-    v = logsumexp(q, axis=1)
-    return SoftValues(q=q, v=v, adv=q - v[:, None], residual=residual)
+    return soft_value_iterations([(mdp.kernel, mdp.reward, mdp.discount)], tol, max_iters,
+                                 None if q_init is None else [q_init])[0]
 
 
 def soft_optimal_policy(values: SoftValues) -> TabularPolicy:
@@ -88,8 +197,8 @@ def soft_optimal_policy(values: SoftValues) -> TabularPolicy:
 
 def hard_value_iteration(mdp: TabularMDP, tol: float = ORACLE_TOL,
                          max_iters: int = ORACLE_MAX_ITERS, q_init=None) -> HardValues:
-    q, residual = _iterate(mdp, hard_backup, tol, max_iters, q_init)
-    return HardValues(q=q, v=q.max(axis=1), residual=residual)
+    return hard_value_iterations([(mdp.kernel, mdp.reward, mdp.discount)], tol, max_iters,
+                                 None if q_init is None else [q_init])[0]
 
 
 def greedy_policy(values: HardValues) -> TabularPolicy:
@@ -102,9 +211,31 @@ def greedy_policy(values: HardValues) -> TabularPolicy:
 def policy_value(mdp: TabularMDP, policy: TabularPolicy, tol: float = ORACLE_TOL,
                  max_iters: int = ORACLE_MAX_ITERS) -> np.ndarray:
     """Plain discounted value of a fixed policy (no entropy term)."""
-    r_pi = np.einsum("sa,sa->s", policy.probs, mdp.reward)
-    p_pi = np.einsum("sa,sap->sp", policy.probs, mdp.kernel)
-    return _linear_fixed_point(r_pi, p_pi, mdp.discount, tol, max_iters)
+    return policy_values([(mdp.kernel, mdp.reward, mdp.discount)], [policy.probs],
+                         tol, max_iters)[0]
+
+
+def policy_values(instances, policies, tol: float = ORACLE_TOL,
+                  max_iters: int = ORACLE_MAX_ITERS) -> list:
+    """`policy_value` on many (kernel, reward, discount) instances at once.
+
+    policies[i] is the (S, A) probability table evaluated on instances[i].
+    """
+    r_pis = [np.einsum("sa,sa->s", probs, reward)
+             for (_, reward, _), probs in zip(instances, policies)]
+    p_pis = [np.einsum("sa,sap->sp", probs, kernel)
+             for (kernel, _, _), probs in zip(instances, policies)]
+    return _evaluate(r_pis, p_pis, [g for _, _, g in instances], tol, max_iters)
+
+
+def _evaluate(r_pis, p_pis, discounts, tol, max_iters) -> list:
+    """Fixed points of v = r + gamma * P v: the one-action hard backup.
+
+    P is already the (S*A, S) = (S, S) kernel of that backup.
+    """
+    instances = [(p, r[:, None], g) for r, p, g in zip(r_pis, p_pis, discounts)]
+    return [q[:, 0] for q, _ in _solve(hard_backup, instances, None, tol, max_iters,
+                                       "policy evaluation")]
 
 
 def finite_horizon_policy_value(mdp: TabularMDP, policy: TabularPolicy,
@@ -132,18 +263,4 @@ def soft_policy_value(mdp: TabularMDP, policy: TabularPolicy, tol: float = ORACL
         plogp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
     r_pi = np.einsum("sa,sa->s", probs, mdp.reward) - plogp.sum(axis=1)
     p_pi = np.einsum("sa,sap->sp", probs, mdp.kernel)
-    return _linear_fixed_point(r_pi, p_pi, mdp.discount, tol, max_iters)
-
-
-def _linear_fixed_point(r, p, gamma, tol, max_iters):
-    v = np.zeros_like(r)
-    res = np.inf
-    for _ in range(max_iters):
-        v_new = r + gamma * (p @ v)
-        res = float(np.abs(v_new - v).max())
-        v = v_new
-        if res <= tol:
-            return v
-    raise ConvergenceError(
-        f"policy evaluation: residual {res:.3e} > tol {tol:g} after {max_iters} iterations",
-        residual=res)
+    return _evaluate([r_pi], [p_pi], [mdp.discount], tol, max_iters)[0]

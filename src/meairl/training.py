@@ -170,9 +170,14 @@ class TrainingConfig:
                              f"{self.pretrain_steps} vs {self.total_steps}")
         if self.rollout_horizon < 1:
             raise ValueError(f"rollout_horizon must be >= 1, got {self.rollout_horizon}")
-        for name in ("batch_size", "rollout_starts", "eval_period", "eval_episodes"):
+        for name in ("batch_size", "rollout_starts", "eval_period", "eval_episodes",
+                     "model_update_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("disc_lr", "model_lr", "sac_lr"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         for name in ("ratio_start", "ratio_end", "ratio_ramp_frac",
                      "mix_prob_start", "mix_prob_end", "policy_td_rate"):
             value = getattr(self, name)

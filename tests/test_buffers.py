@@ -110,6 +110,29 @@ class TestReplayBuffer:
         assert np.array_equal(plain.sample(50, np.random.default_rng(0))[0], states)
 
 
+    @pytest.mark.parametrize("state_shape, with_reward", [((), False), ((2,), True)])
+    def test_add_batch_equals_sequential_adds(self, state_shape, with_reward):
+        rng = np.random.default_rng(5)
+        batched, looped = (ReplayBuffer(5, state_shape, dtype=np.float64, phys_capacity=7,
+                                        with_reward=with_reward) for _ in range(2))
+        # (batch length, logical capacity): wrap-around, shrinking, batches
+        # longer than the physical capacity, and an empty batch
+        for n, capacity in [(3, 5), (4, 5), (9, 5), (0, 5), (2, 2), (6, 3), (16, 7),
+                            (1, 4), (5, 7)]:
+            batched.set_capacity(capacity)
+            looped.set_capacity(capacity)
+            states = rng.normal(size=(n, *state_shape))
+            actions = rng.integers(0, 4, size=n)
+            next_states = rng.normal(size=(n, *state_shape))
+            batched.add_batch(states, actions, next_states)
+            for row in zip(states, actions, next_states):
+                looped.add(*row)
+            assert (batched._head, batched._count) == (looped._head, looped._count)
+            for name in ("states", "actions", "next_states", "rewards"):
+                got, want = getattr(batched, name), getattr(looped, name)
+                assert (got is None and want is None) or got.tobytes() == want.tobytes()
+
+
 class TestRatioSchedule:
     def test_linear_ramp_then_flat(self):
         sched = RatioSchedule(0.05, 0.5, ramp_steps=100, cap_init=10,

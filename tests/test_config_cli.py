@@ -244,6 +244,35 @@ class TestCliExitCodes:
         assert not demos.exists()
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("slip_prob = 0.1", "slip_prob = 1.0"),
+        ("width = 3", "width = 0"),
+        ("height = 3", "height = 0"),
+        ("batch_size = 32", "batch_size = 32\ndisc_lr = -0.001"),
+    ], ids=["slip_one", "zero_width", "zero_height", "negative_disc_lr"])
+    def test_bad_value_exits_two(self, tmp_path, capsys, old, new):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(MICRO_CONFIG.replace(old, new))
+        demos = tmp_path / "demos.txt"
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--demos", str(demos)])
+        assert code == 2
+        assert new.split("\n")[-1].split(" = ")[0] in capsys.readouterr().err
+        assert not demos.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_tabular_model_update_period_exits_two(self, tmp_path, capsys, command):
+        # the count model takes every transition, so a grid run cannot honour another period
+        cfg_path = tmp_path / "period.cfg"
+        cfg_path.write_text(MICRO_CONFIG.replace("batch_size = 32",
+                                                 "batch_size = 32\nmodel_update_period = 2"))
+        demos = tmp_path / "demos.txt"
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--demos", str(demos)])
+        assert code == 2
+        assert "train.model_update_period" in capsys.readouterr().err
+        assert not demos.exists()
+
     def test_verify_invariance_passes(self, tmp_path, capsys):
         code = main(["verify-invariance", "--cases", "10",
                      "--alignment-cases", "5", "--out", str(tmp_path)])

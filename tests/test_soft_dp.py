@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from helpers import random_mdp, random_policy
@@ -11,7 +13,8 @@ from meairl import (ConvergenceError, SoftValues, TabularMDP, TabularPolicy,
                     finite_horizon_policy_value, greedy_policy,
                     hard_value_iteration, policy_value, soft_optimal_policy,
                     soft_policy_value, soft_value_iteration)
-from meairl.soft_dp import soft_backup
+from meairl.soft_dp import (ORACLE_MAX_ITERS, hard_value_iterations, policy_values,
+                            soft_backup, soft_value_iterations)
 
 
 def one_state_mdp(gamma=0.5, reward=1.0):
@@ -260,3 +263,63 @@ class TestHardSoftConsistency:
             soft_argmax = np.argmax(soft.adv, axis=1)
             hard_argmax = hard.q.argmax(axis=1)
             assert np.array_equal(soft_argmax[unique], hard_argmax[unique])
+
+
+def _solve_or_none(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except ConvergenceError:
+        return None
+
+
+class TestStackedSolves:
+    """Solving instances side by side must give each one its solo result, bit for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(specs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3),
+                                    st.sampled_from([0.5, 0.9, 0.99])),
+                          min_size=1, max_size=7),
+           seed=st.integers(0, 2 ** 32 - 1), warm=st.booleans(),
+           max_iters=st.sampled_from([40, 400, ORACLE_MAX_ITERS]))
+    def test_stack_matches_one_at_a_time(self, specs, seed, warm, max_iters):
+        rng = np.random.default_rng(seed)
+        instances, mdps, policies = [], [], []
+        for n_states, n_actions, gamma in specs:
+            kernel = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
+            reward = rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
+            instances.append((kernel, reward, gamma))
+            mdps.append(TabularMDP(kernel, reward, gamma, np.full(n_states, 1.0 / n_states)))
+            policies.append(rng.dirichlet(np.ones(n_actions), size=n_states))
+        q_inits = [rng.normal(size=r.shape) for _, r, _ in instances] if warm else None
+        for stacked_solve, solo_solve in ((soft_value_iterations, soft_value_iteration),
+                                          (hard_value_iterations, hard_value_iteration)):
+            solo = [_solve_or_none(solo_solve, mdp, max_iters=max_iters,
+                                   q_init=None if q_inits is None else q_inits[i])
+                    for i, mdp in enumerate(mdps)]
+            if any(values is None for values in solo):
+                # one instance out of sweeps fails the whole stack
+                with pytest.raises(ConvergenceError):
+                    stacked_solve(instances, max_iters=max_iters, q_inits=q_inits)
+                continue
+            stacked = stacked_solve(instances, max_iters=max_iters, q_inits=q_inits)
+            for got, want in zip(stacked, solo):
+                assert got.q.tobytes() == want.q.tobytes()
+                assert got.v.tobytes() == want.v.tobytes()
+                assert got.residual == want.residual
+        solo = [_solve_or_none(policy_value, mdp, TabularPolicy(probs), max_iters=max_iters)
+                for mdp, probs in zip(mdps, policies)]
+        if any(v is None for v in solo):
+            with pytest.raises(ConvergenceError):
+                policy_values(instances, policies, max_iters=max_iters)
+        else:
+            stacked = policy_values(instances, policies, max_iters=max_iters)
+            assert [v.tobytes() for v in stacked] == [v.tobytes() for v in solo]
+
+    def test_slow_instance_fails_the_stack(self):
+        rng = np.random.default_rng(30)
+        fast, slow = (random_mdp(rng, n_states=4, n_actions=2, gamma=g) for g in (0.5, 0.99))
+        instances = [(m.kernel, m.reward, m.discount) for m in (fast, slow)]
+        assert hard_value_iterations(instances[:1], max_iters=60)[0].residual <= 1e-10
+        with pytest.raises(ConvergenceError) as err:
+            hard_value_iterations(instances, max_iters=60)
+        assert err.value.residual > 1e-10

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from meairl.shaping import check_policy_invariance, q_shift_identity_gap, shape_reward
 from meairl.suites import (random_mdp, run_alignment_suite,
                            run_invariance_suite)
 
@@ -38,6 +39,21 @@ class TestInvarianceSuite:
         report = run_invariance_suite(n_cases=5, tol=0.0, seed=1)
         assert not report.passed
         assert "FAIL" in report.summary_line()
+
+    def test_worst_case_equals_case_by_case_checks(self):
+        # the suite solves every case at once; the one-case checkers must agree
+        rng = np.random.default_rng(4)
+        adv_gaps, shift_gaps = [0.0], [0.0]
+        for case in range(12):
+            mdp = random_mdp(rng)
+            phi_scale = 1.0 if case % 2 == 0 else 100.0
+            phi = rng.uniform(-phi_scale, phi_scale, size=mdp.n_states)
+            shaped = shape_reward(mdp, phi, mdp.kernel)
+            adv_gaps.append(check_policy_invariance(mdp, mdp.reward, shaped.table).adv_gap)
+            shift_gaps.append(q_shift_identity_gap(mdp, phi))
+        report = run_invariance_suite(n_cases=12, seed=4)
+        assert report.max_adv_gap == max(adv_gaps)
+        assert report.max_q_shift_gap == max(shift_gaps)
 
     def test_same_seed_same_worst_case(self):
         a = run_invariance_suite(n_cases=10, seed=5)

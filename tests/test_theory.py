@@ -169,6 +169,13 @@ class TestPerformanceBoundVerifier:
         assert len(rows) == 50
         assert all(r.passed for r in rows)
 
+    def test_sweep_rows_equal_problem_by_problem_rows(self):
+        # the sweep solves all problems stacked; one problem at a time must agree
+        rng = np.random.default_rng(1)
+        expected = [verify_performance_difference_bound(random_problem(rng), instance_id=i)
+                    for i in range(50)]
+        assert run_bound_sweep("performance", 50, seed=1) == expected
+
     def test_same_mdp_policy_gap_logged(self):
         rng = np.random.default_rng(9)
         problem = random_problem(rng, perturb_rate=0.2)
