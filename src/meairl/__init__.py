@@ -3,9 +3,8 @@ inside the shaping term, plus brute-force verification of the invariance
 and error-bound claims that justify the construction."""
 
 from .adversarial import (Discriminator, ExpertBuffer,
-                          discriminator_loss_and_grads, discriminator_prob,
-                          extract_reward, gradient_alignment_gap,
-                          mce_irl_gradient)
+                          discriminator_loss_and_grads, extract_reward,
+                          gradient_alignment_gap, mce_irl_gradient)
 from .bounds import (BoundCheckRow, FeasibleRewardWitness, IrlProblem,
                      feasible_reward, performance_difference_bound,
                      perturb_kernel, random_problem, reward_error_bound,
@@ -19,15 +18,16 @@ from .dynamics import (GaussianDynamicsModel, TabularDynamicsEstimate,
                        fit_tabular, rollout_synthetic, tv_distance)
 from .mdp import (ContinuousEnv, ConvergenceError, DemoFormatError, DemoSet,
                   TabularEnv, TabularMDP, TabularPolicy, Trajectory,
-                  discounted_occupancy, load_demos, make_gridworld,
-                  make_noisy_pointmass, sample_trajectory,
-                  save_continuous_demos, save_tabular_demos)
+                  load_demos, make_gridworld, make_noisy_pointmass,
+                  sample_trajectory, save_continuous_demos,
+                  save_tabular_demos)
 from .neural import AdamState, Mlp, adam_step, clip_by_global_norm
 from .policy_opt import SacAgent
 from .shaping import (InvarianceReport, ShapedReward, check_policy_invariance,
                       q_shift_identity_gap, shape_reward)
-from .soft_dp import (HardValues, SoftValues, finite_horizon_policy_value,
-                      greedy_policy, hard_value_iteration, policy_value,
+from .soft_dp import (HardValues, SoftValues, discounted_occupancy,
+                      finite_horizon_policy_value, greedy_policy,
+                      hard_value_iteration, policy_value,
                       soft_optimal_policy, soft_policy_value,
                       soft_value_iteration)
 from .suites import run_alignment_suite, run_invariance_suite

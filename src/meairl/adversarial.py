@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import TabularMDP, TabularPolicy, discounted_occupancy, load_demos
+from .mdp import TabularMDP, TabularPolicy, load_demos
 from .neural import Mlp
 from .seeding import as_generator
-from .soft_dp import soft_optimal_policy, soft_value_iteration
+from .soft_dp import discounted_occupancy, soft_optimal_policy, soft_value_iteration
 
 # D is clamped into [PROB_CLAMP, 1 - PROB_CLAMP] before any log.
 PROB_CLAMP = 1e-6
@@ -148,7 +148,7 @@ class Discriminator:
                 + self.discount * expected_phi
                 - self.phi_table[states])
 
-    def _f_continuous(self, states, actions, next_states, rng, n_samples=None):
+    def _f_continuous(self, states, actions, next_states, rng):
         """Returns (f, cache); cache carries the arrays gradient assembly reuses."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
@@ -158,12 +158,12 @@ class Discriminator:
         if self.shaping == "model":
             if rng is None:
                 raise ValueError("model shaping needs an rng for successor draws")
-            n = self.n_model_samples if n_samples is None else int(n_samples)
+            n = self.n_model_samples
             draws = self.dynamics.sample_next(states, actions, rng, n=n)  # (n, B, d)
             flat = draws.reshape(-1, states.shape[1])
             phi_next = self.phi_net.forward(flat).ravel().reshape(n, -1)
             expected_phi = phi_next.mean(axis=0)
-            cache = {"x": x, "states": states, "draws_flat": flat, "n": n}
+            cache = {"x": x, "states": states, "draws_flat": flat}
         else:
             if next_states is None:
                 raise ValueError("sample shaping needs observed next states")
@@ -172,11 +172,11 @@ class Discriminator:
             cache = {"x": x, "states": states, "next_states": next_states}
         return r + self.discount * expected_phi - phi_s, cache
 
-    def f_values(self, states, actions, next_states=None, rng=None, n_samples=None):
+    def f_values(self, states, actions, next_states=None, rng=None):
         """Batched f. next_states is only consulted under sample shaping."""
         if self.mode == "tabular":
             return self._f_tabular(states, actions, next_states)
-        f, _ = self._f_continuous(states, actions, next_states, rng, n_samples)
+        f, _ = self._f_continuous(states, actions, next_states, rng)
         return f
 
 
@@ -191,22 +191,9 @@ def _log_policy(policy, states, actions):
     raise TypeError(f"policy {type(policy).__name__} exposes neither .probs nor .log_prob")
 
 
-def discriminator_prob(disc: Discriminator, states, actions, policy_prob,
-                       next_states=None, rng=None) -> np.ndarray:
-    """D = exp(f) / (exp(f) + pi), clamped away from 0 and 1."""
-    f = disc.f_values(states, actions, next_states, rng=rng)
-    log_pi = np.log(np.asarray(policy_prob, dtype=np.float64))
-    d = _sigmoid(np.asarray(f) - log_pi)
-    return np.clip(d, PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-
-def extract_reward(disc: Discriminator, states, actions, policy_prob=None,
-                   log_policy_prob=None, next_states=None, rng=None) -> np.ndarray:
+def extract_reward(disc: Discriminator, states, actions, log_policy_prob,
+                   next_states=None, rng=None) -> np.ndarray:
     """Policy-facing reward log D - log(1 - D) = f - log pi, clipped to +-50."""
-    if log_policy_prob is None:
-        if policy_prob is None:
-            raise ValueError("need policy_prob or log_policy_prob")
-        log_policy_prob = np.log(np.asarray(policy_prob, dtype=np.float64))
     f = disc.f_values(states, actions, next_states, rng=rng)
     return np.clip(np.asarray(f) - log_policy_prob, -REWARD_CLAMP, REWARD_CLAMP)
 
@@ -271,7 +258,7 @@ def _continuous_grads(disc, expert, policy):
         g_r += disc.r_net.backward(cache["x"], col)[0]
         g_phi += disc.phi_net.backward(cache["states"], -col)[0]
         if disc.shaping == "model":
-            n = cache["n"]
+            n = disc.n_model_samples
             rep = np.repeat(df[None, :], n, axis=0).reshape(-1, 1)
             g_phi += disc.phi_net.backward(cache["draws_flat"],
                                            (disc.discount / n) * rep)[0]
@@ -347,9 +334,6 @@ class ExpertBuffer:
     def from_file(cls, path) -> "ExpertBuffer":
         demos = load_demos(path)
         return cls(demos.states, demos.actions, demos.next_states)
-
-    def __len__(self) -> int:
-        return len(self.states)
 
     def sample(self, n, rng):
         idx = rng.integers(0, len(self.states), size=n)

@@ -9,7 +9,7 @@ pattern pi, the reward
 makes every supported action exactly greedy with optimal value V, so the
 same witness parameterizes the recovered reward under the true kernel and
 under a perturbed one. The sup-norm gap between the two rewards, and the
-performance drop of the policy that is optimal under the perturbed pair,
+sup-norm gap between the optimal values of the two reward/kernel pairs,
 are both checked against the closed-form bounds with the kernel error
 measured as the worst per-row total variation.
 """
@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import tv_distance
 from .mdp import TabularMDP
 from .seeding import as_generator
-from .soft_dp import greedy_policy, hard_value_iterations, policy_values
+from .soft_dp import hard_value_iterations
 
 BOUND_DP_SLACK = 1e-8  # absorbs value-iteration tolerance in the pass rule
 GAMMA_CHOICES = (0.5, 0.9, 0.99)
@@ -137,7 +137,6 @@ class BoundCheckRow:
     ratio: float
     passed: bool
     witness_rescaled: bool = False
-    same_mdp_policy_gap: float = float("nan")
 
 
 def _premise_witness(problem: IrlProblem):
@@ -193,9 +192,8 @@ def verify_performance_difference_bound(problem: IrlProblem,
     Both pairs are built from a shared witness, whose value solves the
     hard Bellman equation exactly in each, so the observed gap sits at
     the solver tolerance; the pass rule carries a small slack for that.
-    The same-learned-MDP value gap between the two greedy policies is
-    logged for inspection without being asserted. This is the one-problem
-    case of the stacked path that `run_bound_sweep` takes.
+    This is the one-problem case of the stacked path that
+    `run_bound_sweep` takes.
     """
     return _performance_rows([problem], [instance_id])[0]
 
@@ -203,37 +201,25 @@ def verify_performance_difference_bound(problem: IrlProblem,
 def _performance_rows(problems, instance_ids) -> list:
     """The performance check on every problem, with all value iterations stacked.
 
-    Only each problem's arrays are kept, and each array is dropped once
-    nothing further needs it, which keeps the sweep's peak memory down.
+    Only each problem's arrays are kept, which keeps the sweep's peak
+    memory down.
     """
-    true, model, inputs = [], [], []
+    instances, inputs = [], []
     for problem in problems:
         gamma = problem.mdp.discount
         witness, rescaled = _premise_witness(problem)
-        true.append((problem.mdp.kernel, feasible_reward(problem.mdp.kernel, witness, gamma),
-                     gamma))
-        model.append((problem.model_kernel,
-                      feasible_reward(problem.model_kernel, witness, gamma), gamma))
-        inputs.append((problem.mdp.n_states, problem.eps_t, problem.r_max, rescaled))
-    n = len(true)
-    values = hard_value_iterations(true + model)
-    del true  # only the model instances are solved again
-    observed = [float(np.max(np.abs(t.v - m.v))) for t, m in zip(values[:n], values[n:])]
-    model_v = [m.v for m in values[n:]]
-    greedy = [greedy_policy(t).probs for t in values[:n]]
-    del values  # the Q tables go before the policy solves
-    v_cross = policy_values(model, greedy)
+        for kernel in (problem.mdp.kernel, problem.model_kernel):
+            instances.append((kernel, feasible_reward(kernel, witness, gamma), gamma))
+        inputs.append((gamma, problem.mdp.n_states, problem.eps_t, problem.r_max, rescaled))
+    values = hard_value_iterations(instances)
     rows = []
-    for i, (n_states, eps_t, r_max, rescaled) in enumerate(inputs):
-        gamma = model[i][2]
-        same_mdp_gap = float(np.max(np.abs(model_v[i] - v_cross[i])))
+    for i, (gamma, n_states, eps_t, r_max, rescaled) in enumerate(inputs):
+        observed = float(np.max(np.abs(values[2 * i].v - values[2 * i + 1].v)))
         bound = performance_difference_bound(gamma, n_states, eps_t, r_max)
-        ratio = observed[i] / bound if bound > 0.0 else 0.0
-        rows.append(BoundCheckRow(instance_ids[i], gamma, n_states, eps_t,
-                                  observed[i], bound, ratio,
-                                  passed=observed[i] <= bound + BOUND_DP_SLACK,
-                                  witness_rescaled=rescaled,
-                                  same_mdp_policy_gap=same_mdp_gap))
+        ratio = observed / bound if bound > 0.0 else 0.0
+        rows.append(BoundCheckRow(instance_ids[i], gamma, n_states, eps_t, observed,
+                                  bound, ratio, passed=observed <= bound + BOUND_DP_SLACK,
+                                  witness_rescaled=rescaled))
     return rows
 
 

@@ -10,7 +10,7 @@ Subcommands:
 
 Output goes under --out, else the config's run.out_dir, else $MEAIRL_OUT,
 else ./runs. Exit codes: 0 ok, 1 runtime or verification failure, 2
-malformed configuration.
+malformed or unreadable configuration.
 """
 
 from __future__ import annotations
@@ -98,17 +98,14 @@ class AggregateSummary:
 
 
 def aggregate(records, expert_return: float) -> AggregateSummary:
-    """records: TrainingRecord objects or CSV paths, one per seed."""
-    from .training import TrainingRecord
-    loaded = [r if hasattr(r, "rows") else TrainingRecord.from_csv(r)
-              for r in records]
-    if not loaded:
+    """records: TrainingRecord objects, one per seed."""
+    if not records:
         raise ValueError("aggregate needs at least one record")
-    grids = [np.array([row.step for row in rec.rows]) for rec in loaded]
+    grids = [np.array([row.step for row in rec.rows]) for rec in records]
     for grid in grids[1:]:
         if not np.array_equal(grid, grids[0]):
             raise ValueError("records do not share an evaluation grid")
-    returns = np.array([[row.return_mean for row in rec.rows] for rec in loaded])
+    returns = np.array([[row.return_mean for row in rec.rows] for rec in records])
     mean = returns.mean(axis=0)
     std = returns.std(axis=0)
     attained = np.nonzero(mean >= expert_return)[0]
@@ -150,11 +147,6 @@ def _demo_path(args, config: ExperimentConfig, out_dir: str) -> str:
     return os.path.join(out_dir, "expert_demos.txt")
 
 
-def _expert_threshold(config: ExperimentConfig):
-    value = config.run.expert_threshold
-    return None if math.isnan(value) else value
-
-
 def _require_eval_row(config: ExperimentConfig) -> None:
     """A run shorter than one evaluation period would write an empty record."""
     train = config.train
@@ -171,15 +163,32 @@ def _require_tabular_model_period(config: ExperimentConfig) -> None:
                           f"the count model on every step, so it must be 1")
 
 
+def _write_demos(env, config: ExperimentConfig, path) -> None:
+    threshold = config.run.expert_threshold
+    generate_expert(env, config.run.expert_seed, config.run.expert_episodes, path,
+                    return_threshold=None if math.isnan(threshold) else threshold,
+                    max_steps=config.run.expert_max_steps, config=config.train)
+
+
+def _training_setup(args, config: ExperimentConfig):
+    """What `train` and `compare` share: the config checks, the env, the out
+    dir and the expert buffer, with demos written first if the path holds none."""
+    _require_eval_row(config)
+    _require_tabular_model_period(config)
+    env = build_env(config.env)
+    out_dir = resolve_out_dir(args.out, config.run.out_dir, config.run.label)
+    demos = _demo_path(args, config, out_dir)
+    if not os.path.exists(demos):
+        _write_demos(env, config, demos)
+    return env, out_dir, ExpertBuffer.from_file(demos)
+
+
 def cmd_expert(args) -> int:
     config = load_config(args.config)
     env = build_env(config.env)
-    out_dir = resolve_out_dir(args.out, config.run.out_dir,
-                              config.run.label)
+    out_dir = resolve_out_dir(args.out, config.run.out_dir, config.run.label)
     path = _demo_path(args, config, out_dir)
-    generate_expert(env, config.run.expert_seed, config.run.expert_episodes, path,
-                    return_threshold=_expert_threshold(config),
-                    max_steps=config.run.expert_max_steps, config=config.train)
+    _write_demos(env, config, path)
     save_config(os.path.join(out_dir, "resolved.cfg"), config)
     print(f"wrote {config.run.expert_episodes} episodes to {path}")
     return 0
@@ -193,17 +202,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(
             config, train=dataclasses.replace(config.train, seed=args.seed))
-    _require_eval_row(config)
-    _require_tabular_model_period(config)
-    env = build_env(config.env)
-    out_dir = resolve_out_dir(args.out, config.run.out_dir,
-                              config.run.label)
-    demos = _demo_path(args, config, out_dir)
-    if not os.path.exists(demos):
-        generate_expert(env, config.run.expert_seed, config.run.expert_episodes,
-                        demos, return_threshold=_expert_threshold(config),
-                        max_steps=config.run.expert_max_steps, config=config.train)
-    expert = ExpertBuffer.from_file(demos)
+    env, out_dir, expert = _training_setup(args, config)
     record = run_meairl(env, expert, config.train)
     csv_path = os.path.join(
         out_dir, f"train_{config.train.algorithm}_seed{config.train.seed}.csv")
@@ -215,17 +214,7 @@ def cmd_train(args) -> int:
 
 def cmd_compare(args) -> int:
     config = load_config(args.config)
-    _require_eval_row(config)
-    _require_tabular_model_period(config)
-    env = build_env(config.env)
-    out_dir = resolve_out_dir(args.out, config.run.out_dir,
-                              config.run.label)
-    demos = _demo_path(args, config, out_dir)
-    if not os.path.exists(demos):
-        generate_expert(env, config.run.expert_seed, config.run.expert_episodes,
-                        demos, return_threshold=_expert_threshold(config),
-                        max_steps=config.run.expert_max_steps, config=config.train)
-    expert = ExpertBuffer.from_file(demos)
+    env, out_dir, expert = _training_setup(args, config)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     results = {}
     for alg in algorithms:
@@ -346,7 +335,7 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if str(getattr(args, "config", "")) in str(exc) else 1
+        return 1
     except DemoFormatError as exc:
         print(f"demo file error: {exc}", file=sys.stderr)
         return 1

@@ -158,10 +158,6 @@ class Trajectory:
     steps: list  # [(state, action), ...]
     terminal_state: int
 
-    @property
-    def horizon(self) -> int:
-        return len(self.steps)
-
     def transitions(self):
         """Yield (s, a, s_next) for every step."""
         for t, (s, a) in enumerate(self.steps):
@@ -182,29 +178,6 @@ def sample_trajectory(mdp: TabularMDP, policy: TabularPolicy, horizon: int, seed
         steps.append((s, a))
         s = s_next
     return Trajectory(steps, s)
-
-
-def discounted_occupancy(mdp: TabularMDP, policy: TabularPolicy, tol: float = 1e-10,
-                         max_iters: int = 10 ** 6) -> np.ndarray:
-    """State-action occupancy d(s,a), normalized to sum to one.
-
-    Solves d(s,a) = pi(a|s) * [(1-gamma) rho0(s) + gamma sum_{s-,a-} d(s-,a-) T(s|s-,a-)]
-    by fixed-point iteration on the state marginal.
-    """
-    gamma = mdp.discount
-    p_pi = np.einsum("sa,sap->sp", policy.probs, mdp.kernel)
-    ds = mdp.init_dist.copy()
-    for _ in range(max_iters):
-        nxt = (1.0 - gamma) * mdp.init_dist + gamma * (p_pi.T @ ds)
-        res = float(np.abs(nxt - ds).max())
-        ds = nxt
-        if res <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"occupancy iteration: residual {res:.3e} > tol {tol:g} after {max_iters} iterations",
-            residual=res)
-    return policy.probs * ds[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +264,6 @@ class ContinuousEnv:
     def reset(self, rng) -> np.ndarray:
         return np.asarray(self.init_sampler(rng), dtype=np.float64)
 
-    def reward(self, state, action) -> float:
-        return float(self.reward_fn(np.asarray(state), np.asarray(action)))
-
     def step(self, state, action, rng):
         """Return (next_state, reward). Reward is charged on the current state."""
         state = np.asarray(state, dtype=np.float64)
@@ -348,9 +318,6 @@ class DemoSet:
     states: np.ndarray
     actions: np.ndarray
     next_states: np.ndarray
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
 
 
 def save_tabular_demos(path, trajectories, env_name: str, seed: int,

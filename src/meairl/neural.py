@@ -112,14 +112,6 @@ class Mlp:
                 delta = delta * (pre[i - 1] > 0.0)
         return grads, (delta[0] if squeeze else delta)
 
-    def save(self, path) -> None:
-        save_params(path, self.sizes, self._params)
-
-    @classmethod
-    def load(cls, path, output: str = "identity") -> "Mlp":
-        sizes, params = load_params(path)
-        return cls(sizes, output=output, params=params)
-
 
 @dataclass
 class AdamState:

@@ -9,8 +9,6 @@ def as_generator(seed) -> np.random.Generator:
     """Accept an int seed, a SeedSequence, an existing Generator, or None."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     return np.random.default_rng(seed)
 
 

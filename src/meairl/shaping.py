@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import DIST_ATOL, TabularMDP
-from .soft_dp import ORACLE_TOL, SoftValues, soft_value_iteration
+from .soft_dp import SoftValues, soft_value_iteration
+
+# Value-iteration tolerance of the invariance checks. A solve stopped at
+# residual dp_tol can sit gamma / (1 - gamma) * dp_tol from its fixed point,
+# about 1e-8 at gamma 0.99 and dp_tol 1e-10, which is the size of the
+# checks' own tolerance; at 1e-12 it is a hundred times smaller.
+INVARIANCE_DP_TOL = 1e-12
 
 
 @dataclass
@@ -67,7 +73,8 @@ def shape_reward(mdp: TabularMDP, phi: np.ndarray, dynamics, label: str = "custo
 
 
 def check_policy_invariance(mdp: TabularMDP, reward_a: np.ndarray, reward_b: np.ndarray,
-                            tol: float = 1e-8, dp_tol: float = ORACLE_TOL) -> InvarianceReport:
+                            tol: float = 1e-8,
+                            dp_tol: float = INVARIANCE_DP_TOL) -> InvarianceReport:
     """Compare the soft fixed points of two reward tables on shared dynamics.
 
     The verdict is on the advantage gap: equal advantages mean equal
@@ -83,7 +90,8 @@ def check_policy_invariance(mdp: TabularMDP, reward_a: np.ndarray, reward_b: np.
                             passed=bool(adv_gap <= tol))
 
 
-def q_shift_identity_gap(mdp: TabularMDP, phi: np.ndarray, dp_tol: float = ORACLE_TOL) -> float:
+def q_shift_identity_gap(mdp: TabularMDP, phi: np.ndarray,
+                         dp_tol: float = INVARIANCE_DP_TOL) -> float:
     """Sup-norm defect of Q_R = Q_shaped + phi when shaping uses the true kernel."""
     shaped = shape_reward(mdp, phi, mdp.kernel, label="true-kernel")
     base = soft_value_iteration(mdp, tol=dp_tol)

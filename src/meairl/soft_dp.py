@@ -14,8 +14,8 @@ instance stops at its own sweep, and stacking changes neither its
 arithmetic nor its result: `soft_value_iterations`,
 `hard_value_iterations` and `policy_values` return, bit for bit, what the
 single-MDP functions return one instance at a time, and those are the
-one-instance case of the same kernel. Policy evaluation is the
-one-action case of the hard backup.
+one-instance case of the same kernel. Policy evaluation and the
+discounted occupancy are the one-action case of the hard backup.
 """
 
 from __future__ import annotations
@@ -236,6 +236,21 @@ def _evaluate(r_pis, p_pis, discounts, tol, max_iters) -> list:
     instances = [(p, r[:, None], g) for r, p, g in zip(r_pis, p_pis, discounts)]
     return [q[:, 0] for q, _ in _solve(hard_backup, instances, None, tol, max_iters,
                                        "policy evaluation")]
+
+
+def discounted_occupancy(mdp: TabularMDP, policy: TabularPolicy, tol: float = ORACLE_TOL,
+                         max_iters: int = ORACLE_MAX_ITERS) -> np.ndarray:
+    """State-action occupancy d(s,a), normalized to sum to one.
+
+    The state marginal solves d = (1-gamma) rho0 + gamma P_pi^T d, the
+    one-action hard backup on the transposed kernel, iterated from rho0;
+    then d(s,a) = pi(a|s) d(s).
+    """
+    p_pi = np.einsum("sa,sap->sp", policy.probs, mdp.kernel)
+    rho0 = mdp.init_dist[:, None]
+    instance = (p_pi.T, (1.0 - mdp.discount) * rho0, mdp.discount)
+    [(d, _)] = _solve(hard_backup, [instance], [rho0], tol, max_iters, "occupancy iteration")
+    return policy.probs * d
 
 
 def finite_horizon_policy_value(mdp: TabularMDP, policy: TabularPolicy,

@@ -20,7 +20,7 @@ from .adversarial import gradient_alignment_gap
 from .bounds import GAMMA_CHOICES
 from .mdp import TabularMDP
 from .seeding import as_generator
-from .shaping import advantage_gap, q_shift_gap, shape_reward
+from .shaping import INVARIANCE_DP_TOL, advantage_gap, q_shift_gap, shape_reward
 from .soft_dp import soft_value_iterations
 
 
@@ -73,7 +73,7 @@ class AlignmentSuiteReport:
 
 
 def run_invariance_suite(n_cases: int = 200, tol: float = 1e-8, seed: int = 0,
-                         dp_tol: float = 1e-10) -> InvarianceSuiteReport:
+                         dp_tol: float = INVARIANCE_DP_TOL) -> InvarianceSuiteReport:
     """Shape through the true kernel and confirm advantages never move.
 
     Half the cases use unit-scale potentials, half use potentials up to a
@@ -102,7 +102,7 @@ def run_invariance_suite(n_cases: int = 200, tol: float = 1e-8, seed: int = 0,
 
 
 def run_alignment_suite(n_cases: int = 50, tol: float = 1e-8, seed: int = 0,
-                        dp_tol: float = 1e-12) -> AlignmentSuiteReport:
+                        dp_tol: float = INVARIANCE_DP_TOL) -> AlignmentSuiteReport:
     """Gradient match at the matched saddle point, case by random case."""
     rng = as_generator(seed)
     start = time.perf_counter()

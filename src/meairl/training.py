@@ -1,13 +1,14 @@
 """The interactive reward-learning loop and expert-demonstration generation.
 
 `run_meairl` runs one loop for tabular and continuous environments. Each
-step acts (past pretraining, meairl acts through `mix_action`, from a
-model-predicted stand-in of the current state), takes the environment
-step, stores the real transition and takes a model step. Past pretraining
-the adversarial variants then take discriminator steps, push a short model
-rollout into a second buffer and take policy steps on batches whose
-synthetic share follows a ramped schedule; behavior cloning takes a BC
-step instead. Evaluation rows and checkpoints follow on their periods.
+step acts (past pretraining, meairl acts through `mix_action`, with
+probability `mix_prob` from a model-predicted stand-in of the current
+state), takes the environment step, stores the real transition and takes
+a model step. Past pretraining the adversarial variants then take
+discriminator steps, push a short model rollout into a second buffer and
+take policy steps on batches whose synthetic share follows a ramped
+schedule; behavior cloning takes a BC step instead. Evaluation rows and
+checkpoints follow on their periods.
 Variants:
 
   meairl               model inside the shaping term + synthetic data
@@ -103,20 +104,6 @@ class TrainingRecord:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_csv_text())
 
-    @classmethod
-    def from_csv(cls, path) -> "TrainingRecord":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-        if not lines or lines[0] != CSV_HEADER:
-            raise ValueError(f"bad training record header in {path}")
-        rows = []
-        for line in lines[1:]:
-            cells = line.split(",")
-            if len(cells) != 7:
-                raise ValueError(f"bad training record row: {line!r}")
-            rows.append(EvalRow(int(cells[0]), *[float(c) for c in cells[1:]]))
-        return cls(rows=rows)
-
 
 @dataclass
 class TrainingConfig:
@@ -152,8 +139,7 @@ class TrainingConfig:
     gen_buffer_init: int = 1_000
     gen_buffer_growth: float = 1.0
     gen_buffer_max: int = 50_000
-    mix_prob_start: float = 0.1
-    mix_prob_end: float = 0.1
+    mix_prob: float = 0.1  # chance that meairl acts from a model-predicted state
     use_synthetic: bool = True
     eval_period: int = 1_000
     eval_episodes: int = 10
@@ -179,7 +165,7 @@ class TrainingConfig:
             if not value > 0.0:
                 raise ValueError(f"{name} must be > 0, got {value}")
         for name in ("ratio_start", "ratio_end", "ratio_ramp_frac",
-                     "mix_prob_start", "mix_prob_end", "policy_td_rate"):
+                     "mix_prob", "policy_td_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -189,12 +175,6 @@ class TrainingConfig:
                              int(round(self.ratio_ramp_frac * self.total_steps)),
                              self.gen_buffer_init, self.gen_buffer_growth,
                              self.gen_buffer_max)
-
-    def mix_prob_at(self, step: int) -> float:
-        if self.total_steps <= 1:
-            return self.mix_prob_end
-        frac = min(1.0, step / self.total_steps)
-        return self.mix_prob_start + (self.mix_prob_end - self.mix_prob_start) * frac
 
 
 def _act(agent, state, rng):
@@ -267,7 +247,7 @@ class _Run:
         prev = None
         for t in range(1, config.total_steps + 1):
             if self.model_based and t > config.pretrain_steps:
-                action, _ = mix_action(state, self.actor, self.model, config.mix_prob_at(t),
+                action, _ = mix_action(state, self.actor, self.model, config.mix_prob,
                                        prev, streams["mix"])
             else:
                 action = _act(self.actor, state, streams["interact"])

@@ -16,6 +16,7 @@ import pytest
 from helpers import finite_difference_grad, max_rel_err
 from helpers import random_mdp as fixed_size_mdp
 
+from meairl import bounds
 from meairl.adversarial import (Discriminator, ExpertBuffer,
                                 discriminator_loss_and_grads)
 from meairl.bounds import (performance_difference_bound, random_problem,
@@ -62,6 +63,15 @@ def test_criterion_4_reward_recovery_error_bound_holds_on_sweep():
     assert len(rows) == 1000
     assert all(r.passed for r in rows)
     assert abs(reward_error_bound(0.9, 5, 0.1, 1.0) - 4.5) < 1e-9
+
+
+def test_criterion_4_negative_control_a_shrunk_bound_fails(monkeypatch):
+    # the sweep's gaps come within a factor of a few of the bound, so a
+    # bound 100x too small must be caught
+    true_bound = bounds.reward_error_bound
+    monkeypatch.setattr(bounds, "reward_error_bound", lambda *args: true_bound(*args) / 100.0)
+    rows = run_bound_sweep("reward", 200, seed=0)
+    assert sum(not r.passed for r in rows) >= 100
 
 
 def test_criterion_5_optimal_value_gap_bound_holds_on_sweep():

@@ -8,10 +8,9 @@ import pytest
 from helpers import finite_difference_grad, max_rel_err, random_mdp
 from meairl import (Discriminator, ExpertBuffer, GaussianDynamicsModel, Mlp,
                     TabularMDP, TabularPolicy, discounted_occupancy,
-                    discriminator_loss_and_grads, discriminator_prob,
-                    extract_reward, gradient_alignment_gap,
-                    make_gridworld, mce_irl_gradient, soft_optimal_policy,
-                    soft_value_iteration)
+                    discriminator_loss_and_grads, extract_reward,
+                    gradient_alignment_gap, make_gridworld, mce_irl_gradient,
+                    soft_optimal_policy, soft_value_iteration)
 
 
 def two_state_kernel():
@@ -62,27 +61,38 @@ class TestFValue:
 
 
 class TestDiscriminatorProb:
+    """D = exp(f) / (exp(f) + pi), read off the loss with one pair in both batches,
+    where the loss is -log D - log(1 - D)."""
+
+    PAIR = ([0], [0], [0])
+
     def test_hand_value(self):
         # f = log 3 against pi = 1 gives D = 3 / (3 + 1) = 0.75
         disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
         disc.r_table[:] = math.log(3.0)
-        d = discriminator_prob(disc, [0], [0], policy_prob=[1.0])
-        assert abs(d[0] - 0.75) < 1e-12
+        policy = TabularPolicy([[1.0], [1.0]])
+        loss, _ = discriminator_loss_and_grads(disc, self.PAIR, self.PAIR, policy)
+        assert abs(loss - (-math.log(0.75) - math.log(0.25))) < 1e-12
 
     def test_matched_point_is_half(self):
-        disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
+        # f = log pi gives D = 1/2, where equal batches pull f both ways equally
+        disc = Discriminator.tabular(2, 2, 0.9, dynamics=np.full((2, 2, 2), 0.5))
         disc.r_table[:] = math.log(0.5)
-        d = discriminator_prob(disc, [0, 1], [0, 0], policy_prob=[0.5, 0.5])
-        assert np.max(np.abs(d - 0.5)) < 1e-12
+        policy = TabularPolicy(np.full((2, 2), 0.5))
+        batch = (np.array([0, 1]), np.array([1, 0]), np.array([1, 1]))
+        loss, grads = discriminator_loss_and_grads(disc, batch, batch, policy)
+        assert abs(loss - 2 * math.log(2)) < 1e-12
+        assert np.max(np.abs(grads)) < 1e-15
 
     def test_clamped_into_open_interval(self):
         disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
-        disc.r_table[:] = 100.0
-        hi = discriminator_prob(disc, [0], [0], policy_prob=[1.0])
-        disc.r_table[:] = -100.0
-        lo = discriminator_prob(disc, [0], [0], policy_prob=[1.0])
-        assert hi[0] == 1.0 - 1e-6
-        assert lo[0] == 1e-6
+        policy = TabularPolicy([[1.0], [1.0]])
+        for r in (100.0, -100.0):
+            disc.r_table[:] = r
+            loss, grads = discriminator_loss_and_grads(disc, self.PAIR, self.PAIR, policy)
+            # D sits on 1 - 1e-6 or on 1e-6; either way one term is about -log(1e-6)
+            assert abs(loss - (-math.log(1.0 - 1e-6) - math.log(1e-6))) < 1e-9
+            assert np.max(np.abs(grads)) == 0.0
 
 
 class TestExtractReward:
@@ -93,24 +103,17 @@ class TestExtractReward:
         disc.params = rng.normal(size=disc.n_params)
         states = np.array([0, 1, 2, 3])
         actions = np.array([0, 1, 0, 1])
-        pi = np.full(4, 0.5)
-        got = extract_reward(disc, states, actions, policy_prob=pi)
-        want = disc.f_values(states, actions) - np.log(pi)
+        log_pi = np.log(np.full(4, 0.5))
+        got = extract_reward(disc, states, actions, log_policy_prob=log_pi)
+        want = disc.f_values(states, actions) - log_pi
         assert np.max(np.abs(got - want)) < 1e-10
-
-    def test_log_prob_argument_equivalent(self):
-        disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
-        disc.r_table[:] = 1.0
-        a = extract_reward(disc, [0], [0], policy_prob=[0.25])
-        b = extract_reward(disc, [0], [0], log_policy_prob=np.log([0.25]))
-        assert abs(a[0] - b[0]) < 1e-12
 
     def test_clipped_to_fifty(self):
         disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
         disc.r_table[:] = 1000.0
-        assert extract_reward(disc, [0], [0], policy_prob=[1.0])[0] == 50.0
+        assert extract_reward(disc, [0], [0], log_policy_prob=[0.0])[0] == 50.0
         disc.r_table[:] = -1000.0
-        assert extract_reward(disc, [0], [0], policy_prob=[1.0])[0] == -50.0
+        assert extract_reward(disc, [0], [0], log_policy_prob=[0.0])[0] == -50.0
 
 
 class TestDiscriminatorLoss:

@@ -161,13 +161,6 @@ class TestAggregate:
         with pytest.raises(ValueError, match="grid"):
             aggregate([a, b], expert_return=0.0)
 
-    def test_accepts_csv_paths(self, tmp_path):
-        record = record_from([100], [4.0])
-        path = tmp_path / "r.csv"
-        record.to_csv(path)
-        summary = aggregate([str(path)], expert_return=4.0)
-        assert summary.steps_to_expert == 100
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([], expert_return=0.0)
@@ -228,6 +221,25 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("demo_dir", ["x.cfg.d", "other.d"])
+    def test_unwritable_demo_path_exits_one(self, tmp_path, capsys, demo_dir):
+        # a missing output directory is a runtime failure, whatever its name
+        cfg_path = tmp_path / "x.cfg"
+        cfg_path.write_text(MICRO_CONFIG)
+        code = main(["expert", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--demos", str(tmp_path / demo_dir / "demos.txt")])
+        assert code == 1
+        assert "demos.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["mix_prob_start", "mix_prob_end"])
+    def test_retired_mix_schedule_keys_exit_two(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "old.cfg"
+        cfg_path.write_text(MICRO_CONFIG.replace("batch_size = 32",
+                                                 f"batch_size = 32\n{key} = 0.1"))
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_run_without_evaluation_row_exits_two(self, tmp_path, capsys, command):
         # total_steps below eval_period would record nothing; it is refused
@@ -282,6 +294,11 @@ class TestCliExitCodes:
         report = tmp_path / "invariance_report.txt"
         assert report.exists()
         assert "PASS" in report.read_text()
+
+    def test_verify_invariance_passes_at_seed_three(self, capsys):
+        # at seed 3 the Q-shift gap reached 2e-8 when each solve stopped at 1e-10
+        assert main(["verify-invariance", "--seed", "3", "--alignment-cases", "1"]) == 0
+        assert "invariance suite: PASS" in capsys.readouterr().out
 
     def test_verify_bounds_passes(self, tmp_path, capsys):
         code = main(["verify-bounds", "--instances", "20",

@@ -144,8 +144,9 @@ class TestCheckpoints:
         rng = np.random.default_rng(3)
         net = Mlp([4, 7, 2], output="tanh", rng=rng)
         path = tmp_path / "net.txt"
-        net.save(path)
-        loaded = Mlp.load(path, output="tanh")
+        save_params(path, net.sizes, net.params)
+        sizes, params = load_params(path)
+        loaded = Mlp(sizes, output="tanh", params=params)
         assert loaded.sizes == net.sizes
         assert np.array_equal(loaded.params, net.params)
 

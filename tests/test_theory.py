@@ -176,13 +176,6 @@ class TestPerformanceBoundVerifier:
                     for i in range(50)]
         assert run_bound_sweep("performance", 50, seed=1) == expected
 
-    def test_same_mdp_policy_gap_logged(self):
-        rng = np.random.default_rng(9)
-        problem = random_problem(rng, perturb_rate=0.2)
-        row = verify_performance_difference_bound(problem)
-        assert np.isfinite(row.same_mdp_policy_gap)
-        assert row.same_mdp_policy_gap >= 0.0
-
     def test_sweep_kind_validated(self):
         with pytest.raises(ValueError):
             run_bound_sweep("nonsense", 3)

@@ -66,12 +66,11 @@ class TestConfig:
         cfg = TrainingConfig(total_steps=100, pretrain_steps=100)
         assert cfg.pretrain_steps == 100
 
-    def test_mix_prob_interpolates(self):
-        cfg = TrainingConfig(total_steps=100, pretrain_steps=0,
-                             mix_prob_start=0.0, mix_prob_end=1.0)
-        assert cfg.mix_prob_at(0) == 0.0
-        assert abs(cfg.mix_prob_at(50) - 0.5) < 1e-12
-        assert cfg.mix_prob_at(100) == 1.0
+    def test_mix_prob_is_a_probability(self):
+        assert TrainingConfig().mix_prob == 0.1
+        for bad in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="mix_prob"):
+                TrainingConfig(mix_prob=bad)
 
     def test_ratio_schedule_from_config(self):
         cfg = TrainingConfig(total_steps=1000, pretrain_steps=100,
@@ -85,21 +84,18 @@ class TestConfig:
 
 class TestRecordCsv:
     def test_round_trip(self, tmp_path):
-        record = TrainingRecord(rows=[
-            EvalRow(1000, -3.5, 0.25, 1.2, 0.9, 0.1, 0.05),
-            EvalRow(2000, -2.0, 0.5, float("nan"), 0.8, 0.09, 0.1)])
+        # repr floats read back bit-exactly with float(), nan included
+        rows = [EvalRow(1000, -3.5, 0.25, 1.2, 0.9, 0.1, 0.05),
+                EvalRow(2000, -2.0, 1 / 3, float("nan"), 0.8, 0.09, 0.1)]
         path = tmp_path / "record.csv"
-        record.to_csv(path)
-        back = TrainingRecord.from_csv(path)
-        assert back.to_csv_text() == record.to_csv_text()
-        assert back.rows[0].step == 1000
-        assert math.isnan(back.rows[1].disc_loss)
-
-    def test_header_enforced(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("step,whatever\n1,2\n")
-        with pytest.raises(ValueError):
-            TrainingRecord.from_csv(path)
+        TrainingRecord(rows=rows).to_csv(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == CSV_HEADER
+        back = [EvalRow(int(c[0]), *map(float, c[1:]))
+                for c in (line.split(",") for line in lines[1:])]
+        assert back[0] == rows[0]
+        assert back[1].return_std == 1 / 3
+        assert math.isnan(back[1].disc_loss)
 
     def test_header_text(self):
         assert CSV_HEADER == ("step,return_mean,return_std,disc_loss,"
