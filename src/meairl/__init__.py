@@ -15,7 +15,7 @@ from .config import (ConfigError, EnvSpec, ExperimentConfig, RunSpec,
                      build_env, load_config, parse_config_text, save_config,
                      serialize_config)
 from .dynamics import (GaussianDynamicsModel, TabularDynamicsEstimate,
-                       fit_tabular, rollout_synthetic, tv_distance)
+                       rollout_synthetic, tv_distance)
 from .mdp import (ContinuousEnv, ConvergenceError, DemoFormatError, DemoSet,
                   TabularEnv, TabularMDP, TabularPolicy, Trajectory,
                   load_demos, make_gridworld, make_noisy_pointmass,
@@ -23,7 +23,7 @@ from .mdp import (ContinuousEnv, ConvergenceError, DemoFormatError, DemoSet,
                   save_tabular_demos)
 from .neural import AdamState, Mlp, adam_step, clip_by_global_norm
 from .policy_opt import SacAgent
-from .shaping import (InvarianceReport, ShapedReward, check_policy_invariance,
+from .shaping import (InvarianceReport, check_policy_invariance,
                       q_shift_identity_gap, shape_reward)
 from .soft_dp import (HardValues, SoftValues, discounted_occupancy,
                       finite_horizon_policy_value, greedy_policy,

@@ -11,18 +11,18 @@ switches to the classic single-sample form
 
     f(s, a, s') = R(s, a) + gamma * phi(s') - phi(s)
 
-for A/B comparisons. Tabular mode keeps R and phi as plain tables. R is
-either a free per-pair table r(s, a) or, with `state_only=True`, a
-state-only reward g(s), the form AIRL's disentanglement result is stated
-for (Fu et al., arXiv:1710.11248). A free r(s, a) can fit any advantage by
-itself, so the shaping rule would not matter; with g(s) it does. When the
-true reward is state-only, g = r and phi = soft V under model shaping
-through the true kernel give f = soft Q - soft V exactly, while under
-sample shaping f(s, a, s') depends on the observed successor and cannot
-equal that advantage on a stochastic kernel. Continuous mode backs
-r(s, a) and phi with two relu nets and estimates the model expectation
-with a fixed number of Monte Carlo successor draws, reused pathwise so
-gradients flow to phi at the sampled points.
+for A/B comparisons. Tabular mode keeps R and phi as plain tables of shape
+(S,): R is the state-only reward g(s), the form AIRL's disentanglement
+result is stated for (Fu et al., arXiv:1710.11248). A free per-pair
+r(s, a) could fit any advantage by itself, so the shaping rule would not
+matter; with g(s) it does. When the true reward is state-only, g = r and
+phi = soft V under model shaping through the true kernel give
+f = soft Q - soft V exactly, while under sample shaping f(s, a, s')
+depends on the observed successor and cannot equal that advantage on a
+stochastic kernel. Continuous mode backs r(s, a) and phi with two relu
+nets and estimates the model expectation with a fixed number of Monte
+Carlo successor draws, reused pathwise so gradients flow to phi at the
+sampled points.
 
 Training minimizes the usual cross-entropy
 
@@ -80,16 +80,14 @@ class Discriminator:
 
     @classmethod
     def tabular(cls, n_states, n_actions, discount, dynamics=None,
-                shaping="model", state_only=False) -> "Discriminator":
-        """Zero-initialised tables: phi of shape (S,) and the reward term.
+                shaping="model") -> "Discriminator":
+        """Zero-initialised tables of shape (S,): the state-only reward g(s) and phi.
 
-        The reward term is a free (S, A) table r(s, a) by default; with
-        state_only=True it is the state-only g(s) of shape (S,), which is
-        what the training loop uses for both shaping rules.
+        g(s) rather than a free r(s, a), so that the shaping rule decides
+        which advantages f can represent (see the module docstring).
         """
-        r_shape = (n_states,) if state_only else (n_states, n_actions)
         return cls("tabular", discount, dynamics, shaping,
-                   r_table=np.zeros(r_shape),
+                   r_table=np.zeros(n_states),
                    phi_table=np.zeros(n_states))
 
     @classmethod
@@ -110,7 +108,7 @@ class Discriminator:
     @property
     def params(self) -> np.ndarray:
         if self.mode == "tabular":
-            return np.concatenate([self.r_table.ravel(), self.phi_table])
+            return np.concatenate([self.r_table, self.phi_table])
         return np.concatenate([self.r_net.params, self.phi_net.params])
 
     @params.setter
@@ -120,7 +118,7 @@ class Discriminator:
             raise ValueError(f"expected {self.n_params} params, got shape {value.shape}")
         if self.mode == "tabular":
             split = self.r_table.size
-            self.r_table[...] = value[:split].reshape(self.r_table.shape)
+            self.r_table[...] = value[:split]
             self.phi_table[...] = value[split:]
         else:
             split = self.r_net.n_params
@@ -129,10 +127,6 @@ class Discriminator:
 
     def _dyn_kernel(self) -> np.ndarray:
         return getattr(self.dynamics, "kernel", self.dynamics)
-
-    def _r_index(self, states, actions):
-        # a one-dimensional reward table is the state-only g(s)
-        return states if self.r_table.ndim == 1 else (states, actions)
 
     def _f_tabular(self, states, actions, next_states):
         states = np.asarray(states, dtype=np.int64)
@@ -144,7 +138,7 @@ class Discriminator:
             if next_states is None:
                 raise ValueError("sample shaping needs observed next states")
             expected_phi = self.phi_table[np.asarray(next_states, dtype=np.int64)]
-        return (self.r_table[self._r_index(states, actions)]
+        return (self.r_table[states]
                 + self.discount * expected_phi
                 - self.phi_table[states])
 
@@ -241,13 +235,13 @@ def _tabular_grads(disc, expert, policy):
     for states, actions, next_states, df in (expert, policy):
         states = np.asarray(states, dtype=np.int64)
         actions = np.asarray(actions, dtype=np.int64)
-        np.add.at(g_r, disc._r_index(states, actions), df)
+        np.add.at(g_r, states, df)
         np.add.at(g_phi, states, -df)
         if disc.shaping == "model":
             g_phi += disc.discount * np.einsum("b,bp->p", df, kernel[states, actions])
         else:
             np.add.at(g_phi, np.asarray(next_states, dtype=np.int64), disc.discount * df)
-    return np.concatenate([g_r.ravel(), g_phi])
+    return np.concatenate([g_r, g_phi])
 
 
 def _continuous_grads(disc, expert, policy):
@@ -280,26 +274,26 @@ def mce_irl_gradient(mdp: TabularMDP, theta: np.ndarray, expert_occupancy: np.nd
     return np.asarray(expert_occupancy, dtype=np.float64) - d_pi
 
 
-def gradient_alignment_gap(mdp: TabularMDP, theta: np.ndarray, expert_occupancy=None,
-                           dp_tol: float = 1e-12, f_override=None) -> float:
+def gradient_alignment_gap(mdp: TabularMDP, theta: np.ndarray, dp_tol: float = 1e-12,
+                           f_override=None) -> float:
     """Gap between -2 * the discriminator gradient and the likelihood gradient.
 
     The discriminator is put at the matched point: its reward part is
     theta, its potential is the soft value of theta, and the shaping
     expectation uses the true kernel, so f equals the soft advantage and
-    the policy is the soft-optimal one (D = 1/2 everywhere). Expectations
-    are exact and occupancy-weighted. The potential-parameter block of the
+    the policy is the soft-optimal one (D = 1/2 everywhere). The expert
+    occupancy is that policy's own, so the likelihood gradient
+    d_exp - d_pi is zero there. Expectations are exact and
+    occupancy-weighted. The potential-parameter block of the
     discriminator gradient has no likelihood counterpart; it cancels
-    through the occupancy flow equations as long as the expert occupancy
-    comes from the same (rho0, T, gamma), and is included in the gap.
+    through the occupancy flow equations, and is included in the gap.
 
     `f_override` replaces the matched f table to demonstrate that the
     alignment genuinely needs the hypotheses.
     """
     values = soft_value_iteration(mdp.with_reward(theta), tol=dp_tol)
     policy = soft_optimal_policy(values)
-    d_pi = discounted_occupancy(mdp, policy, tol=dp_tol)
-    d_exp = d_pi if expert_occupancy is None else np.asarray(expert_occupancy, dtype=np.float64)
+    d_pi = d_exp = discounted_occupancy(mdp, policy, tol=dp_tol)
     gamma = mdp.discount
     v = values.v
     f = theta + gamma * (mdp.kernel_2d @ v).reshape(theta.shape) - v[:, None]

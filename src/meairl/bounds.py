@@ -185,24 +185,15 @@ def verify_reward_error_bound(problem: IrlProblem, instance_id: int = 0,
                          witness_rescaled=rescaled)
 
 
-def verify_performance_difference_bound(problem: IrlProblem,
-                                        instance_id: int = 0) -> BoundCheckRow:
-    """Gap between the optimal value vectors of the two reward/kernel pairs.
+def verify_performance_difference_bound(problems, instance_ids) -> list:
+    """Gap between the optimal value vectors of the two reward/kernel pairs,
+    one row per problem, with all value iterations stacked.
 
     Both pairs are built from a shared witness, whose value solves the
     hard Bellman equation exactly in each, so the observed gap sits at
     the solver tolerance; the pass rule carries a small slack for that.
-    This is the one-problem case of the stacked path that
-    `run_bound_sweep` takes.
-    """
-    return _performance_rows([problem], [instance_id])[0]
-
-
-def _performance_rows(problems, instance_ids) -> list:
-    """The performance check on every problem, with all value iterations stacked.
-
-    Only each problem's arrays are kept, which keeps the sweep's peak
-    memory down.
+    `problems` may be a generator: only each problem's arrays are kept,
+    which keeps the sweep's peak memory down.
     """
     instances, inputs = [], []
     for problem in problems:
@@ -235,8 +226,8 @@ def run_bound_sweep(kind: str, n_instances: int, seed: int = 0) -> list:
     if kind == "reward":
         return [verify_reward_error_bound(random_problem(rng), instance_id=i)
                 for i in range(n_instances)]
-    return _performance_rows((random_problem(rng) for _ in range(n_instances)),
-                             range(n_instances))
+    return verify_performance_difference_bound(
+        (random_problem(rng) for _ in range(n_instances)), range(n_instances))
 
 
 def sweep_csv_text(rows) -> str:

@@ -155,14 +155,6 @@ def _require_eval_row(config: ExperimentConfig) -> None:
                           f"({train.eval_period}): the run would record no evaluation row")
 
 
-def _require_tabular_model_period(config: ExperimentConfig) -> None:
-    """Tabular runs add every transition to the count model, so only period 1 means what it says."""
-    period = config.train.model_update_period
-    if config.env.name == "gridworld" and period != 1:
-        raise ConfigError(f"train.model_update_period = {period}: gridworld runs update "
-                          f"the count model on every step, so it must be 1")
-
-
 def _write_demos(env, config: ExperimentConfig, path) -> None:
     threshold = config.run.expert_threshold
     generate_expert(env, config.run.expert_seed, config.run.expert_episodes, path,
@@ -174,7 +166,6 @@ def _training_setup(args, config: ExperimentConfig):
     """What `train` and `compare` share: the config checks, the env, the out
     dir and the expert buffer, with demos written first if the path holds none."""
     _require_eval_row(config)
-    _require_tabular_model_period(config)
     env = build_env(config.env)
     out_dir = resolve_out_dir(args.out, config.run.out_dir, config.run.label)
     demos = _demo_path(args, config, out_dir)

@@ -1,15 +1,18 @@
 """Learned transition models: smoothed tabular counts and a Gaussian net.
 
-Both expose sample_next(state, action, rng) so synthetic rollouts can
-treat them interchangeably. The Gaussian model predicts the state
-*delta*; its mean successor is state + mean_net(state, action).
+The count model learns one transition at a time through `add`, the call
+the training loop makes on every step, which refreshes the visited row.
+The Gaussian model predicts the state *delta*; its mean successor is
+state + mean_net(state, action). Synthetic rollouts draw batched
+successors from either: `sample_next_batch` for counts, `sample_next`
+for the Gaussian.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mdp import TabularPolicy, _row_sample, _row_sample_batch
+from .mdp import _row_sample, _row_sample_batch
 from .neural import Mlp
 from .seeding import as_generator
 
@@ -35,7 +38,9 @@ class TabularDynamicsEstimate:
         self._kernel = np.full((n_states, n_actions, n_states), 1.0 / n_states)
         self._cum = np.cumsum(self._kernel, axis=-1)
 
-    def _refresh_row(self, s: int, a: int) -> None:
+    def add(self, s: int, a: int, s_next: int) -> None:
+        """Count one transition and refresh the (s, a) row it lands in."""
+        self.counts[s, a, s_next] += 1
         row = self.counts[s, a] + self.alpha
         total = row.sum()
         if total == 0.0:
@@ -44,15 +49,6 @@ class TabularDynamicsEstimate:
             row = row / total
         self._kernel[s, a] = row
         self._cum[s, a] = np.cumsum(row)
-
-    def add(self, s: int, a: int, s_next: int) -> None:
-        self.counts[s, a, s_next] += 1
-        self._refresh_row(s, a)
-
-    def add_batch(self, states, actions, next_states) -> None:
-        np.add.at(self.counts, (states, actions, next_states), 1)
-        for s, a in set(zip(np.asarray(states).tolist(), np.asarray(actions).tolist())):
-            self._refresh_row(s, a)
 
     @property
     def kernel(self) -> np.ndarray:
@@ -68,22 +64,6 @@ class TabularDynamicsEstimate:
         """Mean negative log-likelihood of transitions under the current kernel."""
         probs = self._kernel[states, actions, next_states]
         return float(-np.mean(np.log(np.maximum(probs, 1e-300))))
-
-
-def fit_tabular(transitions, n_states: int, n_actions: int,
-                alpha: float = 0.1) -> TabularDynamicsEstimate:
-    """Fit from an iterable (or column triple) of (s, a, s_next) transitions."""
-    est = TabularDynamicsEstimate(n_states, n_actions, alpha=alpha)
-    if isinstance(transitions, tuple) and len(transitions) == 3:
-        states, actions, next_states = (np.asarray(c, dtype=np.int64) for c in transitions)
-    else:
-        arr = np.asarray(list(transitions), dtype=np.int64)
-        if arr.size == 0:
-            return est
-        states, actions, next_states = arr[:, 0], arr[:, 1], arr[:, 2]
-    if states.size:
-        est.add_batch(states, actions, next_states)
-    return est
 
 
 def tv_distance(true_kernel: np.ndarray, est_kernel: np.ndarray, weights=None):
@@ -206,27 +186,16 @@ def rollout_synthetic(model, policy, start_states, horizon: int, seed):
     rng = as_generator(seed)
     if isinstance(model, TabularDynamicsEstimate):
         states = np.asarray(start_states, dtype=np.int64)
-        if states.size == 0:
-            raise ValueError("start_states must be nonempty")
-        out_s, out_a, out_n = [], [], []
-        for _ in range(horizon):
-            if isinstance(policy, TabularPolicy):
-                actions = policy.sample_batch(states, rng)
-            else:
-                actions = np.asarray(policy(states, rng), dtype=np.int64)
-            nxt = model.sample_next_batch(states, actions, rng)
-            out_s.append(states)
-            out_a.append(actions)
-            out_n.append(nxt)
-            states = nxt
-        return np.concatenate(out_s), np.concatenate(out_a), np.concatenate(out_n)
-    states = np.atleast_2d(np.asarray(start_states, dtype=np.float64))
-    if states.shape[0] == 0:
+        act, step = policy.sample_batch, model.sample_next_batch
+    else:
+        states = np.atleast_2d(np.asarray(start_states, dtype=np.float64))
+        act, step = policy, model.sample_next
+    if len(states) == 0:
         raise ValueError("start_states must be nonempty")
     out_s, out_a, out_n = [], [], []
     for _ in range(horizon):
-        actions = np.atleast_2d(np.asarray(policy(states, rng), dtype=np.float64))
-        nxt = model.sample_next(states, actions, rng)
+        actions = act(states, rng)
+        nxt = step(states, actions, rng)
         out_s.append(states)
         out_a.append(actions)
         out_n.append(nxt)

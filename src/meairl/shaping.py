@@ -24,14 +24,6 @@ INVARIANCE_DP_TOL = 1e-12
 
 
 @dataclass
-class ShapedReward:
-    """Shaped reward table plus a note on what it was built from."""
-
-    table: np.ndarray
-    provenance: dict
-
-
-@dataclass
 class InvarianceReport:
     """Sup-norm gaps between the soft fixed points of two reward tables."""
 
@@ -53,8 +45,8 @@ def _as_kernel_array(dynamics) -> np.ndarray:
     return kernel
 
 
-def shape_reward(mdp: TabularMDP, phi: np.ndarray, dynamics, label: str = "custom") -> ShapedReward:
-    """Shape mdp.reward with potential phi under the given transition model.
+def shape_reward(mdp: TabularMDP, phi: np.ndarray, dynamics) -> np.ndarray:
+    """The (S, A) table mdp.reward shaped with potential phi under the given model.
 
     `dynamics` is an (S, A, S) row-stochastic array or anything exposing
     one as `.kernel` (e.g. a fitted tabular model).
@@ -68,8 +60,7 @@ def shape_reward(mdp: TabularMDP, phi: np.ndarray, dynamics, label: str = "custo
     if kernel.shape != mdp.kernel.shape:
         raise ValueError(f"dynamics shape {kernel.shape} != {mdp.kernel.shape}")
     expected_phi = (kernel.reshape(-1, mdp.n_states) @ phi).reshape(mdp.n_states, mdp.n_actions)
-    table = mdp.reward + mdp.discount * expected_phi - phi[:, None]
-    return ShapedReward(table=table, provenance={"base": "mdp.reward", "dynamics": label})
+    return mdp.reward + mdp.discount * expected_phi - phi[:, None]
 
 
 def check_policy_invariance(mdp: TabularMDP, reward_a: np.ndarray, reward_b: np.ndarray,
@@ -93,9 +84,9 @@ def check_policy_invariance(mdp: TabularMDP, reward_a: np.ndarray, reward_b: np.
 def q_shift_identity_gap(mdp: TabularMDP, phi: np.ndarray,
                          dp_tol: float = INVARIANCE_DP_TOL) -> float:
     """Sup-norm defect of Q_R = Q_shaped + phi when shaping uses the true kernel."""
-    shaped = shape_reward(mdp, phi, mdp.kernel, label="true-kernel")
+    shaped = shape_reward(mdp, phi, mdp.kernel)
     base = soft_value_iteration(mdp, tol=dp_tol)
-    shaped_values = soft_value_iteration(mdp.with_reward(shaped.table), tol=dp_tol)
+    shaped_values = soft_value_iteration(mdp.with_reward(shaped), tol=dp_tol)
     return q_shift_gap(base, shaped_values, phi)
 
 

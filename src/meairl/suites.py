@@ -86,9 +86,8 @@ def run_invariance_suite(n_cases: int = 200, tol: float = 1e-8, seed: int = 0,
         mdp = random_mdp(rng)
         phi_scale = 1.0 if case % 2 == 0 else 100.0
         phi = rng.uniform(-phi_scale, phi_scale, size=mdp.n_states)
-        table = shape_reward(mdp, phi, mdp.kernel).table
         bases.append((mdp.kernel, mdp.reward, mdp.discount))
-        shaped.append((mdp.kernel, table, mdp.discount))
+        shaped.append((mdp.kernel, shape_reward(mdp, phi, mdp.kernel), mdp.discount))
         phis.append(phi)
     values = soft_value_iterations(bases + shaped, tol=dp_tol)
     base_values, shaped_values = values[:n_cases], values[n_cases:]

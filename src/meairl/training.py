@@ -107,13 +107,17 @@ class TrainingRecord:
 
 @dataclass
 class TrainingConfig:
-    """Every knob of the loop; defaults are the ones the reference runs use."""
+    """Every knob of the loop; defaults are the ones the reference runs use.
+
+    The model learns on every environment step: a tabular run adds each
+    transition to its count model, a continuous run takes one Adam step on
+    the Gaussian model's NLL.
+    """
 
     total_steps: int = 50_000
     pretrain_steps: int = 2_000
     rollout_horizon: int = 3
     rollout_starts: int = 4
-    model_update_period: int = 1
     disc_updates_per_step: int = 1
     policy_updates_per_step: int = 1
     batch_size: int = 256
@@ -156,8 +160,7 @@ class TrainingConfig:
                              f"{self.pretrain_steps} vs {self.total_steps}")
         if self.rollout_horizon < 1:
             raise ValueError(f"rollout_horizon must be >= 1, got {self.rollout_horizon}")
-        for name in ("batch_size", "rollout_starts", "eval_period", "eval_episodes",
-                     "model_update_period"):
+        for name in ("batch_size", "rollout_starts", "eval_period", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("disc_lr", "model_lr", "sac_lr"):
@@ -364,8 +367,7 @@ class _TabularRun(_Run):
             self.model = TabularDynamicsEstimate(n_states, n_actions, alpha=config.model_alpha)
         if config.algorithm != "bc_none":
             self.disc = Discriminator.tabular(n_states, n_actions, mdp.discount,
-                                              dynamics=self.model, shaping=self.shaping,
-                                              state_only=True)
+                                              dynamics=self.model, shaping=self.shaping)
             self.disc_adam = AdamState.for_params(self.disc.params, lr=config.disc_lr)
             self.policy = TabularPolicy.uniform(n_states, n_actions)
             self.q_pol = np.zeros((n_states, n_actions))
@@ -474,8 +476,6 @@ class _ContinuousRun(_Run):
 
     def model_step(self, t, *transition) -> None:
         config = self.config
-        if t > config.pretrain_steps and t % config.model_update_period != 0:
-            return
         ms, ma, mn = self.d_env.sample(config.batch_size, self.streams["disc"])
         nll, grads = self.model.loss_and_grads(ms, ma, mn)
         if not np.isfinite(nll):

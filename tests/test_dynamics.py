@@ -7,22 +7,30 @@ import pytest
 
 from helpers import finite_difference_grad, max_rel_err, random_mdp
 from meairl import (GaussianDynamicsModel, TabularDynamicsEstimate,
-                    TabularMDP, TabularPolicy, fit_tabular, make_noisy_pointmass,
+                    TabularMDP, TabularPolicy, make_noisy_pointmass,
                     rollout_synthetic, tv_distance)
+
+
+def fit_by_adds(transitions, n_states, n_actions, alpha):
+    """A count model fed one add per transition, as a tabular training run feeds it."""
+    est = TabularDynamicsEstimate(n_states, n_actions, alpha=alpha)
+    for s, a, s_next in transitions:
+        est.add(s, a, s_next)
+    return est
 
 
 class TestFitTabular:
     def test_empirical_frequencies(self):
-        est = fit_tabular([(0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 2)],
+        est = fit_by_adds([(0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 2)],
                           n_states=3, n_actions=1, alpha=0.0)
         assert np.allclose(est.kernel[0, 0], [0.0, 0.75, 0.25], atol=1e-12)
 
     def test_pure_prior_uniform(self):
-        est = fit_tabular([], n_states=3, n_actions=2, alpha=1.0)
+        est = fit_by_adds([], n_states=3, n_actions=2, alpha=1.0)
         assert np.allclose(est.kernel, 1.0 / 3.0, atol=1e-12)
 
     def test_zero_alpha_empty_row_falls_back_uniform(self):
-        est = fit_tabular([(0, 0, 1)], n_states=2, n_actions=2, alpha=0.0)
+        est = fit_by_adds([(0, 0, 1)], n_states=2, n_actions=2, alpha=0.0)
         assert np.allclose(est.kernel[1, 0], 0.5, atol=1e-12)
         assert np.allclose(est.kernel[0, 0], [0.0, 1.0], atol=1e-12)
 
@@ -30,20 +38,20 @@ class TestFitTabular:
         row = np.array([0.5, 0.3, 0.2])
         rng = np.random.default_rng(0)
         draws = rng.choice(3, size=10 ** 5, p=row)
-        est = fit_tabular(np.stack([np.zeros_like(draws), np.zeros_like(draws),
-                                    draws], axis=1),
+        est = fit_by_adds(((0, 0, n) for n in draws.tolist()),
                           n_states=3, n_actions=1, alpha=0.0)
         assert 0.5 * np.abs(est.kernel[0, 0] - row).sum() < 0.01
 
     def test_incremental_matches_batch_fit(self):
+        # the row refreshed after each add equals the smoothed frequency of all counts
         rng = np.random.default_rng(1)
         triples = [(int(rng.integers(3)), int(rng.integers(2)), int(rng.integers(3)))
                    for _ in range(200)]
-        inc = TabularDynamicsEstimate(3, 2, alpha=0.1)
-        for s, a, n in triples:
-            inc.add(s, a, n)
-        batch = fit_tabular(triples, 3, 2, alpha=0.1)
-        assert np.max(np.abs(inc.kernel - batch.kernel)) < 1e-12
+        inc = fit_by_adds(triples, 3, 2, alpha=0.1)
+        counts = np.zeros((3, 2, 3))
+        np.add.at(counts, tuple(np.array(triples).T), 1.0)
+        batch = (counts + 0.1) / (counts + 0.1).sum(axis=2, keepdims=True)
+        assert np.max(np.abs(inc.kernel - batch)) < 1e-12
 
     def test_rows_always_stochastic(self):
         rng = np.random.default_rng(2)
@@ -51,25 +59,6 @@ class TestFitTabular:
         for _ in range(50):
             est.add(int(rng.integers(4)), int(rng.integers(2)), int(rng.integers(4)))
             assert np.allclose(est.kernel.sum(axis=2), 1.0, atol=1e-12)
-
-    def test_consistency_in_sample_size(self):
-        # kernel error versus the generator shrinks as data grows
-        rng = np.random.default_rng(3)
-        mdp = random_mdp(rng, n_states=4, n_actions=2)
-        pol = TabularPolicy.uniform(4, 2)
-        means = []
-        for n in (10 ** 2, 10 ** 3, 10 ** 4):
-            errs = []
-            for seed in range(5):
-                sub = np.random.default_rng(1000 * n + seed)
-                states = sub.integers(0, 4, size=n)
-                actions = pol.sample_batch(states, sub)
-                nxt = mdp.sample_next_batch(states, actions, sub)
-                est = fit_tabular(np.stack([states, actions, nxt], axis=1),
-                                  4, 2, alpha=0.1)
-                errs.append(tv_distance(mdp.kernel, est.kernel)[0])
-            means.append(np.mean(errs))
-        assert means[2] < means[1] < means[0]
 
 
 class TestTvDistance:
@@ -170,28 +159,6 @@ class TestGaussianModel:
         _, sigma = model.predict(np.array([[1.0]]), np.array([[1.0]]))
         assert math.exp(-5) - 1e-12 <= sigma[0, 0] <= math.exp(2) + 1e-12
 
-    def test_learns_noiseless_linear_dynamics(self):
-        # criterion: held-out mean residual < 0.01 inside 2000 Adam steps
-        from meairl.neural import AdamState, adam_step
-        rng = np.random.default_rng(0)
-        model = GaussianDynamicsModel(1, 1, hidden=(128, 128),
-                                      state_low=np.array([-5.0]),
-                                      state_high=np.array([5.0]), rng=rng)
-        adam = AdamState.for_params(model.params, lr=3e-4)
-        train_s = rng.uniform(-2, 2, size=(1024, 1))
-        train_a = rng.uniform(-1, 1, size=(1024, 1))
-        train_n = train_s + 0.1 * train_a
-        held_s = rng.uniform(-2, 2, size=(256, 1))
-        held_a = rng.uniform(-1, 1, size=(256, 1))
-        held_n = held_s + 0.1 * held_a
-        for _ in range(2000):
-            idx = rng.integers(0, 1024, size=256)
-            _, grads = model.loss_and_grads(train_s[idx], train_a[idx], train_n[idx])
-            model.params = adam_step(adam, model.params, grads, clip_norm=10.0)
-        mu, _ = model.predict(held_s, held_a)
-        residual = float(np.mean(np.abs(mu - held_n)))
-        assert residual < 0.01
-
 
 class TestRolloutSynthetic:
     def test_one_hot_row_deterministic(self):
@@ -205,7 +172,7 @@ class TestRolloutSynthetic:
     def test_seeded_repeatability(self):
         rng = np.random.default_rng(8)
         mdp = random_mdp(rng, n_states=4, n_actions=2)
-        est = fit_tabular([], 4, 2, alpha=1.0)
+        est = TabularDynamicsEstimate(4, 2, alpha=1.0)
         pol = TabularPolicy.uniform(4, 2)
         starts = np.array([0, 1, 2])
         r1 = rollout_synthetic(est, pol, starts, horizon=3, seed=123)
@@ -229,10 +196,7 @@ class TestRolloutSynthetic:
         row = np.array([0.5, 0.3, 0.2])
         kernel = np.broadcast_to(row, (3, 1, 3)).copy()
         mdp = TabularMDP(kernel, np.zeros((3, 1)), 0.9, [1.0, 0.0, 0.0])
-        est = TabularDynamicsEstimate(3, 1, alpha=0.0)
-        est._counts = None  # force through public surface below
-        est = fit_tabular([], 3, 1, alpha=1.0)
-        # overwrite prior with exact kernel by feeding proportional counts
+        # feed counts proportional to the row, so the estimate is the kernel exactly
         est = TabularDynamicsEstimate(3, 1, alpha=0.0)
         for s_next, count in ((0, 5), (1, 3), (2, 2)):
             for s in range(3):

@@ -46,7 +46,7 @@ class TestTabularUpdate:
             phi = rng.normal(size=mdp.n_states) * 10
             shaped = shape_reward(mdp, phi, mdp.kernel)
             a = soft_update(mdp, mdp.reward, tol=1e-12)
-            b = soft_update(mdp, shaped.table, tol=1e-12)
+            b = soft_update(mdp, shaped, tol=1e-12)
             assert np.max(np.abs(a.probs - b.probs)) < 1e-8
 
 

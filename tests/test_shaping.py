@@ -13,14 +13,14 @@ class TestShapeReward:
         rng = np.random.default_rng(0)
         mdp = random_mdp(rng)
         shaped = shape_reward(mdp, np.zeros(mdp.n_states), mdp.kernel)
-        assert np.array_equal(shaped.table, mdp.reward)
+        assert np.array_equal(shaped, mdp.reward)
 
     def test_constant_potential_uniform_shift(self):
         rng = np.random.default_rng(1)
         mdp = random_mdp(rng, gamma=0.9)
         c = 3.7
         shaped = shape_reward(mdp, np.full(mdp.n_states, c), mdp.kernel)
-        assert np.max(np.abs(shaped.table - (mdp.reward - (1 - 0.9) * c))) < 1e-12
+        assert np.max(np.abs(shaped - (mdp.reward - (1 - 0.9) * c))) < 1e-12
 
     def test_hand_dot_product(self):
         kernel = np.zeros((3, 1, 3))
@@ -29,7 +29,7 @@ class TestShapeReward:
         kernel[2, 0] = [0.0, 0.0, 1.0]
         mdp = TabularMDP(kernel, np.zeros((3, 1)), 0.9, [1.0, 0.0, 0.0])
         shaped = shape_reward(mdp, np.array([1.0, 2.0, 3.0]), kernel)
-        assert abs(shaped.table[0, 0] - 0.89) < 1e-12
+        assert abs(shaped[0, 0] - 0.89) < 1e-12
 
     def test_magnitude_bound(self):
         rng = np.random.default_rng(2)
@@ -37,7 +37,7 @@ class TestShapeReward:
         phi = rng.uniform(-100, 100, size=mdp.n_states)
         shaped = shape_reward(mdp, phi, mdp.kernel)
         cap = np.abs(mdp.reward).max() + (1 + mdp.discount) * np.abs(phi).max()
-        assert np.abs(shaped.table).max() <= cap + 1e-9
+        assert np.abs(shaped).max() <= cap + 1e-9
 
     def test_non_stochastic_dynamics_rejected(self):
         rng = np.random.default_rng(3)
@@ -54,12 +54,6 @@ class TestShapeReward:
         with pytest.raises(ValueError):
             shape_reward(mdp, phi, mdp.kernel)
 
-    def test_provenance_recorded(self):
-        rng = np.random.default_rng(5)
-        mdp = random_mdp(rng)
-        shaped = shape_reward(mdp, np.zeros(mdp.n_states), mdp.kernel, label="exact")
-        assert shaped.provenance["dynamics"] == "exact"
-
 
 class TestPolicyInvariance:
     def test_identity_passes(self):
@@ -74,7 +68,7 @@ class TestPolicyInvariance:
             mdp = random_mdp(rng, n_states=5)
             phi = rng.uniform(-1, 1, size=5)
             shaped = shape_reward(mdp, phi, mdp.kernel)
-            report = check_policy_invariance(mdp, mdp.reward, shaped.table)
+            report = check_policy_invariance(mdp, mdp.reward, shaped)
             assert report.adv_gap <= 1e-8 and report.passed
 
     def test_policies_agree_entrywise(self):
@@ -85,7 +79,7 @@ class TestPolicyInvariance:
             shaped = shape_reward(mdp, phi, mdp.kernel)
             p_base = soft_optimal_policy(soft_value_iteration(mdp))
             p_shaped = soft_optimal_policy(
-                soft_value_iteration(mdp.with_reward(shaped.table)))
+                soft_value_iteration(mdp.with_reward(shaped)))
             assert np.max(np.abs(p_base.probs - p_shaped.probs)) <= 1e-8
 
     def test_generic_perturbation_fails(self):
@@ -102,7 +96,7 @@ class TestPolicyInvariance:
         mdp = random_mdp(rng)
         phi = rng.uniform(-1, 1, size=mdp.n_states)
         shaped = shape_reward(mdp, phi, mdp.kernel)
-        report = check_policy_invariance(mdp, mdp.reward, shaped.table)
+        report = check_policy_invariance(mdp, mdp.reward, shaped)
         # Q and V move by roughly phi even though advantages do not
         assert report.q_gap >= report.adv_gap
         assert report.v_gap >= 0.0
@@ -130,7 +124,7 @@ class TestQShiftIdentity:
         phi = rng.uniform(-1, 1, size=5)
         shaped = shape_reward(mdp, phi, wrong)
         q_base = soft_value_iteration(mdp).q
-        q_shaped = soft_value_iteration(mdp.with_reward(shaped.table)).q
+        q_shaped = soft_value_iteration(mdp.with_reward(shaped)).q
         gap = np.abs(q_base - q_shaped - phi[:, None]).max()
         assert gap > 1e-4
 
@@ -145,6 +139,6 @@ class TestEstimatedKernelTrend:
         for lam in (0.3, 0.1, 0.03, 0.01):
             blend = (1 - lam) * mdp.kernel + lam * alt
             shaped = shape_reward(mdp, phi, blend)
-            report = check_policy_invariance(mdp, mdp.reward, shaped.table)
+            report = check_policy_invariance(mdp, mdp.reward, shaped)
             gaps.append(report.adv_gap)
         assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))

@@ -49,7 +49,7 @@ class TestInvarianceSuite:
             phi_scale = 1.0 if case % 2 == 0 else 100.0
             phi = rng.uniform(-phi_scale, phi_scale, size=mdp.n_states)
             shaped = shape_reward(mdp, phi, mdp.kernel)
-            adv_gaps.append(check_policy_invariance(mdp, mdp.reward, shaped.table).adv_gap)
+            adv_gaps.append(check_policy_invariance(mdp, mdp.reward, shaped).adv_gap)
             shift_gaps.append(q_shift_identity_gap(mdp, phi))
         report = run_invariance_suite(n_cases=12, seed=4)
         assert report.max_adv_gap == max(adv_gaps)

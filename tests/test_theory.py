@@ -160,7 +160,7 @@ class TestPerformanceBoundVerifier:
     def test_identical_kernels_give_zero_gap(self):
         rng = np.random.default_rng(8)
         problem = random_problem(rng, perturb_rate=0.0)
-        row = verify_performance_difference_bound(problem)
+        row, = verify_performance_difference_bound([problem], [0])
         assert row.observed_gap <= 1e-8
         assert row.passed
 
@@ -170,10 +170,10 @@ class TestPerformanceBoundVerifier:
         assert all(r.passed for r in rows)
 
     def test_sweep_rows_equal_problem_by_problem_rows(self):
-        # the sweep solves all problems stacked; one problem at a time must agree
+        # the sweep solves all problems stacked; stacks of one problem must agree
         rng = np.random.default_rng(1)
-        expected = [verify_performance_difference_bound(random_problem(rng), instance_id=i)
-                    for i in range(50)]
+        expected = [row for i in range(50)
+                    for row in verify_performance_difference_bound([random_problem(rng)], [i])]
         assert run_bound_sweep("performance", 50, seed=1) == expected
 
     def test_sweep_kind_validated(self):
