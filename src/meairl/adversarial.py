@@ -79,8 +79,7 @@ class Discriminator:
         self.n_model_samples = int(n_model_samples)
 
     @classmethod
-    def tabular(cls, n_states, n_actions, discount, dynamics=None,
-                shaping="model") -> "Discriminator":
+    def tabular(cls, n_states, discount, dynamics=None, shaping="model") -> "Discriminator":
         """Zero-initialised tables of shape (S,): the state-only reward g(s) and phi.
 
         g(s) rather than a free r(s, a), so that the shaping rule decides
@@ -142,29 +141,30 @@ class Discriminator:
                 + self.discount * expected_phi
                 - self.phi_table[states])
 
-    def _f_continuous(self, states, actions, next_states, rng):
-        """Returns (f, cache); cache carries the arrays gradient assembly reuses."""
+    def _f_continuous(self, states, actions, next_states, rng, tape=False):
+        """Returns (f, tapes). With `tape`, tapes holds the tapes of r(s, a),
+        phi(s) and phi at the successors (model draws or observed), in that
+        order, for the gradient step; otherwise it is None."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         x = np.concatenate([states, actions], axis=1)
-        r = self.r_net.forward(x).ravel()
-        phi_s = self.phi_net.forward(states).ravel()
+        r, r_tape = _forward(self.r_net, x, tape)
+        phi_s, phi_tape = _forward(self.phi_net, states, tape)
         if self.shaping == "model":
             if rng is None:
                 raise ValueError("model shaping needs an rng for successor draws")
             n = self.n_model_samples
             draws = self.dynamics.sample_next(states, actions, rng, n=n)  # (n, B, d)
             flat = draws.reshape(-1, states.shape[1])
-            phi_next = self.phi_net.forward(flat).ravel().reshape(n, -1)
-            expected_phi = phi_next.mean(axis=0)
-            cache = {"x": x, "states": states, "draws_flat": flat}
+            phi_next, next_tape = _forward(self.phi_net, flat, tape)
+            expected_phi = phi_next.reshape(n, -1).mean(axis=0)
         else:
             if next_states is None:
                 raise ValueError("sample shaping needs observed next states")
             next_states = np.atleast_2d(np.asarray(next_states, dtype=np.float64))
-            expected_phi = self.phi_net.forward(next_states).ravel()
-            cache = {"x": x, "states": states, "next_states": next_states}
-        return r + self.discount * expected_phi - phi_s, cache
+            expected_phi, next_tape = _forward(self.phi_net, next_states, tape)
+        f = r + self.discount * expected_phi - phi_s
+        return f, ((r_tape, phi_tape, next_tape) if tape else None)
 
     def f_values(self, states, actions, next_states=None, rng=None):
         """Batched f. next_states is only consulted under sample shaping."""
@@ -172,6 +172,14 @@ class Discriminator:
             return self._f_tabular(states, actions, next_states)
         f, _ = self._f_continuous(states, actions, next_states, rng)
         return f
+
+
+def _forward(net, x, tape):
+    """net(x) flattened to one value per row, with its tape when `tape`."""
+    if tape:
+        out, record = net.forward(x, tape=True)
+        return out.ravel(), record
+    return net.forward(x).ravel(), None
 
 
 def _log_policy(policy, states, actions):
@@ -199,33 +207,43 @@ def discriminator_loss_and_grads(disc: Discriminator, expert_batch, policy_batch
     Batches are (states, actions, next_states) column triples; the expert
     batch is scored as positive, the policy batch as negative. `policy`
     supplies pi(a|s): a TabularPolicy or anything with .log_prob.
+
+    Continuous mode finishes the expert batch (forward, loss terms,
+    backward) before it forwards the policy batch. The per-sample
+    gradient of the loss in f depends only on that sample's own f and
+    log pi, so nothing waits on the other batch, and only one batch's
+    tapes are alive at a time; holding both (the successor tape of phi
+    has n_model_samples rows per sample) raises the run's peak memory.
+    The rng still draws the expert batch's successors before the policy
+    batch's, and the gradients still add expert then policy.
     """
     exp_s, exp_a, exp_n = expert_batch
     pol_s, pol_a, pol_n = policy_batch
     if disc.mode == "tabular":
         f_e = disc._f_tabular(exp_s, exp_a, exp_n)
         f_p = disc._f_tabular(pol_s, pol_a, pol_n)
-        cache_e = cache_p = None
-    else:
-        f_e, cache_e = disc._f_continuous(exp_s, exp_a, exp_n, rng)
-        f_p, cache_p = disc._f_continuous(pol_s, pol_a, pol_n, rng)
-    u_e = f_e - _log_policy(policy, exp_s, exp_a)
-    u_p = f_p - _log_policy(policy, pol_s, pol_a)
-    d_e = _sigmoid(u_e)
-    d_p = _sigmoid(u_p)
-    dc_e = np.clip(d_e, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    dc_p = np.clip(d_p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    loss = float(-np.mean(np.log(dc_e)) - np.mean(np.log(1.0 - dc_p)))
-    # d loss / d f per sample; zero where the clamp saturates.
-    live_e = (d_e > PROB_CLAMP) & (d_e < 1.0 - PROB_CLAMP)
-    live_p = (d_p > PROB_CLAMP) & (d_p < 1.0 - PROB_CLAMP)
-    df_e = np.where(live_e, -(1.0 - d_e), 0.0) / f_e.shape[0]
-    df_p = np.where(live_p, d_p, 0.0) / f_p.shape[0]
-    if disc.mode == "tabular":
+        log_e, df_e = _cross_entropy_terms(f_e, _log_policy(policy, exp_s, exp_a), True)
+        log_p, df_p = _cross_entropy_terms(f_p, _log_policy(policy, pol_s, pol_a), False)
         grads = _tabular_grads(disc, (exp_s, exp_a, exp_n, df_e), (pol_s, pol_a, pol_n, df_p))
     else:
-        grads = _continuous_grads(disc, (cache_e, df_e), (cache_p, df_p))
+        g_r = np.zeros(disc.r_net.n_params)
+        g_phi = np.zeros(disc.phi_net.n_params)
+        log_e = _continuous_batch_step(disc, expert_batch, policy, rng, True, g_r, g_phi)
+        log_p = _continuous_batch_step(disc, policy_batch, policy, rng, False, g_r, g_phi)
+        grads = np.concatenate([g_r, g_phi])
+    loss = float(-np.mean(log_e) - np.mean(log_p))
     return loss, grads
+
+
+def _cross_entropy_terms(f, log_pi, expert):
+    """Per-sample log D (expert) or log(1 - D) (policy), clamped, and
+    d loss / d f, which is zero where the clamp saturates."""
+    d = _sigmoid(f - log_pi)
+    dc = np.clip(d, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    live = (d > PROB_CLAMP) & (d < 1.0 - PROB_CLAMP)
+    if expert:
+        return np.log(dc), np.where(live, -(1.0 - d), 0.0) / f.shape[0]
+    return np.log(1.0 - dc), np.where(live, d, 0.0) / f.shape[0]
 
 
 def _tabular_grads(disc, expert, policy):
@@ -244,21 +262,24 @@ def _tabular_grads(disc, expert, policy):
     return np.concatenate([g_r, g_phi])
 
 
-def _continuous_grads(disc, expert, policy):
-    g_r = np.zeros(disc.r_net.n_params)
-    g_phi = np.zeros(disc.phi_net.n_params)
-    for cache, df in (expert, policy):
-        col = df[:, None]
-        g_r += disc.r_net.backward(cache["x"], col)[0]
-        g_phi += disc.phi_net.backward(cache["states"], -col)[0]
-        if disc.shaping == "model":
-            n = disc.n_model_samples
-            rep = np.repeat(df[None, :], n, axis=0).reshape(-1, 1)
-            g_phi += disc.phi_net.backward(cache["draws_flat"],
-                                           (disc.discount / n) * rep)[0]
-        else:
-            g_phi += disc.phi_net.backward(cache["next_states"], disc.discount * col)[0]
-    return np.concatenate([g_r, g_phi])
+def _continuous_batch_step(disc, batch, policy, rng, expert, g_r, g_phi):
+    """Forward one batch with tapes, add its gradient into g_r and g_phi
+    (r, then phi at the states, then phi at the successors), and return
+    its per-sample log terms. The tapes die when this returns."""
+    states, actions, next_states = batch
+    f, (r_tape, phi_tape, next_tape) = disc._f_continuous(states, actions, next_states,
+                                                          rng, tape=True)
+    log_terms, df = _cross_entropy_terms(f, _log_policy(policy, states, actions), expert)
+    col = df[:, None]
+    g_r += disc.r_net.backward(r_tape, col)[0]
+    g_phi += disc.phi_net.backward(phi_tape, -col)[0]
+    if disc.shaping == "model":
+        n = disc.n_model_samples
+        rep = np.repeat(df[None, :], n, axis=0).reshape(-1, 1)
+        g_phi += disc.phi_net.backward(next_tape, (disc.discount / n) * rep)[0]
+    else:
+        g_phi += disc.phi_net.backward(next_tape, disc.discount * col)[0]
+    return log_terms
 
 
 def mce_irl_gradient(mdp: TabularMDP, theta: np.ndarray, expert_occupancy: np.ndarray,

@@ -32,7 +32,6 @@ class TabularDynamicsEstimate:
         if alpha < 0.0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         self.n_states = int(n_states)
-        self.n_actions = int(n_actions)
         self.alpha = float(alpha)
         self.counts = np.zeros((n_states, n_actions, n_states), dtype=np.int64)
         self._kernel = np.full((n_states, n_actions, n_states), 1.0 / n_states)
@@ -123,18 +122,24 @@ class GaussianDynamicsModel:
         self.mean_net.params = value[:split]
         self.logstd_net.params = value[split:]
 
-    def _stats(self, states, actions):
+    def _stats(self, states, actions, tape=False):
+        """States as a 2-D array, the two nets' outputs and the clamped
+        log-std; with `tape`, also the nets' tapes (else None)."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         x = np.concatenate([states, actions], axis=1)
-        mean_delta = self.mean_net.forward(x)
-        raw = self.logstd_net.forward(x)
+        if tape:
+            mean_delta, mean_tape = self.mean_net.forward(x, tape=True)
+            raw, logstd_tape = self.logstd_net.forward(x, tape=True)
+            tapes = (mean_tape, logstd_tape)
+        else:
+            mean_delta, raw, tapes = self.mean_net.forward(x), self.logstd_net.forward(x), None
         log_std = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
-        return x, states, mean_delta, raw, log_std
+        return states, mean_delta, raw, log_std, tapes
 
     def predict(self, states, actions):
         """Mean successor and per-dimension std, batched."""
-        _, states2d, mean_delta, _, log_std = self._stats(states, actions)
+        states2d, mean_delta, _, log_std, _ = self._stats(states, actions)
         return states2d + mean_delta, np.exp(log_std)
 
     def sample_next(self, state, action, rng, n: int = None) -> np.ndarray:
@@ -158,7 +163,7 @@ class GaussianDynamicsModel:
         Per element: 0.5 z^2 + log_std + 0.5 log(2 pi), z = (delta - mu) / sigma.
         The log-std clamp passes zero gradient where it saturates.
         """
-        x, states2d, mean_delta, raw, log_std = self._stats(states, actions)
+        states2d, mean_delta, raw, log_std, tapes = self._stats(states, actions, tape=True)
         next_states = np.atleast_2d(np.asarray(next_states, dtype=np.float64))
         target = next_states - states2d
         sigma = np.exp(log_std)
@@ -168,8 +173,8 @@ class GaussianDynamicsModel:
         d_mean = (-z / sigma) / batch
         active = (raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)
         d_raw = np.where(active, (1.0 - z ** 2) / batch, 0.0)
-        g_mean, _ = self.mean_net.backward(x, d_mean)
-        g_logstd, _ = self.logstd_net.backward(x, d_raw)
+        g_mean, _ = self.mean_net.backward(tapes[0], d_mean)
+        g_logstd, _ = self.logstd_net.backward(tapes[1], d_raw)
         return loss, np.concatenate([g_mean, g_logstd])
 
 

@@ -2,6 +2,15 @@
 
 All parameters of a net live in one flat float64 vector, so optimizer
 state, checkpointing and finite-difference checks stay generic.
+
+A caller that will differentiate a forward pass asks for its tape,
+`out, tape = net.forward(x, tape=True)`, and hands it to
+`net.backward(tape, upstream)`, so the backward pass does not rerun the
+forward. The tape holds the input and every layer's post-activation
+array, which is all the backward pass reads: the relu mask is taken as
+`act > 0`, bit-identical to `pre > 0` because `act = max(pre, 0)`, so the
+pre-activations are not kept. `backward(x, upstream)` with an input
+array still works; it builds the tape with the same forward pass.
 """
 
 from __future__ import annotations
@@ -59,38 +68,46 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(self.sizes, output=self.output, params=self._params.copy())
 
-    def _forward_pass(self, x):
+    def _forward_pass(self, x) -> "_Tape":
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         h = x[None, :] if squeeze else x
         if h.shape[1] != self.sizes[0]:
             raise ValueError(f"input width {h.shape[1]} != {self.sizes[0]}")
-        pre, acts = [], [h]
+        acts = [h]
         last = len(self._layers) - 1
         for i, (w, b) in enumerate(self._layers):
-            z = h @ w.T + b
-            pre.append(z)
+            h = h @ w.T
+            h += b
             if i < last:
-                h = np.maximum(z, 0.0)
+                np.maximum(h, 0.0, out=h)
             elif self.output == "tanh":
-                h = np.tanh(z)
-            else:
-                h = z
+                np.tanh(h, out=h)
             acts.append(h)
-        return pre, acts, squeeze
+        return _Tape(acts, squeeze)
 
-    def forward(self, x) -> np.ndarray:
-        pre, acts, squeeze = self._forward_pass(x)
-        out = acts[-1]
-        return out[0] if squeeze else out
+    def forward(self, x, tape: bool = False):
+        """The net's output for x, a row or a batch of rows.
+
+        With tape=True, returns (output, tape): the tape holds the input
+        and the post-activation of every layer, which `backward` reads in
+        place of rerunning this pass.
+        """
+        record = self._forward_pass(x)
+        out = record.acts[-1]
+        out = out[0] if record.squeeze else out
+        return (out, record) if tape else out
 
     def backward(self, x, upstream):
         """Gradients of sum(upstream * forward(x)).
 
-        Returns (flat parameter gradient, gradient w.r.t. the input),
-        both matching the shapes of params and x.
+        x is the tape of that forward pass, or the input itself, in which
+        case the forward pass is run here. Returns (flat parameter
+        gradient, gradient w.r.t. the input), both matching the shapes of
+        params and the input.
         """
-        pre, acts, squeeze = self._forward_pass(x)
+        record = x if isinstance(x, _Tape) else self._forward_pass(x)
+        acts, squeeze = record.acts, record.squeeze
         upstream = np.asarray(upstream, dtype=np.float64)
         delta = upstream[None, :] if squeeze else upstream
         if delta.shape != acts[-1].shape:
@@ -109,8 +126,20 @@ class Mlp:
             grads[offset:offset + gw.size] = gw.ravel()
             delta = delta @ w
             if i > 0:
-                delta = delta * (pre[i - 1] > 0.0)
+                # acts[i] = max(pre, 0), so acts[i] > 0 exactly where pre > 0
+                delta *= acts[i] > 0.0
         return grads, (delta[0] if squeeze else delta)
+
+
+class _Tape:
+    """One forward pass as `Mlp.backward` reads it: the input, then each
+    layer's post-activation array (the last is the output)."""
+
+    __slots__ = ("acts", "squeeze")
+
+    def __init__(self, acts, squeeze):
+        self.acts = acts
+        self.squeeze = squeeze
 
 
 @dataclass

@@ -26,7 +26,6 @@ SQUASH_EPS = 1e-6
 class SacDiagnostics:
     critic_loss: float
     actor_loss: float
-    entropy: float
 
 
 class SacAgent:
@@ -51,8 +50,8 @@ class SacAgent:
         self.actor_adam = AdamState.for_params(self.actor.params, lr=lr)
         self.critic_adam = AdamState.for_params(self.critic.params, lr=lr)
 
-    def _actor_stats(self, states):
-        out = self.actor.forward(states)
+    def _actor_stats(self, out):
+        """Split an actor output into (mu, raw log-std, clamped log-std, std)."""
         mu = out[:, :self.action_dim]
         raw = out[:, self.action_dim:]
         log_std = np.clip(raw, ACTOR_LOG_STD_MIN, ACTOR_LOG_STD_MAX)
@@ -61,7 +60,7 @@ class SacAgent:
     def act(self, state, rng=None, deterministic: bool = False) -> np.ndarray:
         single = np.asarray(state).ndim == 1
         states = np.atleast_2d(np.asarray(state, dtype=np.float64))
-        mu, _, _, std = self._actor_stats(states)
+        mu, _, _, std = self._actor_stats(self.actor.forward(states))
         u = mu if deterministic else mu + std * rng.standard_normal(mu.shape)
         a = self.center + self.scale * np.tanh(u)
         return a[0] if single else a
@@ -70,7 +69,7 @@ class SacAgent:
         """Log density of given actions under the current actor."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        mu, _, log_std, std = self._actor_stats(states)
+        mu, _, log_std, std = self._actor_stats(self.actor.forward(states))
         t = np.clip((actions - self.center) / self.scale, -1.0 + SQUASH_EPS, 1.0 - SQUASH_EPS)
         u = np.arctanh(t)
         z = (u - mu) / std
@@ -79,8 +78,10 @@ class SacAgent:
         return log_gauss - log_jac
 
     def _sample_with_log_prob(self, states, eps):
-        """Reparameterized draw plus its log density, all intermediates returned."""
-        mu, raw, log_std, std = self._actor_stats(states)
+        """Reparameterized draw plus its log density, all intermediates returned,
+        with the actor's tape for the actor step's backward pass."""
+        out, tape = self.actor.forward(states, tape=True)
+        mu, raw, log_std, std = self._actor_stats(out)
         u = mu + std * eps
         t = np.tanh(u)
         a = self.center + self.scale * t
@@ -88,7 +89,8 @@ class SacAgent:
         jac_arg = self.scale * (1.0 - t ** 2) + SQUASH_EPS
         log_prob = log_gauss - np.sum(np.log(jac_arg), axis=1)
         return {"mu": mu, "raw": raw, "log_std": log_std, "std": std, "u": u,
-                "t": t, "a": a, "log_prob": log_prob, "jac_arg": jac_arg, "eps": eps}
+                "t": t, "a": a, "log_prob": log_prob, "jac_arg": jac_arg, "eps": eps,
+                "tape": tape}
 
     def critic_targets(self, batch, rng) -> np.ndarray:
         """Bootstrapped target r + gamma (1 - done)(Q_target(s', a') - alpha log pi)."""
@@ -103,11 +105,11 @@ class SacAgent:
     def critic_loss_and_grads(self, states, actions, targets):
         """Mean squared Bellman error; pure in the critic parameters."""
         x = np.concatenate([states, actions], axis=1)
-        q = self.critic.forward(x).ravel()
-        diff = q - targets
+        q, tape = self.critic.forward(x, tape=True)
+        diff = q.ravel() - targets
         loss = float(np.mean(diff ** 2))
         upstream = (2.0 * diff / diff.shape[0])[:, None]
-        grads, _ = self.critic.backward(x, upstream)
+        grads, _ = self.critic.backward(tape, upstream)
         return loss, grads
 
     def actor_loss_and_grads(self, states, eps):
@@ -119,10 +121,10 @@ class SacAgent:
         batch = float(states.shape[0])
         samp = self._sample_with_log_prob(states, eps)
         x = np.concatenate([states, samp["a"]], axis=1)
-        q = self.critic.forward(x).ravel()
-        loss = float(np.mean(self.alpha_ent * samp["log_prob"] - q))
+        q, critic_tape = self.critic.forward(x, tape=True)
+        loss = float(np.mean(self.alpha_ent * samp["log_prob"] - q.ravel()))
         # Gradient w.r.t. the sampled action comes from the frozen critic.
-        _, dx = self.critic.backward(x, np.full((states.shape[0], 1), -1.0 / batch))
+        _, dx = self.critic.backward(critic_tape, np.full((states.shape[0], 1), -1.0 / batch))
         dl_da = dx[:, self.state_dim:]
         t, scale = samp["t"], self.scale
         # alpha * log pi depends on u through the squash jacobian only.
@@ -136,7 +138,7 @@ class SacAgent:
             dl_du * samp["eps"] * samp["std"] + self.alpha_ent * (-1.0 / batch),
             0.0)
         upstream = np.concatenate([dl_dmu, dl_draw], axis=1)
-        grads, _ = self.actor.backward(states, upstream)
+        grads, _ = self.actor.backward(samp["tape"], upstream)
         return loss, grads
 
     def update(self, batch, rng) -> SacDiagnostics:
@@ -150,5 +152,4 @@ class SacAgent:
         self.actor.params[...] = adam_step(self.actor_adam, self.actor.params, actor_grads)
         self.target.params[...] = ((1.0 - self.tau) * self.target.params
                                    + self.tau * self.critic.params)
-        entropy = float(-np.mean(self._sample_with_log_prob(states, eps)["log_prob"]))
-        return SacDiagnostics(critic_loss=critic_loss, actor_loss=actor_loss, entropy=entropy)
+        return SacDiagnostics(critic_loss=critic_loss, actor_loss=actor_loss)

@@ -366,8 +366,8 @@ class _TabularRun(_Run):
         if self.model_based:
             self.model = TabularDynamicsEstimate(n_states, n_actions, alpha=config.model_alpha)
         if config.algorithm != "bc_none":
-            self.disc = Discriminator.tabular(n_states, n_actions, mdp.discount,
-                                              dynamics=self.model, shaping=self.shaping)
+            self.disc = Discriminator.tabular(n_states, mdp.discount, dynamics=self.model,
+                                              shaping=self.shaping)
             self.disc_adam = AdamState.for_params(self.disc.params, lr=config.disc_lr)
             self.policy = TabularPolicy.uniform(n_states, n_actions)
             self.q_pol = np.zeros((n_states, n_actions))
@@ -497,8 +497,9 @@ class _ContinuousRun(_Run):
     def bc_step(self) -> None:
         es, ea, _ = self.expert.sample(self.config.batch_size, self.streams["policy"])
         target_t = np.clip((ea - self.agent.center) / self.agent.scale, -1.0, 1.0)
-        diff = self.bc_net.forward(es) - target_t
-        grads, _ = self.bc_net.backward(es, 2.0 * diff / diff.shape[0])
+        out, tape = self.bc_net.forward(es, tape=True)
+        diff = out - target_t
+        grads, _ = self.bc_net.backward(tape, 2.0 * diff / diff.shape[0])
         self.bc_net.params[...] = adam_step(self.bc_adam, self.bc_net.params, grads)
 
     def evaluate(self, rng):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from meairl import TabularMDP, TabularPolicy
+from meairl import Mlp, TabularMDP, TabularPolicy
 
 
 def finite_difference_grad(fn, params, h=1e-5):
@@ -41,3 +41,58 @@ def random_mdp(rng, n_states=None, n_actions=None, gamma=None, reward_scale=1.0)
 
 def random_policy(rng, n_states, n_actions):
     return TabularPolicy(rng.dirichlet(np.ones(n_actions), size=n_states))
+
+
+def reference_backward(net, x, upstream):
+    """Mlp.backward as it stood before forward passes kept tapes.
+
+    Reruns the forward pass from the input array, keeps the
+    pre-activations, and masks the relu layers on pre > 0; it shares no
+    code with Mlp's own forward or backward.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    squeeze = x.ndim == 1
+    h = x[None, :] if squeeze else x
+    layers, offset = [], 0
+    for fan_in, fan_out in zip(net.sizes[:-1], net.sizes[1:]):
+        w = net.params[offset:offset + fan_in * fan_out].reshape(fan_out, fan_in)
+        offset += fan_in * fan_out
+        layers.append((w, net.params[offset:offset + fan_out]))
+        offset += fan_out
+    pre, acts = [], [h]
+    for i, (w, b) in enumerate(layers):
+        z = h @ w.T + b
+        pre.append(z)
+        if i < len(layers) - 1:
+            h = np.maximum(z, 0.0)
+        elif net.output == "tanh":
+            h = np.tanh(z)
+        else:
+            h = z
+        acts.append(h)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    delta = upstream[None, :] if squeeze else upstream
+    if net.output == "tanh":
+        delta = delta * (1.0 - acts[-1] ** 2)
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        grads[:0] = [(delta.T @ acts[i]).ravel(), delta.sum(axis=0)]
+        delta = delta @ w
+        if i > 0:
+            delta = delta * (pre[i - 1] > 0.0)
+    return np.concatenate(grads), (delta[0] if squeeze else delta)
+
+
+def use_reference_backward(monkeypatch):
+    """Route every Mlp gradient through reference_backward: a taped forward
+    hands back its input array as the tape, and backward reruns the
+    forward from that array."""
+    forward = Mlp.forward
+
+    def forward_keeping_input(self, x, tape=False):
+        out = forward(self, x)
+        return (out, x) if tape else out
+
+    monkeypatch.setattr(Mlp, "forward", forward_keeping_input)
+    monkeypatch.setattr(Mlp, "backward", reference_backward)

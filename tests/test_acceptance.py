@@ -123,7 +123,7 @@ def test_criterion_6_analytic_gradients_match_finite_differences():
     # the state-only g(s) discriminator every tabular run trains
     for shaping in ("model", "sample"):
         mdp = fixed_size_mdp(rng, n_states=5, n_actions=3, gamma=0.9)
-        disc = Discriminator.tabular(5, 3, 0.9, dynamics=mdp.kernel,
+        disc = Discriminator.tabular(5, 0.9, dynamics=mdp.kernel,
                                      shaping=shaping)
         assert disc.r_table.shape == (5,)
         disc.params = 0.3 * rng.normal(size=disc.n_params)

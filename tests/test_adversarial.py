@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import finite_difference_grad, max_rel_err, random_mdp
+from helpers import (finite_difference_grad, max_rel_err, random_mdp,
+                     use_reference_backward)
 from meairl import (Discriminator, ExpertBuffer, GaussianDynamicsModel, Mlp,
-                    TabularMDP, TabularPolicy, discounted_occupancy,
+                    SacAgent, TabularMDP, TabularPolicy, discounted_occupancy,
                     discriminator_loss_and_grads, extract_reward,
                     gradient_alignment_gap, make_gridworld, mce_irl_gradient,
                     soft_optimal_policy, soft_value_iteration)
@@ -24,32 +25,32 @@ class TestFValue:
     def test_hand_value_model_shaping(self):
         # R = 0, phi = [1, 2], rows [0.5, 0.5], gamma = 0.9:
         # f(0, 0) = 0 + 0.9 * 1.5 - 1 = 0.35
-        disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
+        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel())
         disc.phi_table[:] = [1.0, 2.0]
         assert abs(disc.f_values([0], [0])[0] - 0.35) < 1e-12
 
     def test_hand_value_sample_shaping(self):
         # single-sample form uses the observed successor instead of the row
-        disc = Discriminator.tabular(2, 1, 0.9, shaping="sample")
+        disc = Discriminator.tabular(2, 0.9, shaping="sample")
         disc.phi_table[:] = [1.0, 2.0]
         assert abs(disc.f_values([0], [0], [1])[0] - (0.9 * 2.0 - 1.0)) < 1e-12
         assert abs(disc.f_values([0], [0], [0])[0] - (0.9 * 1.0 - 1.0)) < 1e-12
 
     def test_model_shaping_ignores_observed_successor(self):
-        disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
+        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel())
         disc.phi_table[:] = [1.0, 2.0]
         disc.r_table[0] = 0.25
         for ns in (0, 1):
             assert abs(disc.f_values([0], [0], [ns])[0] - 0.6) < 1e-12
 
     def test_sample_shaping_requires_next_state(self):
-        disc = Discriminator.tabular(2, 1, 0.9, shaping="sample")
+        disc = Discriminator.tabular(2, 0.9, shaping="sample")
         with pytest.raises(ValueError):
             disc.f_values(np.array([0]), np.array([0]))
 
     def test_model_shaping_requires_dynamics(self):
         with pytest.raises(ValueError):
-            Discriminator.tabular(2, 1, 0.9, dynamics=None, shaping="model")
+            Discriminator.tabular(2, 0.9, dynamics=None, shaping="model")
 
 
 class TestDiscriminatorProb:
@@ -60,7 +61,7 @@ class TestDiscriminatorProb:
 
     def test_hand_value(self):
         # f = log 3 against pi = 1 gives D = 3 / (3 + 1) = 0.75
-        disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
+        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel())
         disc.r_table[:] = math.log(3.0)
         policy = TabularPolicy([[1.0], [1.0]])
         loss, _ = discriminator_loss_and_grads(disc, self.PAIR, self.PAIR, policy)
@@ -68,7 +69,7 @@ class TestDiscriminatorProb:
 
     def test_matched_point_is_half(self):
         # f = log pi gives D = 1/2, where equal batches pull f both ways equally
-        disc = Discriminator.tabular(2, 2, 0.9, dynamics=np.full((2, 2, 2), 0.5))
+        disc = Discriminator.tabular(2, 0.9, dynamics=np.full((2, 2, 2), 0.5))
         disc.r_table[:] = math.log(0.5)
         policy = TabularPolicy(np.full((2, 2), 0.5))
         batch = (np.array([0, 1]), np.array([1, 0]), np.array([1, 1]))
@@ -77,7 +78,7 @@ class TestDiscriminatorProb:
         assert np.max(np.abs(grads)) < 1e-15
 
     def test_clamped_into_open_interval(self):
-        disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
+        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel())
         policy = TabularPolicy([[1.0], [1.0]])
         for r in (100.0, -100.0):
             disc.r_table[:] = r
@@ -91,7 +92,7 @@ class TestExtractReward:
     def test_matches_f_minus_log_pi(self):
         rng = np.random.default_rng(3)
         mdp = random_mdp(rng, n_states=4, n_actions=2, gamma=0.9)
-        disc = Discriminator.tabular(4, 2, 0.9, dynamics=mdp.kernel)
+        disc = Discriminator.tabular(4, 0.9, dynamics=mdp.kernel)
         disc.params = rng.normal(size=disc.n_params)
         states = np.array([0, 1, 2, 3])
         actions = np.array([0, 1, 0, 1])
@@ -101,7 +102,7 @@ class TestExtractReward:
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_clipped_to_fifty(self):
-        disc = Discriminator.tabular(2, 1, 0.9, dynamics=two_state_kernel())
+        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel())
         disc.r_table[:] = 1000.0
         assert extract_reward(disc, [0], [0], log_policy_prob=[0.0])[0] == 50.0
         disc.r_table[:] = -1000.0
@@ -111,7 +112,7 @@ class TestExtractReward:
 class TestDiscriminatorLoss:
     def test_uninformative_loss_is_two_log_two(self):
         # f = log pi everywhere gives D = 1/2 on both batches
-        disc = Discriminator.tabular(2, 2, 0.9, dynamics=np.full((2, 2, 2), 0.5))
+        disc = Discriminator.tabular(2, 0.9, dynamics=np.full((2, 2, 2), 0.5))
         disc.r_table[:] = math.log(0.5)
         policy = TabularPolicy(np.full((2, 2), 0.5))
         batch = (np.array([0, 1]), np.array([0, 1]), np.array([0, 0]))
@@ -121,7 +122,7 @@ class TestDiscriminatorLoss:
     def test_perfect_separation_loss_near_clamp_floor(self):
         # g scores the expert's state +100 and the policy's -100: both terms
         # hit the 1e-6 clamp whatever the action
-        disc = Discriminator.tabular(2, 2, 0.9, dynamics=np.full((2, 2, 2), 0.5))
+        disc = Discriminator.tabular(2, 0.9, dynamics=np.full((2, 2, 2), 0.5))
         disc.r_table[:] = [100.0, -100.0]
         policy = TabularPolicy(np.full((2, 2), 0.5))
         expert = (np.array([0, 0]), np.array([0, 1]), np.array([0, 0]))
@@ -166,9 +167,29 @@ class TestDiscriminatorLoss:
             assert max_rel_err(grads, fd) < 1e-4
 
 
+    @pytest.mark.parametrize("shaping", ["model", "sample"])
+    def test_taped_gradients_equal_reforwarded_reference(self, shaping, monkeypatch):
+        rng = np.random.default_rng(21)
+        model = GaussianDynamicsModel(2, 1, hidden=(8, 8), rng=rng)
+        disc = Discriminator.continuous(2, 1, 0.9, dynamics=model, shaping=shaping,
+                                        hidden=(16, 16), n_model_samples=4, rng=rng)
+        policy = SacAgent(2, 1, [-1.0], [1.0], 0.9, hidden=(8,), rng=rng)
+        expert, gen = ((rng.normal(size=(32, 2)), rng.uniform(-1, 1, size=(32, 1)),
+                        rng.normal(size=(32, 2))) for _ in range(2))
+        draws = np.random.default_rng(3)
+        loss, grads = discriminator_loss_and_grads(disc, expert, gen, policy, rng=draws)
+        use_reference_backward(monkeypatch)
+        ref_draws = np.random.default_rng(3)
+        ref_loss, ref_grads = discriminator_loss_and_grads(disc, expert, gen, policy,
+                                                           rng=ref_draws)
+        assert loss == ref_loss
+        assert np.array_equal(grads, ref_grads)
+        assert draws.bit_generator.state == ref_draws.bit_generator.state
+
+
 class TestStateOnlyTabular:
     def test_param_round_trip(self):
-        disc = Discriminator.tabular(4, 3, 0.9, dynamics=np.full((4, 3, 4), 0.25))
+        disc = Discriminator.tabular(4, 0.9, dynamics=np.full((4, 3, 4), 0.25))
         assert disc.r_table.shape == (4,)
         assert disc.n_params == 2 * 4
         flat = np.random.default_rng(0).normal(size=disc.n_params)
@@ -177,7 +198,7 @@ class TestStateOnlyTabular:
         assert np.array_equal(disc.r_table, flat[:4])
 
     def test_reward_term_ignores_the_action(self):
-        disc = Discriminator.tabular(2, 3, 0.9, shaping="sample")
+        disc = Discriminator.tabular(2, 0.9, shaping="sample")
         disc.r_table[:] = [0.7, -0.2]
         f = disc.f_values(np.array([0, 0, 0, 1]), np.array([0, 1, 2, 1]),
                           np.array([1, 1, 1, 1]))
@@ -187,7 +208,7 @@ class TestStateOnlyTabular:
         rng = np.random.default_rng(17)
         for shaping in ("model", "sample"):
             mdp = random_mdp(rng, n_states=5, n_actions=3, gamma=0.9)
-            disc = Discriminator.tabular(5, 3, 0.9, dynamics=mdp.kernel,
+            disc = Discriminator.tabular(5, 0.9, dynamics=mdp.kernel,
                                          shaping=shaping)
             disc.params = 0.3 * rng.normal(size=disc.n_params)
             policy = TabularPolicy(rng.dirichlet(np.ones(3), size=5))
@@ -216,7 +237,7 @@ class TestStateOnlyTabular:
         mdp = make_gridworld(4, 3, 0.3, 5.0, 0.9)
         assert np.array_equal(mdp.reward, np.repeat(mdp.reward[:, :1], 4, axis=1))
         values = soft_value_iteration(mdp, tol=1e-12)
-        disc = Discriminator.tabular(mdp.n_states, mdp.n_actions, mdp.discount,
+        disc = Discriminator.tabular(mdp.n_states, mdp.discount,
                                      dynamics=mdp.kernel)
         disc.r_table[:] = mdp.reward[:, 0]
         disc.phi_table[:] = values.v
@@ -225,7 +246,7 @@ class TestStateOnlyTabular:
         assert np.max(np.abs(f - (values.q - values.v[:, None]))) < 1e-10
         # the same tables under sample shaping miss the advantage on some
         # successor the slippery kernel reaches
-        sample = Discriminator.tabular(mdp.n_states, mdp.n_actions, mdp.discount,
+        sample = Discriminator.tabular(mdp.n_states, mdp.discount,
                                        shaping="sample")
         sample.params = disc.params
         ss, aa, nn = np.nonzero(mdp.kernel > 0.0)

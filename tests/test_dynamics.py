@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import finite_difference_grad, max_rel_err, random_mdp
+from helpers import (finite_difference_grad, max_rel_err, random_mdp,
+                     use_reference_backward)
 from meairl import (GaussianDynamicsModel, TabularDynamicsEstimate,
                     TabularMDP, TabularPolicy, make_noisy_pointmass,
                     rollout_synthetic, tv_distance)
@@ -136,6 +137,18 @@ class TestGaussianModel:
         loss, grads = model.loss_and_grads(states, actions, nxt)
         fd = finite_difference_grad(loss_fn, model.params)
         assert max_rel_err(grads, fd) < 1e-4
+
+    def test_taped_gradients_equal_reforwarded_reference(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        model = tiny_model(rng, hidden=(16, 16))
+        states = rng.uniform(-2, 2, size=(32, 1))
+        actions = rng.uniform(-1, 1, size=(32, 1))
+        nxt = states + 0.1 * actions + 0.05 * rng.standard_normal((32, 1))
+        loss, grads = model.loss_and_grads(states, actions, nxt)
+        use_reference_backward(monkeypatch)
+        ref_loss, ref_grads = model.loss_and_grads(states, actions, nxt)
+        assert loss == ref_loss
+        assert np.array_equal(grads, ref_grads)
 
     def test_gradient_zero_in_saturated_logstd_region(self):
         rng = np.random.default_rng(6)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_difference_grad, max_rel_err
+from helpers import finite_difference_grad, max_rel_err, reference_backward
 from meairl import AdamState, Mlp, adam_step, clip_by_global_norm
 from meairl.neural import load_params, save_params
 
@@ -97,6 +97,33 @@ class TestBackward:
         _, input_grad = net.backward(x, out)
         fd = finite_difference_grad(loss_of_x, x.ravel())
         assert max_rel_err(input_grad.ravel(), fd) < 1e-4
+
+
+class TestTape:
+    """backward(tape, u) reads the forward pass the caller already ran."""
+
+    @pytest.mark.parametrize("output", ["identity", "tanh"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_tape_backward_equals_array_backward(self, output, batched):
+        rng = np.random.default_rng(11)
+        net = Mlp([3, 16, 16, 2], output=output, rng=rng)
+        x = rng.normal(size=(64, 3) if batched else 3)
+        upstream = rng.normal(size=(64, 2) if batched else 2)
+        out, tape = net.forward(x, tape=True)
+        assert np.array_equal(out, net.forward(x))
+        from_tape = net.backward(tape, upstream)
+        from_array = net.backward(x, upstream)
+        reference = reference_backward(net, x, upstream)
+        assert from_tape[1].shape == x.shape
+        for got in (from_tape, from_array):
+            assert np.array_equal(got[0], reference[0])  # parameter gradient
+            assert np.array_equal(got[1], reference[1])  # input gradient
+
+    def test_tape_is_not_a_sequence(self):
+        # a profiler reading np.shape of backward's second argument must not
+        # meet a ragged list of layer arrays
+        _, tape = Mlp([2, 5, 1], rng=0).forward(np.zeros((4, 2)), tape=True)
+        assert np.shape(tape) == ()
 
 
 class TestAdam:

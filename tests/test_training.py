@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from meairl import (ExpertBuffer, TabularEnv, TabularMDP, TabularPolicy,
+from meairl import (ExpertBuffer, Mlp, TabularEnv, TabularMDP, TabularPolicy,
                     TrainingConfig, TrainingDivergedError, TrainingRecord,
                     evaluate_tabular_policy, generate_expert, load_demos,
                     make_gridworld, make_noisy_pointmass, mix_action,
@@ -323,6 +323,36 @@ class TestContinuousLoop:
         assert np.isfinite(record.rows[-1].model_nll)
         again = run_meairl(env, expert, cfg)
         assert again.to_csv_text() == record.to_csv_text()
+
+    @pytest.mark.parametrize("algorithm", ["meairl", "bc_none"])
+    def test_no_backward_reruns_a_forward_pass(self, algorithm, tmp_path, monkeypatch):
+        # Every gradient step hands Mlp.backward the tape of the forward the
+        # caller already ran, so the net's one forward body runs exactly
+        # once per Mlp.forward call. A caller that passes backward an input
+        # array again makes the first count exceed the second.
+        calls = {"pass": 0, "forward": 0, "backward": 0}
+        originals = {name: Mlp.__dict__[name] for name in
+                     ("_forward_pass", "forward", "backward")}
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(Mlp, "_forward_pass",
+                            counting("pass", originals["_forward_pass"]))
+        monkeypatch.setattr(Mlp, "forward", counting("forward", originals["forward"]))
+        monkeypatch.setattr(Mlp, "backward", counting("backward", originals["backward"]))
+        env = make_noisy_pointmass(0.5)
+        expert = pointmass_expert(env, tmp_path)
+        cfg = TrainingConfig(algorithm=algorithm, total_steps=60, pretrain_steps=20,
+                             eval_period=30, eval_episodes=1, batch_size=16,
+                             model_hidden=(8,), disc_hidden=(8,), sac_hidden=(8,),
+                             n_model_samples=2, seed=0)
+        run_meairl(env, expert, cfg)
+        assert calls["backward"] >= 40
+        assert calls["pass"] == calls["forward"]
 
     def test_nan_demos_raise_diverged(self, tmp_path):
         env = make_noisy_pointmass(0.5)
