@@ -89,21 +89,24 @@ class ReplayBuffer:
         return self._columns((self._head - k + np.arange(k)) % self._phys)
 
 
+GEN_BUFFER_INIT = 1_000
+GEN_BUFFER_GROWTH = 1.0
+GEN_BUFFER_MAX = 50_000
+
+
 @dataclass
 class RatioSchedule:
     """Synthetic share of policy-update batches, plus the synthetic buffer size.
 
     The fraction ramps linearly from `start` to `end` over `ramp_steps`
-    and stays at `end` after. The buffer capacity grows linearly from
-    cap_init at rate cap_growth per step, clipped at cap_max.
+    and stays at `end` after. The buffer capacity is the same for every
+    schedule: GEN_BUFFER_INIT plus GEN_BUFFER_GROWTH per step, clipped at
+    GEN_BUFFER_MAX.
     """
 
     start: float
     end: float
     ramp_steps: int
-    cap_init: int
-    cap_growth: float
-    cap_max: int
 
     def __post_init__(self):
         for name in ("start", "end"):
@@ -112,11 +115,6 @@ class RatioSchedule:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.ramp_steps < 0:
             raise ValueError(f"ramp_steps must be >= 0, got {self.ramp_steps}")
-        if self.cap_init < 1 or self.cap_max < self.cap_init:
-            raise ValueError(f"need 1 <= cap_init <= cap_max, got "
-                             f"{self.cap_init}, {self.cap_max}")
-        if self.cap_growth < 0.0:
-            raise ValueError(f"cap_growth must be >= 0, got {self.cap_growth}")
 
     def fraction(self, step: int) -> float:
         if self.ramp_steps == 0 or step >= self.ramp_steps:
@@ -124,4 +122,4 @@ class RatioSchedule:
         return self.start + (self.end - self.start) * (step / self.ramp_steps)
 
     def capacity(self, step: int) -> int:
-        return int(min(self.cap_max, self.cap_init + self.cap_growth * step))
+        return int(min(GEN_BUFFER_MAX, GEN_BUFFER_INIT + GEN_BUFFER_GROWTH * step))

@@ -156,10 +156,10 @@ def _require_eval_row(config: ExperimentConfig) -> None:
 
 
 def _write_demos(env, config: ExperimentConfig, path) -> None:
-    threshold = config.run.expert_threshold
+    threshold = None if isinstance(env, TabularEnv) else expert_return_target(env, config)
     generate_expert(env, config.run.expert_seed, config.run.expert_episodes, path,
-                    return_threshold=None if math.isnan(threshold) else threshold,
-                    max_steps=config.run.expert_max_steps, config=config.train)
+                    return_threshold=threshold, max_steps=config.run.expert_max_steps,
+                    config=config.train)
 
 
 def _training_setup(args, config: ExperimentConfig):
@@ -206,6 +206,8 @@ def cmd_train(args) -> int:
 def cmd_compare(args) -> int:
     config = load_config(args.config)
     env, out_dir, expert = _training_setup(args, config)
+    target = expert_return_target(env, config)  # before training: it may refuse the config
+    threshold = attainment_threshold(target)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     results = {}
     for alg in algorithms:
@@ -215,8 +217,6 @@ def cmd_compare(args) -> int:
             record.to_csv(os.path.join(out_dir, f"{alg}_seed{seed}.csv"))
             results[(alg, seed)] = record
             print(f"{alg} seed {seed}: final return {record.rows[-1].return_mean:.4f}")
-    target = expert_return_target(env, config)
-    threshold = attainment_threshold(target)
     rows = per_seed_rows(results, threshold)
     with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8") as fh:
         fh.write(summary_csv_text(rows))

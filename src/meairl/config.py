@@ -73,6 +73,9 @@ class RunSpec:
     def __post_init__(self):
         if len(self.seeds) < 1:
             raise ConfigError("run.seeds must name at least one seed")
+        if min(self.seeds) < 0 or self.expert_seed < 0:
+            raise ConfigError(f"seeds and expert_seed must be >= 0, got "
+                              f"{self.seeds} and {self.expert_seed}")
         if self.expert_episodes < 1:
             raise ConfigError(f"expert_episodes must be >= 1, got {self.expert_episodes}")
 

@@ -28,10 +28,9 @@ class TabularDynamicsEstimate:
     With alpha = 0 an unvisited (s, a) row falls back to uniform.
     """
 
-    def __init__(self, n_states: int, n_actions: int, alpha: float = 0.1):
+    def __init__(self, n_states: int, n_actions: int, alpha: float):
         if alpha < 0.0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self.n_states = int(n_states)
         self.alpha = float(alpha)
         self.counts = np.zeros((n_states, n_actions, n_states), dtype=np.int64)
         self._kernel = np.full((n_states, n_actions, n_states), 1.0 / n_states)
@@ -41,11 +40,7 @@ class TabularDynamicsEstimate:
         """Count one transition and refresh the (s, a) row it lands in."""
         self.counts[s, a, s_next] += 1
         row = self.counts[s, a] + self.alpha
-        total = row.sum()
-        if total == 0.0:
-            row = np.full(self.n_states, 1.0 / self.n_states)
-        else:
-            row = row / total
+        row = row / row.sum()  # the row holds the count just added, so its sum is >= 1
         self._kernel[s, a] = row
         self._cum[s, a] = np.cumsum(row)
 

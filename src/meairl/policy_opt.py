@@ -20,6 +20,7 @@ ACTOR_LOG_STD_MAX = 2.0
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Keeps atanh and the jacobian log finite at the squash boundary.
 SQUASH_EPS = 1e-6
+SAC_LR = 3e-4  # Adam step size of the actor and the critic
 
 
 @dataclass
@@ -29,11 +30,17 @@ class SacDiagnostics:
 
 
 class SacAgent:
-    """Single-critic SAC with fixed entropy weight and tanh-squashed Gaussian actor."""
+    """Single-critic SAC with fixed entropy weight and tanh-squashed Gaussian actor.
+
+    A batch is (states, actions, rewards, next_states); every transition
+    bootstraps, as the runs end episodes at a time limit, not a terminal.
+    """
+
+    alpha_ent = 0.2  # entropy weight
+    tau = 0.005  # Polyak rate of the target critic
 
     def __init__(self, state_dim, action_dim, action_low, action_high, discount,
-                 hidden=(64, 64), lr: float = 3e-4, alpha_ent: float = 0.2,
-                 tau: float = 0.005, rng=None):
+                 hidden=(64, 64), rng=None):
         rng = as_generator(rng)
         self.state_dim = int(state_dim)
         self.action_dim = int(action_dim)
@@ -42,13 +49,11 @@ class SacAgent:
         self.scale = (self.action_high - self.action_low) / 2.0
         self.center = (self.action_high + self.action_low) / 2.0
         self.discount = float(discount)
-        self.alpha_ent = float(alpha_ent)
-        self.tau = float(tau)
         self.actor = Mlp([self.state_dim, *hidden, 2 * self.action_dim], rng=rng)
         self.critic = Mlp([self.state_dim + self.action_dim, *hidden, 1], rng=rng)
         self.target = self.critic.copy()
-        self.actor_adam = AdamState.for_params(self.actor.params, lr=lr)
-        self.critic_adam = AdamState.for_params(self.critic.params, lr=lr)
+        self.actor_adam = AdamState.for_params(self.actor.params, lr=SAC_LR)
+        self.critic_adam = AdamState.for_params(self.critic.params, lr=SAC_LR)
 
     def _actor_stats(self, out):
         """Split an actor output into (mu, raw log-std, clamped log-std, std)."""
@@ -93,14 +98,13 @@ class SacAgent:
                 "tape": tape}
 
     def critic_targets(self, batch, rng) -> np.ndarray:
-        """Bootstrapped target r + gamma (1 - done)(Q_target(s', a') - alpha log pi)."""
-        _, _, rewards, next_states, dones = batch
+        """Bootstrapped target r + gamma (Q_target(s', a') - alpha log pi)."""
+        _, _, rewards, next_states = batch
         eps = rng.standard_normal((next_states.shape[0], self.action_dim))
         samp = self._sample_with_log_prob(next_states, eps)
         q_next = self.target.forward(
             np.concatenate([next_states, samp["a"]], axis=1)).ravel()
-        return rewards + self.discount * (1.0 - dones) * (
-            q_next - self.alpha_ent * samp["log_prob"])
+        return rewards + self.discount * (q_next - self.alpha_ent * samp["log_prob"])
 
     def critic_loss_and_grads(self, states, actions, targets):
         """Mean squared Bellman error; pure in the critic parameters."""
@@ -143,7 +147,7 @@ class SacAgent:
 
     def update(self, batch, rng) -> SacDiagnostics:
         """One critic step, one actor step, one Polyak target update."""
-        states, actions, _, _, _ = batch
+        states, actions, _, _ = batch
         targets = self.critic_targets(batch, rng)
         critic_loss, critic_grads = self.critic_loss_and_grads(states, actions, targets)
         self.critic.params[...] = adam_step(self.critic_adam, self.critic.params, critic_grads)

@@ -164,10 +164,10 @@ def _solve(backup, instances, q_inits, tol, max_iters, what) -> list:
 
 
 def soft_value_iterations(instances, tol: float = ORACLE_TOL,
-                          max_iters: int = ORACLE_MAX_ITERS, q_inits=None) -> list:
+                          max_iters: int = ORACLE_MAX_ITERS) -> list:
     """`soft_value_iteration` on many (kernel, reward, discount) instances at once."""
     out = []
-    for q, residual in _solve(soft_backup, instances, q_inits, tol, max_iters,
+    for q, residual in _solve(soft_backup, instances, None, tol, max_iters,
                               "value iteration"):
         v = logsumexp(q, axis=1)
         out.append(SoftValues(q=q, v=v, adv=q - v[:, None], residual=residual))
@@ -175,17 +175,17 @@ def soft_value_iterations(instances, tol: float = ORACLE_TOL,
 
 
 def hard_value_iterations(instances, tol: float = ORACLE_TOL,
-                          max_iters: int = ORACLE_MAX_ITERS, q_inits=None) -> list:
+                          max_iters: int = ORACLE_MAX_ITERS) -> list:
     """`hard_value_iteration` on many (kernel, reward, discount) instances at once."""
     return [HardValues(q=q, v=q.max(axis=1), residual=residual)
-            for q, residual in _solve(hard_backup, instances, q_inits, tol, max_iters,
+            for q, residual in _solve(hard_backup, instances, None, tol, max_iters,
                                       "value iteration")]
 
 
 def soft_value_iteration(mdp: TabularMDP, tol: float = ORACLE_TOL,
-                         max_iters: int = ORACLE_MAX_ITERS, q_init=None) -> SoftValues:
-    return soft_value_iterations([(mdp.kernel, mdp.reward, mdp.discount)], tol, max_iters,
-                                 None if q_init is None else [q_init])[0]
+                         max_iters: int = ORACLE_MAX_ITERS) -> SoftValues:
+    return soft_value_iterations([(mdp.kernel, mdp.reward, mdp.discount)], tol,
+                                 max_iters)[0]
 
 
 def soft_optimal_policy(values: SoftValues) -> TabularPolicy:
@@ -196,9 +196,9 @@ def soft_optimal_policy(values: SoftValues) -> TabularPolicy:
 
 
 def hard_value_iteration(mdp: TabularMDP, tol: float = ORACLE_TOL,
-                         max_iters: int = ORACLE_MAX_ITERS, q_init=None) -> HardValues:
-    return hard_value_iterations([(mdp.kernel, mdp.reward, mdp.discount)], tol, max_iters,
-                                 None if q_init is None else [q_init])[0]
+                         max_iters: int = ORACLE_MAX_ITERS) -> HardValues:
+    return hard_value_iterations([(mdp.kernel, mdp.reward, mdp.discount)], tol,
+                                 max_iters)[0]
 
 
 def greedy_policy(values: HardValues) -> TabularPolicy:

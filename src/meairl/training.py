@@ -5,8 +5,8 @@ step acts (past pretraining, meairl acts through `mix_action`, with
 probability `mix_prob` from a model-predicted stand-in of the current
 state), takes the environment step, stores the real transition and takes
 a model step. Past pretraining the adversarial variants then take
-discriminator steps, push a short model rollout into a second buffer and
-take policy steps on batches whose synthetic share follows a ramped
+a discriminator step, push a short model rollout into a second buffer and
+take a policy step on a batch whose synthetic share follows a ramped
 schedule; behavior cloning takes a BC step instead. Evaluation rows and
 checkpoints follow on their periods.
 Variants:
@@ -47,13 +47,13 @@ import numpy as np
 
 from .adversarial import (REWARD_CLAMP, Discriminator, ExpertBuffer,
                           discriminator_loss_and_grads, extract_reward)
-from .buffers import RatioSchedule, ReplayBuffer
+from .buffers import GEN_BUFFER_INIT, GEN_BUFFER_MAX, RatioSchedule, ReplayBuffer
 from .dynamics import (GaussianDynamicsModel, TabularDynamicsEstimate,
                        rollout_synthetic, tv_distance)
 from .mdp import (ContinuousEnv, TabularEnv, TabularPolicy,
                   sample_trajectory, save_continuous_demos, save_tabular_demos)
 from .neural import AdamState, Mlp, adam_step, save_params
-from .policy_opt import SacAgent
+from .policy_opt import SAC_LR, SacAgent
 from .seeding import as_generator, spawn_streams
 from .soft_dp import logsumexp, soft_optimal_policy, soft_value_iteration
 
@@ -105,44 +105,41 @@ class TrainingRecord:
             fh.write(self.to_csv_text())
 
 
+# Settings no experiment varies, fixed here rather than offered as config keys.
+ROLLOUT_STARTS = 4  # real states each synthetic rollout starts from
+ENV_BUFFER_CAPACITY = 100_000
+MODEL_LR = 3e-4
+# Small smoothing keeps count-based estimates proper without planting
+# phantom successors on near-deterministic kernels.
+MODEL_ALPHA = 0.01
+MODEL_CLIP_NORM = 10.0
+POLICY_TD_RATE = 0.5  # step size of the tabular soft TD backup
+
+
 @dataclass
 class TrainingConfig:
-    """Every knob of the loop; defaults are the ones the reference runs use.
+    """The settings a run is configured by; defaults are the reference runs'.
 
-    The model learns on every environment step: a tabular run adds each
-    transition to its count model, a continuous run takes one Adam step on
-    the Gaussian model's NLL.
+    Each step past pretraining takes one discriminator step and one policy
+    step; the model learns on every environment step (a tabular run counts
+    the transition, a continuous run takes one Adam step on the Gaussian
+    model's NLL). Fixed settings are module constants here, in `policy_opt`
+    and in `buffers`.
     """
 
     total_steps: int = 50_000
     pretrain_steps: int = 2_000
     rollout_horizon: int = 3
-    rollout_starts: int = 4
-    disc_updates_per_step: int = 1
-    policy_updates_per_step: int = 1
     batch_size: int = 256
-    env_buffer_capacity: int = 100_000
     disc_lr: float = 3e-4
-    model_lr: float = 3e-4
-    # Small smoothing keeps count-based estimates proper without planting
-    # phantom successors on near-deterministic kernels.
-    model_alpha: float = 0.01
     model_hidden: tuple = (128, 128)
-    model_clip_norm: float = 10.0
-    policy_td_rate: float = 0.5
     n_model_samples: int = 8
     disc_hidden: tuple = (100, 100)
     sac_hidden: tuple = (64, 64)
-    sac_lr: float = 3e-4
-    alpha_ent: float = 0.2
-    tau: float = 0.005
     discount: float = 0.99  # continuous loop only; tabular uses the MDP's own
     ratio_start: float = 0.05
     ratio_end: float = 0.5
     ratio_ramp_frac: float = 0.5
-    gen_buffer_init: int = 1_000
-    gen_buffer_growth: float = 1.0
-    gen_buffer_max: int = 50_000
     mix_prob: float = 0.1  # chance that meairl acts from a model-predicted state
     use_synthetic: bool = True
     eval_period: int = 1_000
@@ -158,26 +155,31 @@ class TrainingConfig:
         if not 0 <= self.pretrain_steps <= self.total_steps:
             raise ValueError(f"need 0 <= pretrain_steps <= total_steps, got "
                              f"{self.pretrain_steps} vs {self.total_steps}")
-        if self.rollout_horizon < 1:
-            raise ValueError(f"rollout_horizon must be >= 1, got {self.rollout_horizon}")
-        for name in ("batch_size", "rollout_starts", "eval_period", "eval_episodes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("disc_lr", "model_lr", "sac_lr"):
+        for name in ("rollout_horizon", "batch_size", "n_model_samples", "eval_period",
+                     "eval_episodes"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        for name in ("ratio_start", "ratio_end", "ratio_ramp_frac",
-                     "mix_prob", "policy_td_rate"):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("model_hidden", "disc_hidden", "sac_hidden"):
+            value = getattr(self, name)
+            if any(width < 1 for width in value):
+                raise ValueError(f"every width in {name} must be >= 1, got {value}")
+        for name in ("checkpoint_period", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if not 0.0 < self.discount < 1.0:
+            raise ValueError(f"discount must lie in (0, 1), got {self.discount}")
+        if not self.disc_lr > 0.0:
+            raise ValueError(f"disc_lr must be > 0, got {self.disc_lr}")
+        for name in ("ratio_start", "ratio_end", "ratio_ramp_frac", "mix_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
     def ratio_schedule(self) -> RatioSchedule:
         return RatioSchedule(self.ratio_start, self.ratio_end,
-                             int(round(self.ratio_ramp_frac * self.total_steps)),
-                             self.gen_buffer_init, self.gen_buffer_growth,
-                             self.gen_buffer_max)
+                             int(round(self.ratio_ramp_frac * self.total_steps)))
 
 
 def _act(agent, state, rng):
@@ -236,8 +238,8 @@ class _Run:
         self.synthetic = self.model_based and config.use_synthetic
         self.streams = spawn_streams(config.seed, STREAMS)
         self.ratio = config.ratio_schedule()
-        self.d_env = ReplayBuffer(config.env_buffer_capacity, **buffer_kwargs)
-        self.d_gen = ReplayBuffer(self.ratio.cap_init, phys_capacity=self.ratio.cap_max,
+        self.d_env = ReplayBuffer(ENV_BUFFER_CAPACITY, **buffer_kwargs)
+        self.d_gen = ReplayBuffer(GEN_BUFFER_INIT, phys_capacity=GEN_BUFFER_MAX,
                                   **buffer_kwargs)
         self.model = self.disc = None
 
@@ -267,12 +269,10 @@ class _Run:
                 state = s_next
             if t > config.pretrain_steps:
                 if self.disc is not None:
-                    for _ in range(config.disc_updates_per_step):
-                        last_disc_loss = self.disc_step(t)
+                    last_disc_loss = self.disc_step(t)
                     if self.synthetic:
                         self.rollout(t)
-                    for _ in range(config.policy_updates_per_step):
-                        self.policy_step(t, *self.mixed_batch(t, streams["policy"]))
+                    self.policy_step(t, *self.mixed_batch(t, streams["policy"]))
                 else:
                     self.bc_step()
             if t % config.eval_period == 0:
@@ -299,7 +299,7 @@ class _Run:
     def rollout(self, t) -> None:
         rng = self.streams["rollout"]
         self.d_gen.set_capacity(self.ratio.capacity(t))
-        starts, _, _ = self.d_env.sample(self.config.rollout_starts, rng)
+        starts, _, _ = self.d_env.sample(ROLLOUT_STARTS, rng)
         self.d_gen.add_batch(*rollout_synthetic(self.model, self.actor, starts,
                                                 self.config.rollout_horizon, rng))
 
@@ -364,7 +364,7 @@ class _TabularRun(_Run):
         self.horizon = env.episode_horizon
         n_states, n_actions = mdp.n_states, mdp.n_actions
         if self.model_based:
-            self.model = TabularDynamicsEstimate(n_states, n_actions, alpha=config.model_alpha)
+            self.model = TabularDynamicsEstimate(n_states, n_actions, alpha=MODEL_ALPHA)
         if config.algorithm != "bc_none":
             self.disc = Discriminator.tabular(n_states, mdp.discount, dynamics=self.model,
                                               shaping=self.shaping)
@@ -398,7 +398,7 @@ class _TabularRun(_Run):
         counts = np.bincount(pair, minlength=q_pol.size)
         hit = counts > 0
         sums = np.bincount(pair, weights=td, minlength=q_pol.size)
-        decay = (1.0 - self.config.policy_td_rate) ** counts[hit]
+        decay = (1.0 - POLICY_TD_RATE) ** counts[hit]
         flat = q_pol.ravel()
         flat[hit] = decay * flat[hit] + (1.0 - decay) * (sums[hit] / counts[hit])
         self.policy = TabularPolicy(np.exp(q_pol - logsumexp(q_pol, axis=1)[:, None]))
@@ -447,10 +447,9 @@ class _ContinuousRun(_Run):
             self.model = GaussianDynamicsModel(d, k, hidden=config.model_hidden,
                                                state_low=env.state_low,
                                                state_high=env.state_high, rng=init)
-            self.model_adam = AdamState.for_params(self.model.params, lr=config.model_lr)
+            self.model_adam = AdamState.for_params(self.model.params, lr=MODEL_LR)
         self.agent = SacAgent(d, k, env.action_low, env.action_high, config.discount,
-                              hidden=config.sac_hidden, lr=config.sac_lr,
-                              alpha_ent=config.alpha_ent, tau=config.tau, rng=init)
+                              hidden=config.sac_hidden, rng=init)
         self.pi, self.actor = self.agent, self.agent.act
         self.bc_net = None
         self.last_model_nll = float("nan")
@@ -463,7 +462,7 @@ class _ContinuousRun(_Run):
             self.disc_adam = AdamState.for_params(self.disc.params, lr=config.disc_lr)
         else:
             self.bc_net = Mlp([d, *config.sac_hidden, k], output="tanh", rng=init)
-            self.bc_adam = AdamState.for_params(self.bc_net.params, lr=config.sac_lr)
+            self.bc_adam = AdamState.for_params(self.bc_net.params, lr=SAC_LR)
             self.actor = self._bc_act
 
     def step(self, state, action, rng):
@@ -475,13 +474,12 @@ class _ContinuousRun(_Run):
         return a[0] if np.asarray(states).ndim == 1 else a
 
     def model_step(self, t, *transition) -> None:
-        config = self.config
-        ms, ma, mn = self.d_env.sample(config.batch_size, self.streams["disc"])
+        ms, ma, mn = self.d_env.sample(self.config.batch_size, self.streams["disc"])
         nll, grads = self.model.loss_and_grads(ms, ma, mn)
         if not np.isfinite(nll):
             raise TrainingDivergedError(t, {"model_nll": nll})
         self.model.params = adam_step(self.model_adam, self.model.params, grads,
-                                      clip_norm=config.model_clip_norm)
+                                      clip_norm=MODEL_CLIP_NORM)
         self.last_model_nll = nll
 
     def policy_step(self, t, bs, ba, bn) -> None:
@@ -489,7 +487,7 @@ class _ContinuousRun(_Run):
         rewards = extract_reward(self.disc, bs, ba,
                                  log_policy_prob=self.agent.log_prob(bs, ba),
                                  next_states=bn, rng=rng)
-        diag = self.agent.update((bs, ba, rewards, bn, np.zeros(len(bs))), rng)
+        diag = self.agent.update((bs, ba, rewards, bn), rng)
         if not (np.isfinite(diag.critic_loss) and np.isfinite(diag.actor_loss)):
             raise TrainingDivergedError(t, {"critic_loss": diag.critic_loss,
                                             "actor_loss": diag.actor_loss})
@@ -544,9 +542,8 @@ def generate_expert(env, seed: int, n_episodes: int, out_path,
     config = config or TrainingConfig()
     streams = spawn_streams(seed, ("interact", "update", "eval", "init", "demo"))
     agent = SacAgent(env.state_dim, env.action_dim, env.action_low, env.action_high,
-                     config.discount, hidden=config.sac_hidden, lr=config.sac_lr,
-                     alpha_ent=config.alpha_ent, tau=config.tau, rng=streams["init"])
-    buf = ReplayBuffer(config.env_buffer_capacity, state_shape=(env.state_dim,),
+                     config.discount, hidden=config.sac_hidden, rng=streams["init"])
+    buf = ReplayBuffer(ENV_BUFFER_CAPACITY, state_shape=(env.state_dim,),
                        action_shape=(env.action_dim,), dtype=np.float64, with_reward=True)
     state = env.reset(streams["interact"])
     ep_t = 0
@@ -568,7 +565,7 @@ def generate_expert(env, seed: int, n_episodes: int, out_path,
             state = s_next
         if t > warmup:
             bs, ba, bn, br = buf.sample(config.batch_size, streams["update"])
-            agent.update((bs, ba, br, bn, np.zeros(config.batch_size)), streams["update"])
+            agent.update((bs, ba, br, bn), streams["update"])
         if t % config.eval_period == 0 and t > warmup:
             mean, _ = evaluate_continuous_policy(
                 env, lambda s, r: agent.act(s, r, deterministic=True),

@@ -135,39 +135,34 @@ class TestReplayBuffer:
 
 class TestRatioSchedule:
     def test_linear_ramp_then_flat(self):
-        sched = RatioSchedule(0.05, 0.5, ramp_steps=100, cap_init=10,
-                              cap_growth=1.0, cap_max=50)
+        sched = RatioSchedule(0.05, 0.5, ramp_steps=100)
         assert sched.fraction(0) == 0.05
         assert abs(sched.fraction(50) - 0.275) < 1e-12
         assert sched.fraction(100) == 0.5
         assert sched.fraction(10 ** 6) == 0.5
 
     def test_fraction_monotone(self):
-        sched = RatioSchedule(0.05, 0.5, ramp_steps=333, cap_init=1,
-                              cap_growth=0.5, cap_max=100)
+        sched = RatioSchedule(0.05, 0.5, ramp_steps=333)
         fracs = [sched.fraction(t) for t in range(0, 1000, 7)]
         assert all(b >= a for a, b in zip(fracs, fracs[1:]))
 
     def test_capacity_growth_clipped(self):
-        sched = RatioSchedule(0.0, 1.0, ramp_steps=10, cap_init=10,
-                              cap_growth=2.0, cap_max=25)
-        assert sched.capacity(0) == 10
-        assert sched.capacity(5) == 20
-        assert sched.capacity(1000) == 25
+        # 1,000 transitions at step 0, one more per step, at most 50,000
+        sched = RatioSchedule(0.0, 1.0, ramp_steps=10)
+        assert sched.capacity(0) == 1_000
+        assert sched.capacity(5) == 1_005
+        assert sched.capacity(48_999) == 49_999
+        assert sched.capacity(49_000) == 50_000
+        assert sched.capacity(10 ** 6) == 50_000
 
     def test_zero_ramp_is_constant_end(self):
-        sched = RatioSchedule(0.2, 0.7, ramp_steps=0, cap_init=1,
-                              cap_growth=0.0, cap_max=1)
+        sched = RatioSchedule(0.2, 0.7, ramp_steps=0)
         assert sched.fraction(0) == 0.7
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RatioSchedule(-0.1, 0.5, 10, 1, 0.0, 1)
+            RatioSchedule(-0.1, 0.5, 10)
         with pytest.raises(ValueError):
-            RatioSchedule(0.1, 1.5, 10, 1, 0.0, 1)
+            RatioSchedule(0.1, 1.5, 10)
         with pytest.raises(ValueError):
-            RatioSchedule(0.1, 0.5, -1, 1, 0.0, 1)
-        with pytest.raises(ValueError):
-            RatioSchedule(0.1, 0.5, 10, 5, 0.0, 2)
-        with pytest.raises(ValueError):
-            RatioSchedule(0.1, 0.5, 10, 1, -1.0, 2)
+            RatioSchedule(0.1, 0.5, -1)

@@ -11,7 +11,7 @@ import pytest
 import meairl
 from meairl import (ConfigError, EnvSpec, ExperimentConfig, RunSpec,
                     TrainingConfig, TrainingRecord, build_env,
-                    parse_config_text, serialize_config)
+                    parse_config_text, save_continuous_demos, serialize_config)
 from meairl.cli import (SUMMARY_CSV_HEADER, AggregateRow, aggregate,
                         attainment_threshold, main, median_steps,
                         render_steps, resolve_out_dir, summary_csv_text)
@@ -265,14 +265,22 @@ class TestCliExitCodes:
         assert code == 1
         assert "demos.txt" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["mix_prob_start", "mix_prob_end", "model_update_period"])
+    @pytest.mark.parametrize("key", [
+        "mix_prob_start", "mix_prob_end", "model_update_period",
+        # fixed settings that were once [train] keys
+        "rollout_starts", "disc_updates_per_step", "policy_updates_per_step",
+        "env_buffer_capacity", "model_lr", "model_alpha", "model_clip_norm",
+        "policy_td_rate", "sac_lr", "alpha_ent", "tau", "gen_buffer_init",
+        "gen_buffer_growth", "gen_buffer_max"])
     def test_retired_mix_schedule_keys_exit_two(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "old.cfg"
         cfg_path.write_text(MICRO_CONFIG.replace("batch_size = 32",
                                                  f"batch_size = 32\n{key} = 0.1"))
-        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert f"unknown key '{key}'" in capsys.readouterr().err
+        for command in ("train", "compare"):
+            code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert f"unknown key '{key}'" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_run_without_evaluation_row_exits_two(self, tmp_path, capsys, command):
@@ -295,16 +303,56 @@ class TestCliExitCodes:
         ("width = 3", "width = 0"),
         ("height = 3", "height = 0"),
         ("batch_size = 32", "batch_size = 32\ndisc_lr = -0.001"),
-    ], ids=["slip_one", "zero_width", "zero_height", "negative_disc_lr"])
+        ("batch_size = 32", "batch_size = 32\nn_model_samples = 0"),
+        ("batch_size = 32", "batch_size = 32\ndisc_hidden = 0"),
+        ("batch_size = 32", "batch_size = 32\nmodel_hidden = 8,0"),
+        ("batch_size = 32", "batch_size = 32\nsac_hidden = 64,-1"),
+        ("batch_size = 32", "batch_size = 32\ncheckpoint_period = -20"),
+        ("batch_size = 32", "batch_size = 32\ndiscount = 1.5"),
+        ("batch_size = 32", "batch_size = 32\nseed = -1"),
+        ("seeds = 0,1", "seeds = 0,-1"),
+    ], ids=["slip_one", "zero_width", "zero_height", "negative_disc_lr",
+            "zero_model_samples", "zero_disc_width", "zero_model_width",
+            "negative_sac_width", "negative_checkpoint_period", "train_discount_above_one",
+            "negative_train_seed", "negative_run_seed"])
     def test_bad_value_exits_two(self, tmp_path, capsys, old, new):
+        # refused from the config, before the expert is generated or any run is trained
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(MICRO_CONFIG.replace(old, new))
         demos = tmp_path / "demos.txt"
-        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+        for command in ("train", "compare"):
+            code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "--demos", str(demos)])
+            assert code == 2
+            assert new.split("\n")[-1].split(" = ")[0] in capsys.readouterr().err
+            assert not demos.exists()
+            assert not (tmp_path / "o").exists()
+
+    def test_continuous_run_without_threshold_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "pm.cfg"
+        cfg_path.write_text("[env]\nname = pointmass\n[train]\ntotal_steps = 20\n"
+                            "pretrain_steps = 10\neval_period = 10\n[run]\nseeds = 0\n")
+        # the SAC expert cannot be trained without a return to reach
+        demos = tmp_path / "demos.txt"
+        for command in ("expert", "train", "compare"):
+            code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "--demos", str(demos)])
+            assert code == 2
+            assert "expert_threshold" in capsys.readouterr().err
+            assert not demos.exists()
+        # with demos on disk only compare's summary needs it, and compare
+        # refuses the config before it trains any run
+        env = build_env(EnvSpec(name="pointmass"))
+        rng = np.random.default_rng(0)
+        states = rng.uniform(-1.0, 1.0, size=(11, env.state_dim))
+        actions = rng.uniform(-1.0, 1.0, size=(10, env.action_dim))
+        save_continuous_demos(demos, [(states, actions)], env.name, 0,
+                              env.state_dim, env.action_dim)
+        code = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
                      "--demos", str(demos)])
         assert code == 2
-        assert new.split("\n")[-1].split(" = ")[0] in capsys.readouterr().err
-        assert not demos.exists()
+        assert "expert_threshold" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*.csv"))
 
     def test_verify_invariance_passes(self, tmp_path, capsys):
         code = main(["verify-invariance", "--cases", "10",

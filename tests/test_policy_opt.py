@@ -31,14 +31,6 @@ class TestTabularUpdate:
         want = math.exp(10.0) / (math.exp(10.0) + 1.0)
         assert abs(policy.probs[0, 0] - want) < 1e-8
 
-    def test_warm_start_matches_cold_start(self):
-        rng = np.random.default_rng(3)
-        mdp = random_mdp(rng, gamma=0.9)
-        table = rng.normal(size=(mdp.n_states, mdp.n_actions))
-        cold = soft_update(mdp, table, tol=1e-12)
-        warm = soft_update(mdp, table, tol=1e-12, q_init=rng.normal(size=table.shape))
-        assert np.max(np.abs(cold.probs - warm.probs)) < 1e-8
-
     def test_policy_invariant_under_model_shaping(self):
         # updating against the shaped table reproduces the original policy
         rng = np.random.default_rng(4)
@@ -119,21 +111,12 @@ class TestSacGradients:
 
 
 class TestSacMechanics:
-    def test_terminal_target_is_reward(self):
-        rng = np.random.default_rng(12)
-        agent = tiny_agent(rng)
-        batch = (rng.normal(size=(4, 2)), rng.uniform(-1, 1, (4, 1)),
-                 np.array([1.0, -2.0, 0.5, 3.0]), rng.normal(size=(4, 2)),
-                 np.ones(4))
-        targets = agent.critic_targets(batch, rng)
-        assert np.array_equal(targets, batch[2])
-
     def test_nonterminal_target_bootstraps(self):
         rng = np.random.default_rng(13)
         agent = tiny_agent(rng)
         rewards = np.zeros(4)
         batch = (rng.normal(size=(4, 2)), rng.uniform(-1, 1, (4, 1)),
-                 rewards, rng.normal(size=(4, 2)), np.zeros(4))
+                 rewards, rng.normal(size=(4, 2)))
         targets = agent.critic_targets(batch, rng)
         assert np.max(np.abs(targets)) > 0.0
 
@@ -163,7 +146,7 @@ class TestSacMechanics:
         agent = tiny_agent(rng)
         old_target = agent.target.params.copy()
         batch = (rng.normal(size=(8, 2)), rng.uniform(-1, 1, (8, 1)),
-                 rng.normal(size=8), rng.normal(size=(8, 2)), np.zeros(8))
+                 rng.normal(size=8), rng.normal(size=(8, 2)))
         agent.update(batch, rng)
         want = (1.0 - agent.tau) * old_target + agent.tau * agent.critic.params
         assert np.max(np.abs(agent.target.params - want)) < 1e-12
@@ -172,7 +155,7 @@ class TestSacMechanics:
         rng = np.random.default_rng(17)
         agent = tiny_agent(rng)
         batch = (rng.normal(size=(8, 2)), rng.uniform(-1, 1, (8, 1)),
-                 rng.normal(size=8), rng.normal(size=(8, 2)), np.zeros(8))
+                 rng.normal(size=8), rng.normal(size=(8, 2)))
         diag = agent.update(batch, rng)
         assert np.isfinite([diag.critic_loss, diag.actor_loss]).all()
 
@@ -190,7 +173,6 @@ class TestSacLearnsPointmass:
         buf_a = np.zeros((cap, 1))
         buf_r = np.zeros(cap)
         buf_n = np.zeros((cap, 1))
-        buf_d = np.zeros(cap)
         size = 0
         state = env.reset(rng)
         t = 0
@@ -201,17 +183,16 @@ class TestSacLearnsPointmass:
                 action = agent.act(state, rng=rng)
             nxt, reward = env.step(state, action, rng)
             t += 1
-            done = 1.0 if t >= env.horizon else 0.0
             buf_s[size], buf_a[size], buf_r[size] = state, action, reward
-            buf_n[size], buf_d[size] = nxt, done
+            buf_n[size] = nxt
             size += 1
             state = nxt
-            if done:
+            if t >= env.horizon:
                 state = env.reset(rng)
                 t = 0
             if step >= 1000:
                 idx = rng.integers(0, size, size=256)
-                batch = (buf_s[idx], buf_a[idx], buf_r[idx], buf_n[idx], buf_d[idx])
+                batch = (buf_s[idx], buf_a[idx], buf_r[idx], buf_n[idx])
                 agent.update(batch, rng)
 
         def mean_return(act_fn, episodes=20):

@@ -279,9 +279,9 @@ class TestStackedSolves:
     @given(specs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3),
                                     st.sampled_from([0.5, 0.9, 0.99])),
                           min_size=1, max_size=7),
-           seed=st.integers(0, 2 ** 32 - 1), warm=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1),
            max_iters=st.sampled_from([40, 400, ORACLE_MAX_ITERS]))
-    def test_stack_matches_one_at_a_time(self, specs, seed, warm, max_iters):
+    def test_stack_matches_one_at_a_time(self, specs, seed, max_iters):
         rng = np.random.default_rng(seed)
         instances, mdps, policies = [], [], []
         for n_states, n_actions, gamma in specs:
@@ -290,18 +290,15 @@ class TestStackedSolves:
             instances.append((kernel, reward, gamma))
             mdps.append(TabularMDP(kernel, reward, gamma, np.full(n_states, 1.0 / n_states)))
             policies.append(rng.dirichlet(np.ones(n_actions), size=n_states))
-        q_inits = [rng.normal(size=r.shape) for _, r, _ in instances] if warm else None
         for stacked_solve, solo_solve in ((soft_value_iterations, soft_value_iteration),
                                           (hard_value_iterations, hard_value_iteration)):
-            solo = [_solve_or_none(solo_solve, mdp, max_iters=max_iters,
-                                   q_init=None if q_inits is None else q_inits[i])
-                    for i, mdp in enumerate(mdps)]
+            solo = [_solve_or_none(solo_solve, mdp, max_iters=max_iters) for mdp in mdps]
             if any(values is None for values in solo):
                 # one instance out of sweeps fails the whole stack
                 with pytest.raises(ConvergenceError):
-                    stacked_solve(instances, max_iters=max_iters, q_inits=q_inits)
+                    stacked_solve(instances, max_iters=max_iters)
                 continue
-            stacked = stacked_solve(instances, max_iters=max_iters, q_inits=q_inits)
+            stacked = stacked_solve(instances, max_iters=max_iters)
             for got, want in zip(stacked, solo):
                 assert got.q.tobytes() == want.q.tobytes()
                 assert got.v.tobytes() == want.v.tobytes()
