@@ -289,7 +289,7 @@ def mce_irl_gradient(mdp: TabularMDP, theta: np.ndarray, expert_occupancy: np.nd
     The policy occupancy is that of the exact soft-optimal policy for the
     current reward table theta.
     """
-    values = soft_value_iteration(mdp.with_reward(theta), tol=tol)
+    [values] = soft_value_iteration([(mdp.kernel, theta, mdp.discount)], tol=tol)
     policy = soft_optimal_policy(values)
     d_pi = discounted_occupancy(mdp, policy, tol=tol)
     return np.asarray(expert_occupancy, dtype=np.float64) - d_pi
@@ -312,7 +312,7 @@ def gradient_alignment_gap(mdp: TabularMDP, theta: np.ndarray, dp_tol: float = 1
     `f_override` replaces the matched f table to demonstrate that the
     alignment genuinely needs the hypotheses.
     """
-    values = soft_value_iteration(mdp.with_reward(theta), tol=dp_tol)
+    [values] = soft_value_iteration([(mdp.kernel, theta, mdp.discount)], tol=dp_tol)
     policy = soft_optimal_policy(values)
     d_pi = d_exp = discounted_occupancy(mdp, policy, tol=dp_tol)
     gamma = mdp.discount

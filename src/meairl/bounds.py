@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import tv_distance
 from .mdp import TabularMDP
 from .seeding import as_generator
-from .soft_dp import hard_value_iterations
+from .soft_dp import hard_value_iteration
 
 BOUND_DP_SLACK = 1e-8  # absorbs value-iteration tolerance in the pass rule
 GAMMA_CHOICES = (0.5, 0.9, 0.99)
@@ -151,34 +151,21 @@ def _premise_witness(problem: IrlProblem):
     return scaled, True
 
 
-def verify_reward_error_bound(problem: IrlProblem, instance_id: int = 0,
-                              n_witnesses: int = 1, rng=None) -> BoundCheckRow:
+def verify_reward_error_bound(problem: IrlProblem, instance_id: int = 0) -> BoundCheckRow:
     """Sup-norm gap between rewards recovered under the two kernels.
 
     The same witness parameterizes both constructions, so the penalty
-    term cancels and the gap isolates the kernel error. Witnesses whose
-    value norm exceeds the premise are scaled down (and flagged). With
-    n_witnesses > 1, fresh witnesses are redrawn on the same kernel pair
-    and the worst case is reported.
+    term cancels and the gap isolates the kernel error. A witness whose
+    value norm exceeds the premise is scaled down (and flagged).
     """
     gamma = problem.mdp.discount
     n_states = problem.mdp.n_states
     eps_t = problem.eps_t
     bound = reward_error_bound(gamma, n_states, eps_t, problem.r_max)
     witness, rescaled = _premise_witness(problem)
-    witnesses = [witness]
-    if n_witnesses > 1:
-        rng = as_generator(rng)
-        v_cap = problem.r_max / (1.0 - gamma)
-        for _ in range(n_witnesses - 1):
-            witnesses.append(FeasibleRewardWitness(
-                v=rng.uniform(-v_cap, v_cap, size=n_states),
-                support=witness.support, xi=witness.xi))
-    observed = 0.0
-    for w in witnesses:
-        r_true = feasible_reward(problem.mdp.kernel, w, gamma)
-        r_model = feasible_reward(problem.model_kernel, w, gamma)
-        observed = max(observed, float(np.max(np.abs(r_true - r_model))))
+    r_true = feasible_reward(problem.mdp.kernel, witness, gamma)
+    r_model = feasible_reward(problem.model_kernel, witness, gamma)
+    observed = float(np.max(np.abs(r_true - r_model)))
     ratio = observed / bound if bound > 0.0 else 0.0
     return BoundCheckRow(instance_id, gamma, n_states, eps_t, observed, bound,
                          ratio, passed=observed <= bound + 1e-9,
@@ -202,7 +189,7 @@ def verify_performance_difference_bound(problems, instance_ids) -> list:
         for kernel in (problem.mdp.kernel, problem.model_kernel):
             instances.append((kernel, feasible_reward(kernel, witness, gamma), gamma))
         inputs.append((gamma, problem.mdp.n_states, problem.eps_t, problem.r_max, rescaled))
-    values = hard_value_iterations(instances)
+    values = hard_value_iteration(instances)
     rows = []
     for i, (gamma, n_states, eps_t, r_max, rescaled) in enumerate(inputs):
         observed = float(np.max(np.abs(values[2 * i].v - values[2 * i + 1].v)))

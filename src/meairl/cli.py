@@ -9,8 +9,9 @@ Subcommands:
   verify-bounds      randomized sweeps against the closed-form error bounds
 
 Output goes under --out, else the config's run.out_dir, else $MEAIRL_OUT,
-else ./runs. Exit codes: 0 ok, 1 runtime or verification failure, 2
-malformed or unreadable configuration.
+else ./runs; the directory is made by the first write into it, so a
+refused config leaves none behind. Exit codes: 0 ok, 1 runtime or
+verification failure, 2 malformed or unreadable configuration.
 """
 
 from __future__ import annotations
@@ -38,10 +39,22 @@ SUMMARY_CSV_HEADER = "algorithm,seed,final_return,best_return,steps_to_target"
 
 
 def resolve_out_dir(cli_out: str, config_out: str, label: str) -> str:
+    """The run directory's path; `_out_file` makes it on the first write."""
     root = cli_out or config_out or os.environ.get("MEAIRL_OUT", "runs")
-    path = os.path.join(root, label) if label else root
-    os.makedirs(path, exist_ok=True)
-    return path
+    return os.path.join(root, label) if label else root
+
+
+def _out_file(out_dir: str, name: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
+def _with_train(config: ExperimentConfig, **changes) -> ExperimentConfig:
+    """config with [train] fields replaced, refused like a bad parsed value."""
+    try:
+        return dataclasses.replace(config, train=dataclasses.replace(config.train, **changes))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def expert_return_target(env, config: ExperimentConfig) -> float:
@@ -54,9 +67,11 @@ def expert_return_target(env, config: ExperimentConfig) -> float:
     Continuous: the configured expert threshold (there is no closed form).
     """
     if isinstance(env, TabularEnv):
-        soft_policy = soft_optimal_policy(soft_value_iteration(env.mdp))
-        v = finite_horizon_policy_value(env.mdp, soft_policy, env.episode_horizon)
-        return float(env.mdp.init_dist @ v)
+        mdp = env.mdp
+        [values] = soft_value_iteration([(mdp.kernel, mdp.reward, mdp.discount)])
+        soft_policy = soft_optimal_policy(values)
+        v = finite_horizon_policy_value(mdp, soft_policy, env.episode_horizon)
+        return float(mdp.init_dist @ v)
     if math.isnan(config.run.expert_threshold):
         raise ConfigError("run.expert_threshold must be set for continuous envs")
     return config.run.expert_threshold
@@ -155,8 +170,9 @@ def _require_eval_row(config: ExperimentConfig) -> None:
                           f"({train.eval_period}): the run would record no evaluation row")
 
 
-def _write_demos(env, config: ExperimentConfig, path) -> None:
+def _write_demos(env, config: ExperimentConfig, path, out_dir: str) -> None:
     threshold = None if isinstance(env, TabularEnv) else expert_return_target(env, config)
+    os.makedirs(out_dir, exist_ok=True)  # the default demo path lies inside it
     generate_expert(env, config.run.expert_seed, config.run.expert_episodes, path,
                     return_threshold=threshold, max_steps=config.run.expert_max_steps,
                     config=config.train)
@@ -170,7 +186,7 @@ def _training_setup(args, config: ExperimentConfig):
     out_dir = resolve_out_dir(args.out, config.run.out_dir, config.run.label)
     demos = _demo_path(args, config, out_dir)
     if not os.path.exists(demos):
-        _write_demos(env, config, demos)
+        _write_demos(env, config, demos, out_dir)
     return env, out_dir, ExpertBuffer.from_file(demos)
 
 
@@ -179,46 +195,44 @@ def cmd_expert(args) -> int:
     env = build_env(config.env)
     out_dir = resolve_out_dir(args.out, config.run.out_dir, config.run.label)
     path = _demo_path(args, config, out_dir)
-    _write_demos(env, config, path)
-    save_config(os.path.join(out_dir, "resolved.cfg"), config)
+    _write_demos(env, config, path, out_dir)
+    save_config(_out_file(out_dir, "resolved.cfg"), config)
     print(f"wrote {config.run.expert_episodes} episodes to {path}")
     return 0
 
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    if args.algorithm:
-        config = dataclasses.replace(
-            config, train=dataclasses.replace(config.train, algorithm=args.algorithm))
+    overrides = {"algorithm": args.algorithm} if args.algorithm else {}
     if args.seed is not None:
-        config = dataclasses.replace(
-            config, train=dataclasses.replace(config.train, seed=args.seed))
+        overrides["seed"] = args.seed
+    config = _with_train(config, **overrides)
     env, out_dir, expert = _training_setup(args, config)
     record = run_meairl(env, expert, config.train)
-    csv_path = os.path.join(
-        out_dir, f"train_{config.train.algorithm}_seed{config.train.seed}.csv")
+    csv_path = _out_file(out_dir,
+                         f"train_{config.train.algorithm}_seed{config.train.seed}.csv")
     record.to_csv(csv_path)
-    save_config(os.path.join(out_dir, "resolved.cfg"), config)
+    save_config(_out_file(out_dir, "resolved.cfg"), config)
     print(f"wrote {csv_path} (final return {record.rows[-1].return_mean:.4f})")
     return 0
 
 
 def cmd_compare(args) -> int:
     config = load_config(args.config)
+    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    runs = {(alg, seed): _with_train(config, algorithm=alg, seed=seed).train
+            for alg in algorithms for seed in config.run.seeds}
     env, out_dir, expert = _training_setup(args, config)
     target = expert_return_target(env, config)  # before training: it may refuse the config
     threshold = attainment_threshold(target)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     results = {}
-    for alg in algorithms:
-        for seed in config.run.seeds:
-            train_cfg = dataclasses.replace(config.train, algorithm=alg, seed=seed)
-            record = run_meairl(env, expert, train_cfg)
-            record.to_csv(os.path.join(out_dir, f"{alg}_seed{seed}.csv"))
-            results[(alg, seed)] = record
-            print(f"{alg} seed {seed}: final return {record.rows[-1].return_mean:.4f}")
+    for (alg, seed), train_cfg in runs.items():
+        record = run_meairl(env, expert, train_cfg)
+        record.to_csv(_out_file(out_dir, f"{alg}_seed{seed}.csv"))
+        results[(alg, seed)] = record
+        print(f"{alg} seed {seed}: final return {record.rows[-1].return_mean:.4f}")
     rows = per_seed_rows(results, threshold)
-    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8") as fh:
+    with open(_out_file(out_dir, "summary.csv"), "w", encoding="utf-8") as fh:
         fh.write(summary_csv_text(rows))
     agg_lines = ["algorithm,final_return_mean,final_return_std,steps_to_target"]
     for alg in algorithms:
@@ -227,9 +241,9 @@ def cmd_compare(args) -> int:
         agg_lines.append(",".join([alg, repr(float(summary.return_mean[-1])),
                                    repr(float(summary.return_std[-1])),
                                    render_steps(summary.steps_to_expert)]))
-    with open(os.path.join(out_dir, "aggregate.csv"), "w", encoding="utf-8") as fh:
+    with open(_out_file(out_dir, "aggregate.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(agg_lines) + "\n")
-    save_config(os.path.join(out_dir, "resolved.cfg"), config)
+    save_config(_out_file(out_dir, "resolved.cfg"), config)
     print(f"expert target {target:.4f}, attainment threshold {threshold:.4f}")
     print(SUMMARY_CSV_HEADER)
     for r in rows:
@@ -249,8 +263,7 @@ def cmd_verify_invariance(args) -> int:
     print(inv.summary_line())
     print(align.summary_line())
     if args.out:
-        out_dir = resolve_out_dir(args.out, "", "")
-        with open(os.path.join(out_dir, "invariance_report.txt"), "w",
+        with open(_out_file(args.out, "invariance_report.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(inv.summary_line() + "\n" + align.summary_line() + "\n")
     return 0 if (inv.passed and align.passed) else 1
@@ -262,7 +275,7 @@ def cmd_verify_bounds(args) -> int:
     for kind, name in (("reward", "bounds_reward.csv"),
                        ("performance", "bounds_performance.csv")):
         rows = run_bound_sweep(kind, args.instances, seed=args.seed)
-        write_sweep_csv(os.path.join(out_dir, name), rows)
+        write_sweep_csv(_out_file(out_dir, name), rows)
         n_fail = sum(1 for r in rows if not r.passed)
         worst = max(r.ratio for r in rows)
         verdict = "PASS" if n_fail == 0 else "FAIL"

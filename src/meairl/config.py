@@ -23,6 +23,7 @@ can be dropped next to every run's outputs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .mdp import TabularEnv, make_gridworld, make_noisy_pointmass
@@ -57,6 +58,10 @@ class EnvSpec:
             raise ConfigError(f"discount must lie in (0, 1), got {self.discount}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if not math.isfinite(self.goal_reward):
+            raise ConfigError(f"goal_reward must be finite, got {self.goal_reward}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
 @dataclass
@@ -76,8 +81,10 @@ class RunSpec:
         if min(self.seeds) < 0 or self.expert_seed < 0:
             raise ConfigError(f"seeds and expert_seed must be >= 0, got "
                               f"{self.seeds} and {self.expert_seed}")
-        if self.expert_episodes < 1:
-            raise ConfigError(f"expert_episodes must be >= 1, got {self.expert_episodes}")
+        for name in ("expert_episodes", "expert_max_steps"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass

@@ -106,10 +106,6 @@ class TabularMDP:
         """Kernel reshaped to (S*A, S) for fast value backups."""
         return self._kernel_2d
 
-    def with_reward(self, reward, r_max=None) -> "TabularMDP":
-        """Same dynamics, different reward table."""
-        return TabularMDP(self.kernel, reward, self.discount, self.init_dist, r_max=r_max)
-
     def sample_init(self, rng) -> int:
         return _row_sample(np.cumsum(self.init_dist), rng)
 

@@ -4,34 +4,23 @@
 
 When the model equals the true kernel, this leaves soft advantages (and
 therefore the soft-optimal policy) unchanged, and shifts soft Q values by
-exactly phi(s). Both facts have dedicated checkers here.
+exactly phi(s). The two checks here compare soft fixed points already
+solved, so a caller solves every reward it checks in one stacked
+`soft_value_iteration`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mdp import DIST_ATOL, TabularMDP
-from .soft_dp import SoftValues, soft_value_iteration
+from .soft_dp import SoftValues
 
 # Value-iteration tolerance of the invariance checks. A solve stopped at
 # residual dp_tol can sit gamma / (1 - gamma) * dp_tol from its fixed point,
 # about 1e-8 at gamma 0.99 and dp_tol 1e-10, which is the size of the
 # checks' own tolerance; at 1e-12 it is a hundred times smaller.
 INVARIANCE_DP_TOL = 1e-12
-
-
-@dataclass
-class InvarianceReport:
-    """Sup-norm gaps between the soft fixed points of two reward tables."""
-
-    adv_gap: float
-    q_gap: float
-    v_gap: float
-    tol: float
-    passed: bool
 
 
 def _as_kernel_array(dynamics) -> np.ndarray:
@@ -63,39 +52,17 @@ def shape_reward(mdp: TabularMDP, phi: np.ndarray, dynamics) -> np.ndarray:
     return mdp.reward + mdp.discount * expected_phi - phi[:, None]
 
 
-def check_policy_invariance(mdp: TabularMDP, reward_a: np.ndarray, reward_b: np.ndarray,
-                            tol: float = 1e-8,
-                            dp_tol: float = INVARIANCE_DP_TOL) -> InvarianceReport:
-    """Compare the soft fixed points of two reward tables on shared dynamics.
+def check_policy_invariance(values_a: SoftValues, values_b: SoftValues) -> float:
+    """Sup-norm gap between the soft advantages of two solved rewards.
 
-    The verdict is on the advantage gap: equal advantages mean equal
-    soft-optimal policies. Q and V gaps are reported for diagnosis since
-    they absorb any potential shift and need not be small.
+    Equal advantages mean equal soft-optimal policies, so this gap is the
+    invariance verdict; Q and V absorb any potential shift and need not
+    be close.
     """
-    vals_a = soft_value_iteration(mdp.with_reward(reward_a), tol=dp_tol)
-    vals_b = soft_value_iteration(mdp.with_reward(reward_b), tol=dp_tol)
-    adv_gap = advantage_gap(vals_a, vals_b)
-    q_gap = float(np.abs(vals_a.q - vals_b.q).max())
-    v_gap = float(np.abs(vals_a.v - vals_b.v).max())
-    return InvarianceReport(adv_gap=adv_gap, q_gap=q_gap, v_gap=v_gap, tol=tol,
-                            passed=bool(adv_gap <= tol))
-
-
-def q_shift_identity_gap(mdp: TabularMDP, phi: np.ndarray,
-                         dp_tol: float = INVARIANCE_DP_TOL) -> float:
-    """Sup-norm defect of Q_R = Q_shaped + phi when shaping uses the true kernel."""
-    shaped = shape_reward(mdp, phi, mdp.kernel)
-    base = soft_value_iteration(mdp, tol=dp_tol)
-    shaped_values = soft_value_iteration(mdp.with_reward(shaped), tol=dp_tol)
-    return q_shift_gap(base, shaped_values, phi)
-
-
-def advantage_gap(values_a: SoftValues, values_b: SoftValues) -> float:
-    """Sup-norm gap between the soft advantages of two solved rewards."""
     return float(np.abs(values_a.adv - values_b.adv).max())
 
 
-def q_shift_gap(base: SoftValues, shaped: SoftValues, phi: np.ndarray) -> float:
+def q_shift_identity_gap(base: SoftValues, shaped: SoftValues, phi: np.ndarray) -> float:
     """Sup-norm defect of Q_base = Q_shaped + phi for solved base and shaped rewards."""
     phi = np.asarray(phi, dtype=np.float64)
     return float(np.abs(base.q - shaped.q - phi[:, None]).max())

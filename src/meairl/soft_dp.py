@@ -8,14 +8,16 @@ returning junk. The soft backup is
 
 whose fixed point gives the soft-optimal policy pi(a|s) = exp(Q - V).
 
-Every solver runs one stacked kernel, `_iterate`, over instances that
-share (S, A), so each numpy call of a sweep serves the whole stack. Each
-instance stops at its own sweep, and stacking changes neither its
-arithmetic nor its result: `soft_value_iterations`,
-`hard_value_iterations` and `policy_values` return, bit for bit, what the
-single-MDP functions return one instance at a time, and those are the
-one-instance case of the same kernel. Policy evaluation and the
-discounted occupancy are the one-action case of the hard backup.
+`soft_value_iteration`, `hard_value_iteration` and `policy_value` take a
+list of (kernel, reward, discount) instances, and a single MDP is a list
+of one. Every solver runs one stacked kernel, `_iterate`, over the
+instances that share (S, A), so each numpy call of a sweep serves the
+whole stack. Each instance stops at its own sweep, and stacking changes
+neither its arithmetic nor its result: an instance solved in a stack
+gets, bit for bit, what it gets in a stack of one. Instances are plain
+arrays, not validated `TabularMDP`s, so a verifier pays no validation per
+instance. Policy evaluation and the discounted occupancy are the
+one-action case of the hard backup.
 """
 
 from __future__ import annotations
@@ -163,29 +165,15 @@ def _solve(backup, instances, q_inits, tol, max_iters, what) -> list:
     return out
 
 
-def soft_value_iterations(instances, tol: float = ORACLE_TOL,
-                          max_iters: int = ORACLE_MAX_ITERS) -> list:
-    """`soft_value_iteration` on many (kernel, reward, discount) instances at once."""
+def soft_value_iteration(instances, tol: float = ORACLE_TOL,
+                         max_iters: int = ORACLE_MAX_ITERS) -> list:
+    """Soft fixed points of (kernel, reward, discount) instances, in their order."""
     out = []
     for q, residual in _solve(soft_backup, instances, None, tol, max_iters,
                               "value iteration"):
         v = logsumexp(q, axis=1)
         out.append(SoftValues(q=q, v=v, adv=q - v[:, None], residual=residual))
     return out
-
-
-def hard_value_iterations(instances, tol: float = ORACLE_TOL,
-                          max_iters: int = ORACLE_MAX_ITERS) -> list:
-    """`hard_value_iteration` on many (kernel, reward, discount) instances at once."""
-    return [HardValues(q=q, v=q.max(axis=1), residual=residual)
-            for q, residual in _solve(hard_backup, instances, None, tol, max_iters,
-                                      "value iteration")]
-
-
-def soft_value_iteration(mdp: TabularMDP, tol: float = ORACLE_TOL,
-                         max_iters: int = ORACLE_MAX_ITERS) -> SoftValues:
-    return soft_value_iterations([(mdp.kernel, mdp.reward, mdp.discount)], tol,
-                                 max_iters)[0]
 
 
 def soft_optimal_policy(values: SoftValues) -> TabularPolicy:
@@ -195,10 +183,12 @@ def soft_optimal_policy(values: SoftValues) -> TabularPolicy:
     return TabularPolicy(probs)
 
 
-def hard_value_iteration(mdp: TabularMDP, tol: float = ORACLE_TOL,
-                         max_iters: int = ORACLE_MAX_ITERS) -> HardValues:
-    return hard_value_iterations([(mdp.kernel, mdp.reward, mdp.discount)], tol,
-                                 max_iters)[0]
+def hard_value_iteration(instances, tol: float = ORACLE_TOL,
+                         max_iters: int = ORACLE_MAX_ITERS) -> list:
+    """Hard (max) fixed points of (kernel, reward, discount) instances, in their order."""
+    return [HardValues(q=q, v=q.max(axis=1), residual=residual)
+            for q, residual in _solve(hard_backup, instances, None, tol, max_iters,
+                                      "value iteration")]
 
 
 def greedy_policy(values: HardValues) -> TabularPolicy:
@@ -208,33 +198,18 @@ def greedy_policy(values: HardValues) -> TabularPolicy:
     return TabularPolicy(probs)
 
 
-def policy_value(mdp: TabularMDP, policy: TabularPolicy, tol: float = ORACLE_TOL,
-                 max_iters: int = ORACLE_MAX_ITERS) -> np.ndarray:
-    """Plain discounted value of a fixed policy (no entropy term)."""
-    return policy_values([(mdp.kernel, mdp.reward, mdp.discount)], [policy.probs],
-                         tol, max_iters)[0]
-
-
-def policy_values(instances, policies, tol: float = ORACLE_TOL,
-                  max_iters: int = ORACLE_MAX_ITERS) -> list:
-    """`policy_value` on many (kernel, reward, discount) instances at once.
+def policy_value(instances, policies, tol: float = ORACLE_TOL,
+                 max_iters: int = ORACLE_MAX_ITERS) -> list:
+    """Plain discounted values (no entropy term) of fixed policies.
 
     policies[i] is the (S, A) probability table evaluated on instances[i].
+    Each value is the fixed point of v = r_pi + gamma * P_pi v, the
+    one-action hard backup with P_pi as its (S*A, S) = (S, S) kernel.
     """
-    r_pis = [np.einsum("sa,sa->s", probs, reward)
-             for (_, reward, _), probs in zip(instances, policies)]
-    p_pis = [np.einsum("sa,sap->sp", probs, kernel)
-             for (kernel, _, _), probs in zip(instances, policies)]
-    return _evaluate(r_pis, p_pis, [g for _, _, g in instances], tol, max_iters)
-
-
-def _evaluate(r_pis, p_pis, discounts, tol, max_iters) -> list:
-    """Fixed points of v = r + gamma * P v: the one-action hard backup.
-
-    P is already the (S*A, S) = (S, S) kernel of that backup.
-    """
-    instances = [(p, r[:, None], g) for r, p, g in zip(r_pis, p_pis, discounts)]
-    return [q[:, 0] for q, _ in _solve(hard_backup, instances, None, tol, max_iters,
+    evaluations = [(np.einsum("sa,sap->sp", probs, kernel),
+                    np.einsum("sa,sa->s", probs, reward)[:, None], gamma)
+                   for (kernel, reward, gamma), probs in zip(instances, policies)]
+    return [q[:, 0] for q, _ in _solve(hard_backup, evaluations, None, tol, max_iters,
                                        "policy evaluation")]
 
 
@@ -268,14 +243,3 @@ def finite_horizon_policy_value(mdp: TabularMDP, policy: TabularPolicy,
     for _ in range(horizon):
         v = r_pi + mdp.discount * (p_pi @ v)
     return v
-
-
-def soft_policy_value(mdp: TabularMDP, policy: TabularPolicy, tol: float = ORACLE_TOL,
-                      max_iters: int = ORACLE_MAX_ITERS) -> np.ndarray:
-    """Value of a fixed policy including its entropy bonus at every step."""
-    probs = policy.probs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
-    r_pi = np.einsum("sa,sa->s", probs, mdp.reward) - plogp.sum(axis=1)
-    p_pi = np.einsum("sa,sap->sp", probs, mdp.kernel)
-    return _evaluate([r_pi], [p_pi], [mdp.discount], tol, max_iters)[0]

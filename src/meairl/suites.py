@@ -20,8 +20,9 @@ from .adversarial import gradient_alignment_gap
 from .bounds import GAMMA_CHOICES
 from .mdp import TabularMDP
 from .seeding import as_generator
-from .shaping import INVARIANCE_DP_TOL, advantage_gap, q_shift_gap, shape_reward
-from .soft_dp import soft_value_iterations
+from .shaping import (INVARIANCE_DP_TOL, check_policy_invariance, q_shift_identity_gap,
+                      shape_reward)
+from .soft_dp import soft_value_iteration
 
 
 def random_mdp(rng, max_states: int = 10, max_actions: int = 4,
@@ -89,10 +90,11 @@ def run_invariance_suite(n_cases: int = 200, tol: float = 1e-8, seed: int = 0,
         bases.append((mdp.kernel, mdp.reward, mdp.discount))
         shaped.append((mdp.kernel, shape_reward(mdp, phi, mdp.kernel), mdp.discount))
         phis.append(phi)
-    values = soft_value_iterations(bases + shaped, tol=dp_tol)
+    values = soft_value_iteration(bases + shaped, tol=dp_tol)
     base_values, shaped_values = values[:n_cases], values[n_cases:]
-    max_adv = max([0.0] + [advantage_gap(a, b) for a, b in zip(base_values, shaped_values)])
-    max_shift = max([0.0] + [q_shift_gap(a, b, phi)
+    max_adv = max([0.0] + [check_policy_invariance(a, b)
+                           for a, b in zip(base_values, shaped_values)])
+    max_shift = max([0.0] + [q_shift_identity_gap(a, b, phi)
                              for a, b, phi in zip(base_values, shaped_values, phis)])
     elapsed = time.perf_counter() - start
     return InvarianceSuiteReport(n_cases, max_adv, max_shift, tol,

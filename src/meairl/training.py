@@ -170,8 +170,8 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if not 0.0 < self.discount < 1.0:
             raise ValueError(f"discount must lie in (0, 1), got {self.discount}")
-        if not self.disc_lr > 0.0:
-            raise ValueError(f"disc_lr must be > 0, got {self.disc_lr}")
+        if not 0.0 < self.disc_lr < float("inf"):
+            raise ValueError(f"disc_lr must be finite and > 0, got {self.disc_lr}")
         for name in ("ratio_start", "ratio_end", "ratio_ramp_frac", "mix_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -529,11 +529,12 @@ def generate_expert(env, seed: int, n_episodes: int, out_path,
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     if isinstance(env, TabularEnv):
         rng = as_generator(seed)
-        policy = soft_optimal_policy(soft_value_iteration(env.mdp))
-        trajs = [sample_trajectory(env.mdp, policy, env.episode_horizon, rng)
+        mdp = env.mdp
+        [values] = soft_value_iteration([(mdp.kernel, mdp.reward, mdp.discount)])
+        policy = soft_optimal_policy(values)
+        trajs = [sample_trajectory(mdp, policy, env.episode_horizon, rng)
                  for _ in range(n_episodes)]
-        save_tabular_demos(out_path, trajs, env.name, seed,
-                           env.mdp.n_states, env.mdp.n_actions)
+        save_tabular_demos(out_path, trajs, env.name, seed, mdp.n_states, mdp.n_actions)
         return out_path
     if not isinstance(env, ContinuousEnv):
         raise TypeError(f"unsupported env type {type(env).__name__}")

@@ -1,4 +1,4 @@
-"""Shared test utilities: finite-difference oracle and random instances."""
+"""Shared test utilities: finite-difference and linear-solve oracles, random instances."""
 
 import numpy as np
 
@@ -41,6 +41,25 @@ def random_mdp(rng, n_states=None, n_actions=None, gamma=None, reward_scale=1.0)
 
 def random_policy(rng, n_states, n_actions):
     return TabularPolicy(rng.dirichlet(np.ones(n_actions), size=n_states))
+
+
+def instance(mdp):
+    """An MDP as the (kernel, reward, discount) instance the solvers stack."""
+    return (mdp.kernel, mdp.reward, mdp.discount)
+
+
+def soft_policy_value_by_solve(mdp, policy):
+    """Value of a fixed policy with its entropy bonus at every step.
+
+    One linear solve of (I - gamma P_pi) v = r_pi + H_pi; it shares no
+    code with the library's iterative solvers.
+    """
+    probs = policy.probs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy = -np.where(probs > 0.0, probs * np.log(probs), 0.0).sum(axis=1)
+    r_pi = (probs * mdp.reward).sum(axis=1) + entropy
+    p_pi = np.einsum("sa,sap->sp", probs, mdp.kernel)
+    return np.linalg.solve(np.eye(mdp.n_states) - mdp.discount * p_pi, r_pi)
 
 
 def reference_backward(net, x, upstream):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (finite_difference_grad, max_rel_err, random_mdp,
+from helpers import (finite_difference_grad, instance, max_rel_err, random_mdp,
                      use_reference_backward)
 from meairl import (Discriminator, ExpertBuffer, GaussianDynamicsModel, Mlp,
                     SacAgent, TabularMDP, TabularPolicy, discounted_occupancy,
@@ -236,7 +236,7 @@ class TestStateOnlyTabular:
         # true slippery kernel reproduce f = soft Q - soft V on every pair
         mdp = make_gridworld(4, 3, 0.3, 5.0, 0.9)
         assert np.array_equal(mdp.reward, np.repeat(mdp.reward[:, :1], 4, axis=1))
-        values = soft_value_iteration(mdp, tol=1e-12)
+        [values] = soft_value_iteration([instance(mdp)], tol=1e-12)
         disc = Discriminator.tabular(mdp.n_states, mdp.discount,
                                      dynamics=mdp.kernel)
         disc.r_table[:] = mdp.reward[:, 0]
@@ -291,8 +291,8 @@ class TestMceGradient:
         rng = np.random.default_rng(8)
         mdp = random_mdp(rng, n_states=4, n_actions=3, gamma=0.9)
         theta = rng.normal(size=(4, 3))
-        policy = soft_optimal_policy(soft_value_iteration(mdp.with_reward(theta),
-                                                          tol=1e-12))
+        [values] = soft_value_iteration([(mdp.kernel, theta, mdp.discount)], tol=1e-12)
+        policy = soft_optimal_policy(values)
         d_exp = discounted_occupancy(mdp, policy, tol=1e-12)
         grad = mce_irl_gradient(mdp, theta, d_exp, tol=1e-12)
         assert np.max(np.abs(grad)) < 1e-9
@@ -302,14 +302,15 @@ class TestMceGradient:
         rng = np.random.default_rng(21)
         mdp = random_mdp(rng, n_states=4, n_actions=2, gamma=0.9)
         expert_theta = rng.normal(size=(4, 2))
-        expert_policy = soft_optimal_policy(
-            soft_value_iteration(mdp.with_reward(expert_theta), tol=1e-10))
+        [expert_values] = soft_value_iteration([(mdp.kernel, expert_theta, mdp.discount)],
+                                               tol=1e-10)
+        expert_policy = soft_optimal_policy(expert_values)
         d_exp = discounted_occupancy(mdp, expert_policy, tol=1e-10)
         theta = np.zeros((4, 2))
         for _ in range(500):
             theta = theta + 0.5 * mce_irl_gradient(mdp, theta, d_exp)
-        learned = soft_optimal_policy(soft_value_iteration(mdp.with_reward(theta),
-                                                           tol=1e-10))
+        [learned_values] = soft_value_iteration([(mdp.kernel, theta, mdp.discount)], tol=1e-10)
+        learned = soft_optimal_policy(learned_values)
         d_fit = discounted_occupancy(mdp, learned, tol=1e-10)
         assert 0.5 * np.abs(d_fit - d_exp).sum() < 0.01
 

@@ -1,21 +1,27 @@
 """Config parsing, serialization, output routing, and the CLI front end."""
 
 import ast
+import contextlib
 import dataclasses
+import io
+import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meairl
-from meairl import (ConfigError, EnvSpec, ExperimentConfig, RunSpec,
-                    TrainingConfig, TrainingRecord, build_env,
-                    parse_config_text, save_continuous_demos, serialize_config)
+from meairl import (ConfigError, ExperimentConfig, TrainingConfig, build_env,
+                    load_config, save_config, save_continuous_demos)
 from meairl.cli import (SUMMARY_CSV_HEADER, AggregateRow, aggregate,
                         attainment_threshold, main, median_steps,
                         render_steps, resolve_out_dir, summary_csv_text)
-from meairl.training import CSV_HEADER, EvalRow
+from meairl.config import ENV_NAMES, EnvSpec, RunSpec, parse_config_text, serialize_config
+from meairl.training import ALGORITHMS, CSV_HEADER, EvalRow, TrainingRecord
 
 
 class TestConfigParsing:
@@ -146,7 +152,7 @@ class TestOutputRouting:
         monkeypatch.setenv("MEAIRL_OUT", str(tmp_path / "envvar"))
         out = resolve_out_dir(str(tmp_path / "cli"), str(tmp_path / "cfg"), "lbl")
         assert out == str(tmp_path / "cli" / "lbl")
-        assert os.path.isdir(out)
+        assert not os.path.exists(out)  # made by the first write, not by routing
 
     def test_config_wins_over_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MEAIRL_OUT", str(tmp_path / "envvar"))
@@ -157,7 +163,7 @@ class TestOutputRouting:
         monkeypatch.setenv("MEAIRL_OUT", str(tmp_path / "envvar"))
         out = resolve_out_dir("", "", "run1")
         assert out == str(tmp_path / "envvar" / "run1")
-        assert os.path.isdir(out)
+        assert not os.path.exists(out)
 
 
 def record_from(steps, returns):
@@ -340,6 +346,7 @@ class TestCliExitCodes:
             assert code == 2
             assert "expert_threshold" in capsys.readouterr().err
             assert not demos.exists()
+            assert not (tmp_path / "o").exists()
         # with demos on disk only compare's summary needs it, and compare
         # refuses the config before it trains any run
         env = build_env(EnvSpec(name="pointmass"))
@@ -352,7 +359,23 @@ class TestCliExitCodes:
                      "--demos", str(demos)])
         assert code == 2
         assert "expert_threshold" in capsys.readouterr().err
-        assert not list((tmp_path / "o").glob("*.csv"))
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, key", [
+        (["train", "--seed", "-1"], "seed"),
+        (["compare", "--algorithms", "meairl,airl"], "algorithm"),
+    ], ids=["train_negative_seed", "compare_unknown_algorithm"])
+    def test_bad_command_line_override_exits_two(self, tmp_path, capsys, flags, key):
+        # overrides pass the same range checks as config values, before any write
+        cfg_path = tmp_path / "micro.cfg"
+        cfg_path.write_text(MICRO_CONFIG)
+        demos = tmp_path / "demos.txt"
+        code = main(flags + ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                             "--demos", str(demos)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not demos.exists()
+        assert not (tmp_path / "o").exists()
 
     def test_verify_invariance_passes(self, tmp_path, capsys):
         code = main(["verify-invariance", "--cases", "10",
@@ -441,3 +464,155 @@ class TestCliTrain:
         first = demos.read_text().split("\n")[0]
         assert first.startswith("#")
         assert "gridworld3x3" in first
+
+
+def _render(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return str(value)
+
+
+def _set_key(text: str, section: str, key: str, raw: str) -> str:
+    """text with `key = raw` in [section], replacing the key's line if it has one."""
+    lines, current, done = [], None, False
+    for line in text.splitlines():
+        if line.startswith("["):
+            if current == section and not done:
+                lines.append(f"{key} = {raw}")
+                done = True
+            current = line.strip("[]")
+        elif current == section and line.split(" = ")[0] == key:
+            line, done = f"{key} = {raw}", True
+        lines.append(line)
+    if not done:
+        lines.append(f"{key} = {raw}")
+    return "\n".join(lines) + "\n"
+
+
+NAN = st.just(math.nan)
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+UNIT = st.floats(0.0, 1.0)
+# -0.0 passes `0.0 <= x`, so the values below the range start under it
+OUTSIDE_UNIT = st.floats(max_value=-5e-324) | st.floats(min_value=1.0, exclude_min=True) | NAN
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+OUTSIDE_OPEN_UNIT = st.floats(max_value=0.0) | st.floats(min_value=1.0) | NAN
+POSITIVE = st.integers(1, 10 ** 6)
+BELOW_ONE = st.integers(max_value=0)
+NEGATIVE = st.integers(max_value=-1)
+WIDTHS = st.lists(st.integers(1, 512), max_size=3).map(tuple)
+BAD_WIDTHS = st.lists(st.integers(max_value=512), min_size=1).filter(
+    lambda w: min(w) < 1).map(tuple)
+WORD = st.text(st.characters(whitelist_categories=("L", "N"), whitelist_characters="/._-"),
+               max_size=12)
+
+# Each config field: (values inside its documented range, values outside
+# it, or None for a field with no range). The ranges are the dataclasses'
+# checks plus the CLI's total_steps >= eval_period. Values outside are
+# drawn against MICRO_CONFIG's total_steps 300, pretrain_steps 100 and
+# eval_period 100; values inside keep pretrain_steps <= total_steps with
+# any subset of keys left at their defaults.
+FIELD_RANGES = {
+    ("env", "name"): (st.sampled_from(ENV_NAMES), WORD.filter(lambda w: w not in ENV_NAMES)),
+    ("env", "width"): (POSITIVE, BELOW_ONE),
+    ("env", "height"): (POSITIVE, BELOW_ONE),
+    ("env", "slip_prob"): (st.floats(0.0, 1.0, exclude_max=True),
+                          st.floats(max_value=-5e-324) | st.floats(min_value=1.0) | NAN),
+    ("env", "goal_reward"): (st.floats(allow_nan=False, allow_infinity=False), NON_FINITE),
+    ("env", "discount"): (OPEN_UNIT, OUTSIDE_OPEN_UNIT),
+    ("env", "horizon"): (POSITIVE, BELOW_ONE),
+    ("env", "noise_std"): (st.floats(0.0, allow_infinity=False),
+                          st.floats(max_value=-5e-324) | NON_FINITE),
+    ("train", "total_steps"): (st.integers(2_000, 10 ** 6), st.integers(max_value=99)),
+    ("train", "pretrain_steps"): (st.integers(0, 2_000), NEGATIVE | st.integers(min_value=301)),
+    ("train", "rollout_horizon"): (POSITIVE, BELOW_ONE),
+    ("train", "batch_size"): (POSITIVE, BELOW_ONE),
+    ("train", "disc_lr"): (st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                           st.floats(max_value=0.0) | NON_FINITE),
+    ("train", "model_hidden"): (WIDTHS, BAD_WIDTHS),
+    ("train", "n_model_samples"): (POSITIVE, BELOW_ONE),
+    ("train", "disc_hidden"): (WIDTHS, BAD_WIDTHS),
+    ("train", "sac_hidden"): (WIDTHS, BAD_WIDTHS),
+    ("train", "discount"): (OPEN_UNIT, OUTSIDE_OPEN_UNIT),
+    ("train", "ratio_start"): (UNIT, OUTSIDE_UNIT),
+    ("train", "ratio_end"): (UNIT, OUTSIDE_UNIT),
+    ("train", "ratio_ramp_frac"): (UNIT, OUTSIDE_UNIT),
+    ("train", "mix_prob"): (UNIT, OUTSIDE_UNIT),
+    ("train", "use_synthetic"): (st.booleans(), st.sampled_from(["yes", "no", "1", "0", "on"])),
+    ("train", "eval_period"): (POSITIVE, BELOW_ONE | st.integers(min_value=301)),
+    ("train", "eval_episodes"): (POSITIVE, BELOW_ONE),
+    ("train", "checkpoint_period"): (st.integers(0, 10 ** 6), NEGATIVE),
+    ("train", "checkpoint_dir"): (WORD, None),
+    ("train", "algorithm"): (st.sampled_from(ALGORITHMS),
+                             WORD.filter(lambda w: w not in ALGORITHMS)),
+    ("train", "seed"): (st.integers(0, 2 ** 32 - 1), NEGATIVE),
+    ("run", "seeds"): (st.lists(st.integers(0, 2 ** 32 - 1), min_size=1).map(tuple),
+                       st.lists(st.integers(), max_size=4).filter(
+                           lambda s: not s or min(s) < 0).map(tuple)),
+    ("run", "out_dir"): (WORD, None),
+    ("run", "demo_path"): (WORD, None),
+    ("run", "label"): (WORD, None),
+    ("run", "expert_episodes"): (POSITIVE, BELOW_ONE),
+    ("run", "expert_seed"): (st.integers(0, 2 ** 32 - 1), NEGATIVE),
+    ("run", "expert_threshold"): (ANY_FLOAT, None),
+    ("run", "expert_max_steps"): (POSITIVE, BELOW_ONE),
+}
+OUT_OF_RANGE = [key for key, (_, outside) in FIELD_RANGES.items() if outside is not None]
+
+
+def _same(a, b) -> bool:
+    return a == b or (isinstance(a, float) and isinstance(b, float)
+                      and math.isnan(a) and math.isnan(b))
+
+
+def test_every_config_field_is_classified():
+    fields = {(section, f.name) for section, cls in
+              (("env", EnvSpec), ("train", TrainingConfig), ("run", RunSpec))
+              for f in dataclasses.fields(cls)}
+    assert set(FIELD_RANGES) == fields
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parsed_config_round_trips_through_resolved_cfg(data):
+    chosen = {}
+    for (section, name), (inside, _) in FIELD_RANGES.items():
+        if data.draw(st.booleans()):
+            chosen.setdefault(section, {})[name] = data.draw(inside)
+    text = "".join(f"[{section}]\n" + "".join(f"{name} = {_render(value)}\n"
+                                             for name, value in fields.items())
+                   for section, fields in chosen.items())
+    parsed = parse_config_text(text)
+    with tempfile.TemporaryDirectory() as where:
+        path = os.path.join(where, "resolved.cfg")
+        save_config(path, parsed)
+        loaded = load_config(path)
+    for section in ("env", "train", "run"):
+        for f in dataclasses.fields(getattr(parsed, section)):
+            value = getattr(getattr(parsed, section), f.name)
+            assert _same(getattr(getattr(loaded, section), f.name), value), f.name
+            if f.name in chosen.get(section, {}):
+                assert _same(value, chosen[section][f.name]), f.name
+
+
+@pytest.mark.parametrize("section, name", OUT_OF_RANGE,
+                         ids=[f"{section}.{name}" for section, name in OUT_OF_RANGE])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_out_of_range_value_exits_two_without_out_dir(section, name, data):
+    value = data.draw(FIELD_RANGES[(section, name)][1])
+    with tempfile.TemporaryDirectory() as where:
+        cfg_path = os.path.join(where, "bad.cfg")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(_set_key(MICRO_CONFIG, section, name, _render(value)))
+        out = os.path.join(where, "o")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["train", "--config", cfg_path, "--out", out])
+        assert code == 2
+        assert name in err.getvalue()
+        assert not os.path.exists(out)

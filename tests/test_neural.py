@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import finite_difference_grad, max_rel_err, reference_backward
-from meairl import AdamState, Mlp, adam_step, clip_by_global_norm
-from meairl.neural import load_params, save_params
+from meairl import AdamState, Mlp, adam_step
+from meairl.neural import clip_by_global_norm, load_params, save_params
 
 
 class TestForward:

@@ -12,8 +12,8 @@ from meairl import (SacAgent, TabularMDP, make_noisy_pointmass, shape_reward,
 
 def soft_update(mdp, reward_table, **kwargs):
     """The soft-optimal policy for reward_table on mdp's dynamics."""
-    return soft_optimal_policy(soft_value_iteration(mdp.with_reward(reward_table),
-                                                    **kwargs))
+    [values] = soft_value_iteration([(mdp.kernel, reward_table, mdp.discount)], **kwargs)
+    return soft_optimal_policy(values)
 
 
 class TestTabularUpdate:

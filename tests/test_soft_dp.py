@@ -8,17 +8,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from helpers import random_mdp, random_policy
+from helpers import instance, random_mdp, random_policy, soft_policy_value_by_solve
 from meairl import (ConvergenceError, SoftValues, TabularMDP, TabularPolicy,
                     finite_horizon_policy_value, greedy_policy,
                     hard_value_iteration, policy_value, soft_optimal_policy,
-                    soft_policy_value, soft_value_iteration)
-from meairl.soft_dp import (ORACLE_MAX_ITERS, hard_value_iterations, policy_values,
-                            soft_backup, soft_value_iterations)
+                    soft_value_iteration)
+from meairl.soft_dp import ORACLE_MAX_ITERS, soft_backup
 
 
 def one_state_mdp(gamma=0.5, reward=1.0):
     return TabularMDP(np.ones((1, 1, 1)), [[reward]], gamma, [1.0])
+
+
+def with_reward(mdp, reward, r_max=None):
+    return TabularMDP(mdp.kernel, reward, mdp.discount, mdp.init_dist, r_max=r_max)
+
+
+def soft_vi(mdp, **kwargs):
+    [values] = soft_value_iteration([instance(mdp)], **kwargs)
+    return values
+
+
+def hard_vi(mdp, **kwargs):
+    [values] = hard_value_iteration([instance(mdp)], **kwargs)
+    return values
+
+
+def value_of(mdp, policy, **kwargs):
+    [v] = policy_value([instance(mdp)], [policy.probs], **kwargs)
+    return v
 
 
 def soft_vi_reference(mdp, sweeps):
@@ -33,7 +51,7 @@ def soft_vi_reference(mdp, sweeps):
 
 class TestSoftValueIteration:
     def test_single_pair_fixed_point(self):
-        values = soft_value_iteration(one_state_mdp())
+        values = soft_vi(one_state_mdp())
         assert abs(values.q[0, 0] - 2.0) < 1e-9
         assert abs(values.v[0] - 2.0) < 1e-9
         assert abs(values.adv[0, 0]) < 1e-12
@@ -41,7 +59,7 @@ class TestSoftValueIteration:
     def test_two_zero_actions_small_gamma(self):
         kernel = np.ones((1, 2, 1))
         mdp = TabularMDP(kernel, np.zeros((1, 2)), 1e-9, [1.0])
-        values = soft_value_iteration(mdp)
+        values = soft_vi(mdp)
         assert np.max(np.abs(values.q)) < 1e-6
         assert abs(values.v[0] - math.log(2)) < 1e-6
         assert np.max(np.abs(values.adv[0] + math.log(2))) < 1e-6
@@ -49,14 +67,14 @@ class TestSoftValueIteration:
     def test_matches_long_sweep_reference(self):
         rng = np.random.default_rng(10)
         mdp = random_mdp(rng, n_states=6, n_actions=3, gamma=0.9)
-        values = soft_value_iteration(mdp, tol=1e-10)
+        values = soft_vi(mdp, tol=1e-10)
         reference = soft_vi_reference(mdp, sweeps=10 ** 5)
         assert np.max(np.abs(values.q - reference)) < 1e-8
 
     def test_type_invariants(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            values = soft_value_iteration(random_mdp(rng))
+            values = soft_vi(random_mdp(rng))
             lse = np.log(np.exp(values.q - values.q.max(axis=1, keepdims=True))
                          .sum(axis=1)) + values.q.max(axis=1)
             assert np.max(np.abs(values.v - lse)) < 1e-12
@@ -66,7 +84,7 @@ class TestSoftValueIteration:
     def test_residual_contract(self):
         rng = np.random.default_rng(12)
         mdp = random_mdp(rng, gamma=0.9)
-        values = soft_value_iteration(mdp, tol=1e-10)
+        values = soft_vi(mdp, tol=1e-10)
         # the reported residual is the true one-sweep Bellman residual
         assert np.max(np.abs(soft_backup(mdp, values.q) - values.q)) <= values.residual + 1e-15
         assert values.residual <= 1e-10
@@ -88,7 +106,7 @@ class TestSoftValueIteration:
         rng = np.random.default_rng(14)
         mdp = random_mdp(rng, gamma=0.99)
         with pytest.raises(ConvergenceError) as err:
-            soft_value_iteration(mdp, tol=1e-12, max_iters=3)
+            soft_vi(mdp, tol=1e-12, max_iters=3)
         assert err.value.residual > 1e-12
 
 
@@ -96,7 +114,7 @@ class TestSoftOptimalPolicy:
     def test_symmetric_actions_uniform(self):
         kernel = np.ones((1, 2, 1))
         mdp = TabularMDP(kernel, np.zeros((1, 2)), 0.5, [1.0])
-        pol = soft_optimal_policy(soft_value_iteration(mdp))
+        pol = soft_optimal_policy(soft_vi(mdp))
         assert np.allclose(pol.probs, [[0.5, 0.5]], atol=1e-10)
 
     def test_dominant_action(self):
@@ -116,9 +134,9 @@ class TestSoftOptimalPolicy:
         rng = np.random.default_rng(15)
         for _ in range(8):
             mdp = random_mdp(rng)
-            values = soft_value_iteration(mdp, tol=1e-10)
+            values = soft_vi(mdp, tol=1e-10)
             pol = soft_optimal_policy(values)
-            v_pol = soft_policy_value(mdp, pol, tol=1e-12)
+            v_pol = soft_policy_value_by_solve(mdp, pol)
             # a residual of tol leaves a value error up to tol/(1-gamma)
             assert np.max(np.abs(v_pol - values.v)) < 10 * 1e-10 / (1 - mdp.discount)
 
@@ -142,21 +160,21 @@ def hard_values_lp(mdp):
 
 class TestHardValueIteration:
     def test_geometric_series(self):
-        values = hard_value_iteration(one_state_mdp())
+        values = hard_vi(one_state_mdp())
         assert abs(values.v[0] - 2.0) < 1e-9
 
     def test_zero_reward(self):
         rng = np.random.default_rng(16)
         mdp = random_mdp(rng)
-        mdp = mdp.with_reward(np.zeros((mdp.n_states, mdp.n_actions)))
-        values = hard_value_iteration(mdp)
+        mdp = with_reward(mdp, np.zeros((mdp.n_states, mdp.n_actions)))
+        values = hard_vi(mdp)
         assert np.max(np.abs(values.v)) < 1e-10
 
     def test_matches_lp_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(8):
             mdp = random_mdp(rng, n_states=5, gamma=0.9)
-            values = hard_value_iteration(mdp, tol=1e-12)
+            values = hard_vi(mdp, tol=1e-12)
             v_lp = hard_values_lp(mdp)
             assert np.max(np.abs(values.v - v_lp)) < 1e-6
             greedy = greedy_policy(values)
@@ -167,7 +185,7 @@ class TestHardValueIteration:
     def test_greedy_ties_break_low(self):
         kernel = np.ones((1, 3, 1))
         mdp = TabularMDP(kernel, [[1.0, 1.0, 0.0]], 0.5, [1.0])
-        pol = greedy_policy(hard_value_iteration(mdp))
+        pol = greedy_policy(hard_vi(mdp))
         assert np.argmax(pol.probs, axis=1)[0] == 0
 
 
@@ -175,9 +193,9 @@ class TestPolicyValue:
     def test_constant_reward(self):
         rng = np.random.default_rng(18)
         mdp = random_mdp(rng, gamma=0.9)
-        mdp = mdp.with_reward(np.full((mdp.n_states, mdp.n_actions), 0.7))
+        mdp = with_reward(mdp, np.full((mdp.n_states, mdp.n_actions), 0.7))
         pol = random_policy(rng, mdp.n_states, mdp.n_actions)
-        v = policy_value(mdp, pol, tol=1e-12)
+        v = value_of(mdp, pol, tol=1e-12)
         assert np.max(np.abs(v - 0.7 / 0.1)) < 1e-8
 
     def test_absorbing_chain_hand_sum(self):
@@ -187,7 +205,7 @@ class TestPolicyValue:
         kernel[1, 0, 2] = 1.0
         kernel[2, 0, 2] = 1.0
         mdp = TabularMDP(kernel, [[1.0], [2.0], [0.0]], 0.5, [1.0, 0.0, 0.0])
-        v = policy_value(mdp, TabularPolicy(np.ones((3, 1))), tol=1e-12)
+        v = value_of(mdp, TabularPolicy(np.ones((3, 1))), tol=1e-12)
         assert abs(v[0] - (1.0 + 0.5 * 2.0)) < 1e-10
         assert abs(v[1] - 2.0) < 1e-10
         assert abs(v[2]) < 1e-12
@@ -197,7 +215,7 @@ class TestPolicyValue:
         for _ in range(8):
             mdp = random_mdp(rng)
             pol = random_policy(rng, mdp.n_states, mdp.n_actions)
-            v_iter = policy_value(mdp, pol, tol=1e-12)
+            v_iter = value_of(mdp, pol, tol=1e-12)
             p_pi = np.einsum("sa,sap->sp", pol.probs, mdp.kernel)
             r_pi = (pol.probs * mdp.reward).sum(axis=1)
             v_solve = np.linalg.solve(np.eye(mdp.n_states) - mdp.discount * p_pi, r_pi)
@@ -208,7 +226,7 @@ class TestFiniteHorizonPolicyValue:
     def test_constant_reward_geometric_sum(self):
         rng = np.random.default_rng(21)
         mdp = random_mdp(rng, gamma=0.9)
-        mdp = mdp.with_reward(np.full((mdp.n_states, mdp.n_actions), 0.7))
+        mdp = with_reward(mdp, np.full((mdp.n_states, mdp.n_actions), 0.7))
         pol = random_policy(rng, mdp.n_states, mdp.n_actions)
         for h in (1, 5, 40):
             v = finite_horizon_policy_value(mdp, pol, h)
@@ -229,16 +247,16 @@ class TestFiniteHorizonPolicyValue:
             mdp = random_mdp(rng, gamma=0.9)
             pol = random_policy(rng, mdp.n_states, mdp.n_actions)
             v_h = finite_horizon_policy_value(mdp, pol, 500)
-            v_inf = policy_value(mdp, pol, tol=1e-13)
+            v_inf = value_of(mdp, pol, tol=1e-13)
             assert np.max(np.abs(v_h - v_inf)) < 1e-8
 
     def test_below_infinite_for_positive_rewards(self):
         rng = np.random.default_rng(24)
         mdp = random_mdp(rng, gamma=0.95)
-        mdp = mdp.with_reward(np.abs(mdp.reward) + 0.1)
+        mdp = with_reward(mdp, np.abs(mdp.reward) + 0.1)
         pol = random_policy(rng, mdp.n_states, mdp.n_actions)
         v_40 = finite_horizon_policy_value(mdp, pol, 40)
-        v_inf = policy_value(mdp, pol, tol=1e-12)
+        v_inf = value_of(mdp, pol, tol=1e-12)
         assert np.all(v_40 < v_inf)
 
     def test_rejects_nonpositive_horizon(self):
@@ -254,12 +272,12 @@ class TestHardSoftConsistency:
         rng = np.random.default_rng(20)
         for _ in range(5):
             mdp = random_mdp(rng, gamma=0.9)
-            hard = hard_value_iteration(mdp, tol=1e-12)
+            hard = hard_vi(mdp, tol=1e-12)
             # unique-argmax states only; ties are allowed to differ
             gaps = np.sort(hard.q, axis=1)
             unique = (gaps[:, -1] - gaps[:, -2]) > 1e-6
-            scaled = mdp.with_reward(mdp.reward * 1e3, r_max=1e3)
-            soft = soft_value_iteration(scaled, tol=1e-9)
+            scaled = with_reward(mdp, mdp.reward * 1e3, r_max=1e3)
+            soft = soft_vi(scaled, tol=1e-9)
             soft_argmax = np.argmax(soft.adv, axis=1)
             hard_argmax = hard.q.argmax(axis=1)
             assert np.array_equal(soft_argmax[unique], hard_argmax[unique])
@@ -282,41 +300,38 @@ class TestStackedSolves:
            seed=st.integers(0, 2 ** 32 - 1),
            max_iters=st.sampled_from([40, 400, ORACLE_MAX_ITERS]))
     def test_stack_matches_one_at_a_time(self, specs, seed, max_iters):
+        # a stack of B instances against B stacks of one
         rng = np.random.default_rng(seed)
-        instances, mdps, policies = [], [], []
+        instances, policies = [], []
         for n_states, n_actions, gamma in specs:
             kernel = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
             reward = rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
             instances.append((kernel, reward, gamma))
-            mdps.append(TabularMDP(kernel, reward, gamma, np.full(n_states, 1.0 / n_states)))
             policies.append(rng.dirichlet(np.ones(n_actions), size=n_states))
-        for stacked_solve, solo_solve in ((soft_value_iterations, soft_value_iteration),
-                                          (hard_value_iterations, hard_value_iteration)):
-            solo = [_solve_or_none(solo_solve, mdp, max_iters=max_iters) for mdp in mdps]
-            if any(values is None for values in solo):
+        for solve, columns in ((soft_value_iteration, [instances]),
+                               (hard_value_iteration, [instances]),
+                               (policy_value, [instances, policies])):
+            solo = [_solve_or_none(solve, *[c[i:i + 1] for c in columns], max_iters=max_iters)
+                    for i in range(len(instances))]
+            if any(result is None for result in solo):
                 # one instance out of sweeps fails the whole stack
                 with pytest.raises(ConvergenceError):
-                    stacked_solve(instances, max_iters=max_iters)
+                    solve(*columns, max_iters=max_iters)
                 continue
-            stacked = stacked_solve(instances, max_iters=max_iters)
-            for got, want in zip(stacked, solo):
+            stacked = solve(*columns, max_iters=max_iters)
+            for got, [want] in zip(stacked, solo, strict=True):
+                if solve is policy_value:
+                    assert got.tobytes() == want.tobytes()
+                    continue
                 assert got.q.tobytes() == want.q.tobytes()
                 assert got.v.tobytes() == want.v.tobytes()
                 assert got.residual == want.residual
-        solo = [_solve_or_none(policy_value, mdp, TabularPolicy(probs), max_iters=max_iters)
-                for mdp, probs in zip(mdps, policies)]
-        if any(v is None for v in solo):
-            with pytest.raises(ConvergenceError):
-                policy_values(instances, policies, max_iters=max_iters)
-        else:
-            stacked = policy_values(instances, policies, max_iters=max_iters)
-            assert [v.tobytes() for v in stacked] == [v.tobytes() for v in solo]
 
     def test_slow_instance_fails_the_stack(self):
         rng = np.random.default_rng(30)
         fast, slow = (random_mdp(rng, n_states=4, n_actions=2, gamma=g) for g in (0.5, 0.99))
-        instances = [(m.kernel, m.reward, m.discount) for m in (fast, slow)]
-        assert hard_value_iterations(instances[:1], max_iters=60)[0].residual <= 1e-10
+        instances = [instance(m) for m in (fast, slow)]
+        assert hard_value_iteration(instances[:1], max_iters=60)[0].residual <= 1e-10
         with pytest.raises(ConvergenceError) as err:
-            hard_value_iterations(instances, max_iters=60)
+            hard_value_iteration(instances, max_iters=60)
         assert err.value.residual > 1e-10

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from meairl.shaping import check_policy_invariance, q_shift_identity_gap, shape_reward
+from meairl.shaping import (INVARIANCE_DP_TOL, check_policy_invariance,
+                            q_shift_identity_gap, shape_reward)
+from meairl.soft_dp import soft_value_iteration
 from meairl.suites import (random_mdp, run_alignment_suite,
                            run_invariance_suite)
 
@@ -41,7 +43,7 @@ class TestInvarianceSuite:
         assert "FAIL" in report.summary_line()
 
     def test_worst_case_equals_case_by_case_checks(self):
-        # the suite solves every case at once; the one-case checkers must agree
+        # the suite solves every case in one stack; case-by-case stacks of one must agree
         rng = np.random.default_rng(4)
         adv_gaps, shift_gaps = [0.0], [0.0]
         for case in range(12):
@@ -49,8 +51,12 @@ class TestInvarianceSuite:
             phi_scale = 1.0 if case % 2 == 0 else 100.0
             phi = rng.uniform(-phi_scale, phi_scale, size=mdp.n_states)
             shaped = shape_reward(mdp, phi, mdp.kernel)
-            adv_gaps.append(check_policy_invariance(mdp, mdp.reward, shaped).adv_gap)
-            shift_gaps.append(q_shift_identity_gap(mdp, phi))
+            [base] = soft_value_iteration([(mdp.kernel, mdp.reward, mdp.discount)],
+                                          tol=INVARIANCE_DP_TOL)
+            [shaped_values] = soft_value_iteration([(mdp.kernel, shaped, mdp.discount)],
+                                                   tol=INVARIANCE_DP_TOL)
+            adv_gaps.append(check_policy_invariance(base, shaped_values))
+            shift_gaps.append(q_shift_identity_gap(base, shaped_values, phi))
         report = run_invariance_suite(n_cases=12, seed=4)
         assert report.max_adv_gap == max(adv_gaps)
         assert report.max_q_shift_gap == max(shift_gaps)

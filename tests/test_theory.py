@@ -4,13 +4,12 @@ brute-force verifiers that check both on random instances."""
 import numpy as np
 import pytest
 
-from meairl import (FeasibleRewardWitness, IrlProblem, TabularMDP,
-                    feasible_reward, hard_value_iteration,
-                    performance_difference_bound, perturb_kernel,
-                    random_problem, reward_error_bound, run_bound_sweep,
-                    tv_distance, verify_performance_difference_bound,
-                    verify_reward_error_bound)
-from meairl.bounds import SWEEP_CSV_HEADER, sweep_csv_text
+from helpers import instance
+from meairl import TabularMDP, hard_value_iteration, run_bound_sweep, tv_distance
+from meairl.bounds import (SWEEP_CSV_HEADER, FeasibleRewardWitness, IrlProblem,
+                           feasible_reward, performance_difference_bound, perturb_kernel,
+                           random_problem, reward_error_bound, sweep_csv_text,
+                           verify_performance_difference_bound, verify_reward_error_bound)
 
 
 class TestBoundFormulas:
@@ -67,7 +66,7 @@ class TestFeasibleReward:
             problem = random_problem(rng)
             mdp = problem.mdp
             witness = problem.witness
-            values = hard_value_iteration(mdp, tol=1e-12)
+            [values] = hard_value_iteration([instance(mdp)], tol=1e-12)
             assert np.max(np.abs(values.v - witness.v)) < 1e-8
             gaps = values.v[:, None] - values.q
             assert np.max(np.abs(gaps[witness.support])) < 1e-8
@@ -82,7 +81,7 @@ class TestFeasibleReward:
         witness = FeasibleRewardWitness(rng.normal(size=4), np.ones((4, 3), bool), 0.0)
         reward = feasible_reward(kernel, witness, 0.9)
         mdp = TabularMDP(kernel, reward, 0.9, np.full(4, 0.25))
-        values = hard_value_iteration(mdp, tol=1e-12)
+        [values] = hard_value_iteration([instance(mdp)], tol=1e-12)
         assert np.max(np.abs(values.q - values.v[:, None])) < 1e-8
 
     def test_witness_validation(self):
@@ -131,10 +130,18 @@ class TestRewardBoundVerifier:
     def test_many_witnesses_stay_under_bound(self):
         rng = np.random.default_rng(6)
         problem = random_problem(rng, n_states=5, gamma=0.9, perturb_rate=0.2)
-        row = verify_reward_error_bound(problem, n_witnesses=100,
-                                        rng=np.random.default_rng(0))
+        row = verify_reward_error_bound(problem)
         assert row.passed
-        assert row.observed_gap <= row.bound + 1e-9
+        # fresh witnesses on the same kernel pair, each at the premise's value cap
+        draws = np.random.default_rng(0)
+        v_cap = problem.r_max / (1.0 - 0.9)
+        gaps = []
+        for _ in range(100):
+            witness = FeasibleRewardWitness(draws.uniform(-v_cap, v_cap, size=5),
+                                            problem.witness.support, problem.witness.xi)
+            gaps.append(np.max(np.abs(feasible_reward(problem.mdp.kernel, witness, 0.9)
+                                      - feasible_reward(problem.model_kernel, witness, 0.9))))
+        assert max(gaps) <= row.bound + 1e-9
 
     def test_oversized_witness_is_rescaled_and_noted(self):
         rng = np.random.default_rng(7)

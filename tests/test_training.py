@@ -6,15 +6,16 @@ import os
 import numpy as np
 import pytest
 
+from helpers import instance
 from meairl import (ExpertBuffer, Mlp, TabularEnv, TabularMDP, TabularPolicy,
-                    TrainingConfig, TrainingDivergedError, TrainingRecord,
-                    evaluate_tabular_policy, generate_expert, load_demos,
-                    make_gridworld, make_noisy_pointmass, mix_action,
-                    policy_value, run_meairl, save_continuous_demos,
-                    soft_optimal_policy, soft_value_iteration, training)
+                    TrainingConfig, generate_expert, load_demos, make_gridworld,
+                    make_noisy_pointmass, policy_value, run_meairl,
+                    save_continuous_demos, soft_optimal_policy, soft_value_iteration,
+                    training)
 from meairl.neural import load_params
 from meairl.seeding import spawn_streams
-from meairl.training import CSV_HEADER, EvalRow
+from meairl.training import (CSV_HEADER, EvalRow, TrainingDivergedError, TrainingRecord,
+                             evaluate_tabular_policy, mix_action)
 
 
 def small_grid_env(slip=0.1, width=3, height=3, goal=5.0, discount=0.9,
@@ -206,8 +207,10 @@ class TestExpertGeneration:
             a = demos.actions[mask]
             t = demos.steps[mask]
             returns.append(float(np.sum(mdp.reward[s, a] * mdp.discount ** t)))
-        policy = soft_optimal_policy(soft_value_iteration(mdp, tol=1e-12))
-        exact = float(mdp.init_dist @ policy_value(mdp, policy, tol=1e-12))
+        [values] = soft_value_iteration([instance(mdp)], tol=1e-12)
+        policy = soft_optimal_policy(values)
+        [v] = policy_value([instance(mdp)], [policy.probs], tol=1e-12)
+        exact = float(mdp.init_dist @ v)
         assert abs(np.mean(returns) - exact) <= 0.02 * abs(exact)
 
     def test_continuous_threshold_failure_raises(self):
