@@ -8,7 +8,7 @@ another; the rest are imported from their modules.
 
 from .adversarial import (Discriminator, ExpertBuffer,
                           discriminator_loss_and_grads, extract_reward,
-                          gradient_alignment_gap, mce_irl_gradient)
+                          gradient_alignment_gap)
 from .bounds import run_bound_sweep
 from .buffers import RatioSchedule, ReplayBuffer
 from .config import ConfigError, ExperimentConfig, build_env, load_config, save_config

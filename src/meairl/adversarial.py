@@ -29,13 +29,22 @@ Training minimizes the usual cross-entropy
     L = -E_expert[log D] - E_policy[log(1 - D)]
 
 and the policy-facing reward is log D - log(1 - D) = f - log pi.
+
+`gradient_alignment_gap` checks the tabular gradient training takes
+against MaxEnt IRL. With phi = soft V of g, the policy soft-optimal for g
+and exact expectations, -2 dL/dg is the MaxEnt-IRL gradient
+d_expert(s) - d_pi(s) and dL/dphi is zero, for any expert occupancy,
+under model shaping through the true kernel; under sample shaping the
+identity survives only on a deterministic kernel.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .mdp import TabularMDP, TabularPolicy, load_demos
+from .mdp import TabularPolicy, load_demos
 from .neural import Mlp
 from .seeding import as_generator
 from .soft_dp import discounted_occupancy, soft_optimal_policy, soft_value_iteration
@@ -282,53 +291,86 @@ def _continuous_batch_step(disc, batch, policy, rng, expert, g_r, g_phi):
     return log_terms
 
 
-def mce_irl_gradient(mdp: TabularMDP, theta: np.ndarray, expert_occupancy: np.ndarray,
-                     tol: float = 1e-10) -> np.ndarray:
-    """Likelihood-ascent direction for a tabular reward: d_expert - d_soft(theta).
+def mce_irl_gradient(expert_occupancy: np.ndarray, policy_occupancy: np.ndarray) -> np.ndarray:
+    """MaxEnt-IRL likelihood-ascent direction in a state-only reward g(s).
 
-    The policy occupancy is that of the exact soft-optimal policy for the
-    current reward table theta.
+    Both occupancies are (S, A) tables; policy_occupancy is that of the
+    soft-optimal policy for the current g. The gradient is the difference
+    of their state marginals, d_expert(s) - d_pi(s).
     """
-    [values] = soft_value_iteration([(mdp.kernel, theta, mdp.discount)], tol=tol)
-    policy = soft_optimal_policy(values)
-    d_pi = discounted_occupancy(mdp, policy, tol=tol)
-    return np.asarray(expert_occupancy, dtype=np.float64) - d_pi
+    return (np.asarray(expert_occupancy, dtype=np.float64).sum(axis=1)
+            - np.asarray(policy_occupancy, dtype=np.float64).sum(axis=1))
 
 
-def gradient_alignment_gap(mdp: TabularMDP, theta: np.ndarray, dp_tol: float = 1e-12,
-                           f_override=None) -> float:
-    """Gap between -2 * the discriminator gradient and the likelihood gradient.
+class AlignmentGaps(NamedTuple):
+    """Per-case results of `gradient_alignment_gap`."""
 
-    The discriminator is put at the matched point: its reward part is
-    theta, its potential is the soft value of theta, and the shaping
-    expectation uses the true kernel, so f equals the soft advantage and
-    the policy is the soft-optimal one (D = 1/2 everywhere). The expert
-    occupancy is that policy's own, so the likelihood gradient
-    d_exp - d_pi is zero there. Expectations are exact and
-    occupancy-weighted. The potential-parameter block of the
-    discriminator gradient has no likelihood counterpart; it cancels
-    through the occupancy flow equations, and is included in the gap.
+    model: np.ndarray  # identity gap under model shaping
+    sample: np.ndarray  # the same gap under sample shaping
+    mce: np.ndarray  # max |MCE side|, so a small gap is not a vacuous one
 
-    `f_override` replaces the matched f table to demonstrate that the
-    alignment genuinely needs the hypotheses.
+
+def gradient_alignment_gap(cases, dp_tol: float = 1e-12) -> AlignmentGaps:
+    """Gap between -2 * the discriminator gradient and the MaxEnt-IRL gradient.
+
+    Each case is (mdp, g, expert_probs): a TabularMDP, a state-only reward
+    g of shape (S,) and an (S, A) expert policy. The discriminator holds g
+    and phi = the soft value of g, and the policy is the soft-optimal one
+    for g. Its gradient is the one `discriminator_loss_and_grads` takes,
+    with exact expectations: every (s, a) pair, or every (s, a, s') triple
+    under sample shaping, is one row of each batch, weighted by its
+    probability under the expert's occupancy (expert batch) or the
+    policy's (policy batch). Under model shaping through the true kernel,
+    -2 * the gradient equals `mce_irl_gradient` in g and is zero in phi
+    (Finn et al., arXiv:1611.03852; Fu et al., arXiv:1710.11248); the gap
+    is the sup-norm defect of both. Under sample shaping the identity
+    holds on deterministic kernels only.
+
+    One stacked soft value iteration solves every case, and one stacked
+    occupancy iteration gives every policy and expert occupancy.
     """
-    [values] = soft_value_iteration([(mdp.kernel, theta, mdp.discount)], tol=dp_tol)
-    policy = soft_optimal_policy(values)
-    d_pi = d_exp = discounted_occupancy(mdp, policy, tol=dp_tol)
-    gamma = mdp.discount
-    v = values.v
-    f = theta + gamma * (mdp.kernel_2d @ v).reshape(theta.shape) - v[:, None]
-    if f_override is not None:
-        f = np.asarray(f_override, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(policy.probs)
-    d = _sigmoid(f - log_pi)
-    # -2 dL/df with exact expectations: 2 [(1-D) d_exp - D d_pi] per pair.
-    weight = 2.0 * ((1.0 - d) * d_exp - d * d_pi)
-    g_r = weight
-    g_phi = gamma * np.einsum("sa,sap->p", weight, mdp.kernel) - weight.sum(axis=1)
-    mce = d_exp - d_pi
-    return max(float(np.abs(g_r - mce).max()), float(np.abs(g_phi).max()))
+    solved = soft_value_iteration(
+        [(mdp.kernel, np.repeat(np.asarray(g, dtype=np.float64)[:, None], mdp.n_actions, axis=1),
+          mdp.discount) for mdp, g, _ in cases], tol=dp_tol)
+    policies = [soft_optimal_policy(values) for values in solved]
+    starts = [(mdp.kernel, mdp.init_dist, mdp.discount) for mdp, _, _ in cases]
+    occupancies = discounted_occupancy(
+        starts + starts, [p.probs for p in policies] + [e for _, _, e in cases], tol=dp_tol)
+    d_pis, d_exps = occupancies[:len(cases)], occupancies[len(cases):]
+    gaps = AlignmentGaps([], [], [])
+    for (mdp, g, _), values, policy, d_pi, d_exp in zip(cases, solved, policies, d_pis, d_exps):
+        mce = mce_irl_gradient(d_exp, d_pi)
+        gaps.mce.append(float(np.abs(mce).max()))
+        for shaping, out in (("model", gaps.model), ("sample", gaps.sample)):
+            disc = Discriminator.tabular(mdp.n_states, mdp.discount, mdp.kernel, shaping)
+            disc.params = np.concatenate([g, values.v])
+            g_r, g_phi = np.split(-2.0 * _exact_grads(disc, policy, mdp.kernel, d_exp, d_pi), 2)
+            out.append(max(float(np.abs(g_r - mce).max()), float(np.abs(g_phi).max())))
+    return AlignmentGaps(*(np.array(column) for column in gaps))
+
+
+def _exact_grads(disc, policy, kernel, d_exp, d_pi):
+    """`_tabular_grads` on the enumerated batch of `gradient_alignment_gap`.
+
+    Each row's d loss / d f from `_cross_entropy_terms` (a batch mean) is
+    rescaled to that row's exact probability.
+    """
+    n_states, n_actions = d_pi.shape
+    if disc.shaping == "model":
+        states, actions = np.divmod(np.arange(n_states * n_actions), n_actions)
+        next_states = None
+        weights = (d_exp.ravel(), d_pi.ravel())
+    else:
+        states, rest = np.divmod(np.arange(n_states * n_actions * n_states),
+                                 n_actions * n_states)
+        actions, next_states = np.divmod(rest, n_states)
+        weights = ((d_exp[:, :, None] * kernel).ravel(), (d_pi[:, :, None] * kernel).ravel())
+    f = disc._f_tabular(states, actions, next_states)
+    log_pi = _log_policy(policy, states, actions)
+    batches = [(states, actions, next_states,
+                _cross_entropy_terms(f, log_pi, expert)[1] * (f.shape[0] * weight))
+               for expert, weight in zip((True, False), weights)]
+    return _tabular_grads(disc, *batches)
 
 
 class ExpertBuffer:

@@ -9,8 +9,9 @@ returning junk. The soft backup is
 whose fixed point gives the soft-optimal policy pi(a|s) = exp(Q - V).
 
 `soft_value_iteration`, `hard_value_iteration` and `policy_value` take a
-list of (kernel, reward, discount) instances, and a single MDP is a list
-of one. Every solver runs one stacked kernel, `_iterate`, over the
+list of (kernel, reward, discount) instances, `discounted_occupancy` a
+list of (kernel, init_dist, discount) instances, and a single MDP is a
+list of one. Every solver runs one stacked kernel, `_iterate`, over the
 instances that share (S, A), so each numpy call of a sweep serves the
 whole stack. Each instance stops at its own sweep, and stacking changes
 neither its arithmetic nor its result: an instance solved in a stack
@@ -213,19 +214,23 @@ def policy_value(instances, policies, tol: float = ORACLE_TOL,
                                        "policy evaluation")]
 
 
-def discounted_occupancy(mdp: TabularMDP, policy: TabularPolicy, tol: float = ORACLE_TOL,
-                         max_iters: int = ORACLE_MAX_ITERS) -> np.ndarray:
-    """State-action occupancy d(s,a), normalized to sum to one.
+def discounted_occupancy(instances, policies, tol: float = ORACLE_TOL,
+                         max_iters: int = ORACLE_MAX_ITERS) -> list:
+    """State-action occupancies d(s,a), each normalized to sum to one.
 
-    The state marginal solves d = (1-gamma) rho0 + gamma P_pi^T d, the
-    one-action hard backup on the transposed kernel, iterated from rho0;
-    then d(s,a) = pi(a|s) d(s).
+    instances[i] is a (kernel, init_dist, discount) triple and policies[i]
+    the (S, A) probability table run on it. Each state marginal solves
+    d = (1-gamma) rho0 + gamma P_pi^T d, the one-action hard backup on the
+    transposed kernel, iterated from rho0; then d(s,a) = pi(a|s) d(s).
     """
-    p_pi = np.einsum("sa,sap->sp", policy.probs, mdp.kernel)
-    rho0 = mdp.init_dist[:, None]
-    instance = (p_pi.T, (1.0 - mdp.discount) * rho0, mdp.discount)
-    [(d, _)] = _solve(hard_backup, [instance], [rho0], tol, max_iters, "occupancy iteration")
-    return policy.probs * d
+    flows, starts = [], []
+    for (kernel, init_dist, gamma), probs in zip(instances, policies):
+        rho0 = np.asarray(init_dist, dtype=np.float64)[:, None]
+        flows.append((np.einsum("sa,sap->sp", probs, kernel).T, (1.0 - gamma) * rho0, gamma))
+        starts.append(rho0)
+    return [probs * d for probs, (d, _) in
+            zip(policies, _solve(hard_backup, flows, starts, tol, max_iters,
+                                 "occupancy iteration"))]
 
 
 def finite_horizon_policy_value(mdp: TabularMDP, policy: TabularPolicy,

@@ -6,6 +6,7 @@ comparison runs once in a module-scoped fixture and feeds the three
 criterion-7 verdicts. Under -v each test contributes one pass/fail line.
 """
 
+import copy
 import dataclasses
 import math
 import time
@@ -16,9 +17,9 @@ import pytest
 from helpers import finite_difference_grad, max_rel_err
 from helpers import random_mdp as fixed_size_mdp
 
-from meairl import bounds
+from meairl import adversarial, bounds
 from meairl.adversarial import (Discriminator, ExpertBuffer,
-                                discriminator_loss_and_grads)
+                                discriminator_loss_and_grads, gradient_alignment_gap)
 from meairl.bounds import (performance_difference_bound, random_problem,
                            reward_error_bound, run_bound_sweep,
                            verify_performance_difference_bound)
@@ -26,7 +27,7 @@ from meairl.cli import attainment_threshold, expert_return_target, main, \
     steps_to_threshold
 from meairl.config import EnvSpec, ExperimentConfig, build_env
 from meairl.dynamics import GaussianDynamicsModel, TabularDynamicsEstimate, tv_distance
-from meairl.mdp import TabularPolicy
+from meairl.mdp import TabularPolicy, make_gridworld
 from meairl.neural import AdamState, Mlp, adam_step
 from meairl.policy_opt import SacAgent
 from meairl.suites import run_alignment_suite, run_invariance_suite
@@ -51,11 +52,63 @@ def test_criterion_2_shaped_q_differs_by_exactly_the_potential(invariance_report
     assert invariance_report.passed
 
 
+def criterion_3a_holds(report) -> bool:
+    # the identity within 1e-8 on every case, against an MCE side that is
+    # far from zero somewhere, so the check cannot pass vacuously
+    return report.max_gap <= 1e-8 and report.max_mce > 1e-2
+
+
 def test_criterion_3_discriminator_gradient_aligns_with_occupancy_matching():
     report = run_alignment_suite(n_cases=50, tol=1e-8, seed=0)
     assert report.n_cases >= 50
-    assert report.max_gap <= 1e-8
+    assert criterion_3a_holds(report)
     assert report.passed
+
+
+def grid_alignment_gaps(slip):
+    # the grid's own state-only reward, and a random expert
+    mdp = make_gridworld(4, 4, slip_prob=slip, goal_reward=1.0, discount=0.9)
+    expert = np.random.default_rng(0).dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
+    return gradient_alignment_gap([(mdp, mdp.reward[:, 0], expert)])
+
+
+def test_criterion_3b_sample_shaping_aligns_on_deterministic_grid():
+    gaps = grid_alignment_gaps(0.0)
+    assert gaps.sample[0] <= 1e-8
+    assert gaps.model[0] <= 1e-8
+    assert gaps.mce[0] > 1e-2
+
+
+@pytest.mark.parametrize("slip", [0.1, 0.3])
+def test_criterion_3c_sample_shaping_misaligns_on_slippery_grid(slip):
+    gaps = grid_alignment_gaps(slip)
+    assert gaps.sample[0] > 1e-3
+    assert gaps.model[0] <= 1e-8
+
+
+def test_criterion_3_negative_control_a_flipped_shaping_sign_fails(monkeypatch):
+    # the gamma * phi(s') term of the gradient taken with the wrong sign
+    true_grads = adversarial._tabular_grads
+
+    def flipped(disc, expert, policy):
+        wrong = copy.copy(disc)
+        wrong.discount = -disc.discount
+        return true_grads(wrong, expert, policy)
+
+    monkeypatch.setattr(adversarial, "_tabular_grads", flipped)
+    report = run_alignment_suite(n_cases=50, tol=1e-8, seed=0)
+    assert not criterion_3a_holds(report)
+    assert report.max_gap > 1e-2
+
+
+def test_criterion_3_negative_control_b_expert_rows_weighted_by_policy_fails(monkeypatch):
+    true_grads = adversarial._exact_grads
+    monkeypatch.setattr(adversarial, "_exact_grads",
+                        lambda disc, policy, kernel, d_exp, d_pi:
+                        true_grads(disc, policy, kernel, d_pi, d_pi))
+    report = run_alignment_suite(n_cases=50, tol=1e-8, seed=0)
+    assert not criterion_3a_holds(report)
+    assert report.max_gap > 1e-2
 
 
 def test_criterion_4_reward_recovery_error_bound_holds_on_sweep():

@@ -10,8 +10,9 @@ from helpers import (finite_difference_grad, instance, max_rel_err, random_mdp,
 from meairl import (Discriminator, ExpertBuffer, GaussianDynamicsModel, Mlp,
                     SacAgent, TabularMDP, TabularPolicy, discounted_occupancy,
                     discriminator_loss_and_grads, extract_reward,
-                    gradient_alignment_gap, make_gridworld, mce_irl_gradient,
-                    soft_optimal_policy, soft_value_iteration)
+                    gradient_alignment_gap, make_gridworld, soft_optimal_policy,
+                    soft_value_iteration)
+from meairl.adversarial import mce_irl_gradient
 
 
 def two_state_kernel():
@@ -277,42 +278,49 @@ class TestModelExpectation:
         assert abs(got - exact) < 5e-3
 
 
+def soft_optimal_occupancy(mdp, g):
+    """Occupancy of the soft-optimal policy for the state-only reward g."""
+    reward = np.repeat(g[:, None], mdp.n_actions, axis=1)
+    [values] = soft_value_iteration([(mdp.kernel, reward, mdp.discount)], tol=1e-12)
+    [d] = discounted_occupancy([(mdp.kernel, mdp.init_dist, mdp.discount)],
+                               [soft_optimal_policy(values).probs], tol=1e-12)
+    return d
+
+
 class TestMceGradient:
     def test_hand_value_single_state(self):
-        # expert always picks action 0, zero reward gives the uniform soft
-        # policy, so the ascent direction is [0.5, -0.5]
-        kernel = np.ones((1, 2, 1))
-        mdp = TabularMDP(kernel, np.zeros((1, 2)), 0.9, [1.0])
-        expert = np.array([[1.0, 0.0]])
-        grad = mce_irl_gradient(mdp, np.zeros((1, 2)), expert)
-        assert np.max(np.abs(grad - [[0.5, -0.5]])) < 1e-9
+        # a state-only reward cannot tell actions apart: with one state the
+        # marginals agree whatever the expert does; with two, the gradient
+        # moves mass toward the expert's state
+        assert np.array_equal(mce_irl_gradient([[1.0, 0.0]], [[0.5, 0.5]]), [0.0])
+        grad = mce_irl_gradient([[0.5, 0.1], [0.2, 0.2]], [[0.1, 0.1], [0.4, 0.4]])
+        assert np.max(np.abs(grad - [0.4, -0.4])) < 1e-15
 
     def test_matched_occupancy_zeroes_gradient(self):
+        # a constant added to g leaves the soft-optimal policy unchanged
         rng = np.random.default_rng(8)
         mdp = random_mdp(rng, n_states=4, n_actions=3, gamma=0.9)
-        theta = rng.normal(size=(4, 3))
-        [values] = soft_value_iteration([(mdp.kernel, theta, mdp.discount)], tol=1e-12)
-        policy = soft_optimal_policy(values)
-        d_exp = discounted_occupancy(mdp, policy, tol=1e-12)
-        grad = mce_irl_gradient(mdp, theta, d_exp, tol=1e-12)
-        assert np.max(np.abs(grad)) < 1e-9
+        g = rng.normal(size=4)
+        d_pi = soft_optimal_occupancy(mdp, g)
+        d_exp = soft_optimal_occupancy(mdp, g + 5.0)
+        assert np.max(np.abs(mce_irl_gradient(d_exp, d_pi))) < 1e-9
 
     def test_ascent_recovers_expert_occupancy(self):
-        # 500 steps of plain gradient ascent, lr 0.5, on a fixed small MDP
+        # 500 steps of plain gradient ascent, lr 0.5, on a fixed small MDP,
+        # toward an expert that is soft-optimal for a state-only reward
         rng = np.random.default_rng(21)
         mdp = random_mdp(rng, n_states=4, n_actions=2, gamma=0.9)
-        expert_theta = rng.normal(size=(4, 2))
-        [expert_values] = soft_value_iteration([(mdp.kernel, expert_theta, mdp.discount)],
-                                               tol=1e-10)
-        expert_policy = soft_optimal_policy(expert_values)
-        d_exp = discounted_occupancy(mdp, expert_policy, tol=1e-10)
-        theta = np.zeros((4, 2))
+        d_exp = soft_optimal_occupancy(mdp, rng.normal(size=4))
+        g = np.zeros(4)
         for _ in range(500):
-            theta = theta + 0.5 * mce_irl_gradient(mdp, theta, d_exp)
-        [learned_values] = soft_value_iteration([(mdp.kernel, theta, mdp.discount)], tol=1e-10)
-        learned = soft_optimal_policy(learned_values)
-        d_fit = discounted_occupancy(mdp, learned, tol=1e-10)
-        assert 0.5 * np.abs(d_fit - d_exp).sum() < 0.01
+            d_pi = soft_optimal_occupancy(mdp, g)
+            g = g + 0.5 * mce_irl_gradient(d_exp, d_pi)
+        d_fit = soft_optimal_occupancy(mdp, g)
+        assert 0.5 * np.abs(d_fit.sum(axis=1) - d_exp.sum(axis=1)).sum() < 0.01
+
+
+def dirichlet_expert(rng, mdp):
+    return rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
 
 
 class TestGradientAlignment:
@@ -323,23 +331,28 @@ class TestGradientAlignment:
         kernel[1, 0] = [0.5, 0.5]
         kernel[1, 1] = [1.0, 0.0]
         mdp = TabularMDP(kernel, np.zeros((2, 2)), 0.9, [0.5, 0.5])
-        theta = np.array([[1.0, -1.0], [0.3, 0.2]])
-        assert gradient_alignment_gap(mdp, theta) < 1e-8
+        expert = np.array([[0.9, 0.1], [0.5, 0.5]])
+        gaps = gradient_alignment_gap([(mdp, np.array([1.0, -0.3]), expert)])
+        assert gaps.model[0] < 1e-8
+        assert gaps.mce[0] > 1e-3
 
     def test_zero_on_random_instances(self):
         rng = np.random.default_rng(13)
+        cases = []
         for _ in range(10):
             mdp = random_mdp(rng)
-            theta = rng.normal(size=(mdp.n_states, mdp.n_actions))
-            assert gradient_alignment_gap(mdp, theta) < 1e-8
+            cases.append((mdp, rng.normal(size=mdp.n_states), dirichlet_expert(rng, mdp)))
+        gaps = gradient_alignment_gap(cases)
+        assert gaps.model.max() < 1e-8
+        assert gaps.mce.min() > 1e-4
 
-    def test_wrong_f_breaks_alignment(self):
-        # replacing the matched f with theta itself must show a real gap
+    def test_sample_shaping_breaks_alignment_on_stochastic_kernel(self):
+        # a single sampled successor is the wrong f once the kernel is stochastic
         rng = np.random.default_rng(14)
         mdp = random_mdp(rng, n_states=5, n_actions=3, gamma=0.9)
-        theta = rng.normal(size=(5, 3))
-        gap = gradient_alignment_gap(mdp, theta, f_override=theta)
-        assert gap > 1e-3
+        gaps = gradient_alignment_gap([(mdp, rng.normal(size=5), dirichlet_expert(rng, mdp))])
+        assert gaps.model[0] < 1e-8
+        assert gaps.sample[0] > 1e-3
 
 
 class TestExpertBuffer:

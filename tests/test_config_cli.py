@@ -364,14 +364,28 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("flags, key", [
         (["train", "--seed", "-1"], "seed"),
         (["compare", "--algorithms", "meairl,airl"], "algorithm"),
-    ], ids=["train_negative_seed", "compare_unknown_algorithm"])
+        (["verify-invariance", "--cases", "0"], "--cases"),
+        (["verify-invariance", "--cases", "-3"], "--cases"),
+        (["verify-invariance", "--alignment-cases", "0"], "--alignment-cases"),
+        (["verify-invariance", "--seed", "-1"], "--seed"),
+        (["verify-invariance", "--tol", "0"], "--tol"),
+        (["verify-invariance", "--tol", "nan"], "--tol"),
+        (["verify-invariance", "--tol", "inf"], "--tol"),
+        (["verify-bounds", "--instances", "0"], "--instances"),
+        (["verify-bounds", "--seed", "-1"], "--seed"),
+    ], ids=["train_negative_seed", "compare_unknown_algorithm",
+            "invariance_zero_cases", "invariance_negative_cases",
+            "invariance_zero_alignment_cases", "invariance_negative_seed",
+            "invariance_zero_tol", "invariance_nan_tol", "invariance_infinite_tol",
+            "bounds_zero_instances", "bounds_negative_seed"])
     def test_bad_command_line_override_exits_two(self, tmp_path, capsys, flags, key):
-        # overrides pass the same range checks as config values, before any write
+        # command-line values are range-checked like config values, before any write
         cfg_path = tmp_path / "micro.cfg"
         cfg_path.write_text(MICRO_CONFIG)
         demos = tmp_path / "demos.txt"
-        code = main(flags + ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
-                             "--demos", str(demos)])
+        if not flags[0].startswith("verify"):
+            flags = flags + ["--config", str(cfg_path), "--demos", str(demos)]
+        code = main(flags + ["--out", str(tmp_path / "o")])
         assert code == 2
         assert key in capsys.readouterr().err
         assert not demos.exists()

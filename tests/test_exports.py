@@ -17,7 +17,6 @@ PACKAGE = Path(meairl.__file__).parent
 AWAITING_CALLER = {
     "greedy_policy": "ROADMAP item 1: the policy deployed by criterion 5's re-paired gap",
     "policy_value": "ROADMAP item 1: that policy's value on the true MDP",
-    "mce_irl_gradient": "ROADMAP item 2: the MCE side of criterion 3's gradient identity",
 }
 
 

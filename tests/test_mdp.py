@@ -96,16 +96,22 @@ def occupancy_linear_solve(mdp, policy):
     return policy.probs * ds[:, None]
 
 
+def occupancy(mdp, policy, **kwargs):
+    [d] = discounted_occupancy([(mdp.kernel, mdp.init_dist, mdp.discount)], [policy.probs],
+                               **kwargs)
+    return d
+
+
 class TestOccupancy:
     def test_single_pair_gets_all_mass(self):
-        d = discounted_occupancy(one_state_mdp(), TabularPolicy([[1.0]]), tol=1e-12)
+        d = occupancy(one_state_mdp(), TabularPolicy([[1.0]]), tol=1e-12)
         assert np.allclose(d, [[1.0]], atol=1e-10)
 
     def test_small_gamma_limit(self):
         rng = np.random.default_rng(1)
         mdp = random_mdp(rng, n_states=4, n_actions=2, gamma=1e-9)
         pol = random_policy(rng, 4, 2)
-        d = discounted_occupancy(mdp, pol, tol=1e-13)
+        d = occupancy(mdp, pol, tol=1e-13)
         expected = mdp.init_dist[:, None] * pol.probs
         assert np.max(np.abs(d - expected)) < 1e-6
 
@@ -114,7 +120,7 @@ class TestOccupancy:
         for _ in range(10):
             mdp = random_mdp(rng, n_states=4, n_actions=2)
             pol = random_policy(rng, 4, 2)
-            d_iter = discounted_occupancy(mdp, pol, tol=1e-12)
+            d_iter = occupancy(mdp, pol, tol=1e-12)
             d_solve = occupancy_linear_solve(mdp, pol)
             assert np.max(np.abs(d_iter - d_solve)) < 1e-8
 
@@ -123,7 +129,7 @@ class TestOccupancy:
         for _ in range(10):
             mdp = random_mdp(rng)
             pol = random_policy(rng, mdp.n_states, mdp.n_actions)
-            d = discounted_occupancy(mdp, pol, tol=1e-10)
+            d = occupancy(mdp, pol, tol=1e-10)
             assert (d >= -1e-12).all()
             assert abs(d.sum() - 1.0) < 1e-8
 

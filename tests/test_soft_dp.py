@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from helpers import instance, random_mdp, random_policy, soft_policy_value_by_solve
 from meairl import (ConvergenceError, SoftValues, TabularMDP, TabularPolicy,
-                    finite_horizon_policy_value, greedy_policy,
+                    discounted_occupancy, finite_horizon_policy_value, greedy_policy,
                     hard_value_iteration, policy_value, soft_optimal_policy,
                     soft_value_iteration)
 from meairl.soft_dp import ORACLE_MAX_ITERS, soft_backup
@@ -302,15 +302,17 @@ class TestStackedSolves:
     def test_stack_matches_one_at_a_time(self, specs, seed, max_iters):
         # a stack of B instances against B stacks of one
         rng = np.random.default_rng(seed)
-        instances, policies = [], []
+        instances, policies, starts = [], [], []
         for n_states, n_actions, gamma in specs:
             kernel = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
             reward = rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
             instances.append((kernel, reward, gamma))
             policies.append(rng.dirichlet(np.ones(n_actions), size=n_states))
+            starts.append((kernel, rng.dirichlet(np.ones(n_states)), gamma))
         for solve, columns in ((soft_value_iteration, [instances]),
                                (hard_value_iteration, [instances]),
-                               (policy_value, [instances, policies])):
+                               (policy_value, [instances, policies]),
+                               (discounted_occupancy, [starts, policies])):
             solo = [_solve_or_none(solve, *[c[i:i + 1] for c in columns], max_iters=max_iters)
                     for i in range(len(instances))]
             if any(result is None for result in solo):
@@ -320,7 +322,7 @@ class TestStackedSolves:
                 continue
             stacked = solve(*columns, max_iters=max_iters)
             for got, [want] in zip(stacked, solo, strict=True):
-                if solve is policy_value:
+                if solve in (policy_value, discounted_occupancy):
                     assert got.tobytes() == want.tobytes()
                     continue
                 assert got.q.tobytes() == want.q.tobytes()
