@@ -93,6 +93,7 @@ class Discriminator:
 
         g(s) rather than a free r(s, a), so that the shaping rule decides
         which advantages f can represent (see the module docstring).
+        `dynamics` is the (S, A, S) kernel array, read afresh on every call.
         """
         return cls("tabular", discount, dynamics, shaping,
                    r_table=np.zeros(n_states),
@@ -133,14 +134,11 @@ class Discriminator:
             self.r_net.params = value[:split]
             self.phi_net.params = value[split:]
 
-    def _dyn_kernel(self) -> np.ndarray:
-        return getattr(self.dynamics, "kernel", self.dynamics)
-
     def _f_tabular(self, states, actions, next_states):
         states = np.asarray(states, dtype=np.int64)
         actions = np.asarray(actions, dtype=np.int64)
         if self.shaping == "model":
-            rows = self._dyn_kernel()[states, actions]
+            rows = self.dynamics[states, actions]
             expected_phi = rows @ self.phi_table
         else:
             if next_states is None:
@@ -258,14 +256,13 @@ def _cross_entropy_terms(f, log_pi, expert):
 def _tabular_grads(disc, expert, policy):
     g_r = np.zeros_like(disc.r_table)
     g_phi = np.zeros_like(disc.phi_table)
-    kernel = disc._dyn_kernel() if disc.shaping == "model" else None
     for states, actions, next_states, df in (expert, policy):
         states = np.asarray(states, dtype=np.int64)
         actions = np.asarray(actions, dtype=np.int64)
         np.add.at(g_r, states, df)
         np.add.at(g_phi, states, -df)
         if disc.shaping == "model":
-            g_phi += disc.discount * np.einsum("b,bp->p", df, kernel[states, actions])
+            g_phi += disc.discount * np.einsum("b,bp->p", df, disc.dynamics[states, actions])
         else:
             np.add.at(g_phi, np.asarray(next_states, dtype=np.int64), disc.discount * df)
     return np.concatenate([g_r, g_phi])

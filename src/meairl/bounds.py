@@ -136,40 +136,25 @@ class BoundCheckRow:
     bound: float
     ratio: float
     passed: bool
-    witness_rescaled: bool = False
-
-
-def _premise_witness(problem: IrlProblem):
-    """Clamp the witness into the value-norm premise, noting if it moved."""
-    witness = problem.witness
-    v_cap = problem.r_max / (1.0 - problem.mdp.discount)
-    v_norm = float(np.max(np.abs(witness.v))) if witness.v.size else 0.0
-    if v_norm <= v_cap or v_norm == 0.0:
-        return witness, False
-    scaled = FeasibleRewardWitness(v=witness.v * (v_cap / v_norm),
-                                   support=witness.support, xi=witness.xi)
-    return scaled, True
 
 
 def verify_reward_error_bound(problem: IrlProblem, instance_id: int = 0) -> BoundCheckRow:
     """Sup-norm gap between rewards recovered under the two kernels.
 
     The same witness parameterizes both constructions, so the penalty
-    term cancels and the gap isolates the kernel error. A witness whose
-    value norm exceeds the premise is scaled down (and flagged).
+    term cancels and the gap isolates the kernel error. `random_problem`
+    draws the witness inside the premise max|v| <= r_max / (1 - gamma).
     """
     gamma = problem.mdp.discount
     n_states = problem.mdp.n_states
     eps_t = problem.eps_t
     bound = reward_error_bound(gamma, n_states, eps_t, problem.r_max)
-    witness, rescaled = _premise_witness(problem)
-    r_true = feasible_reward(problem.mdp.kernel, witness, gamma)
-    r_model = feasible_reward(problem.model_kernel, witness, gamma)
+    r_true = feasible_reward(problem.mdp.kernel, problem.witness, gamma)
+    r_model = feasible_reward(problem.model_kernel, problem.witness, gamma)
     observed = float(np.max(np.abs(r_true - r_model)))
     ratio = observed / bound if bound > 0.0 else 0.0
     return BoundCheckRow(instance_id, gamma, n_states, eps_t, observed, bound,
-                         ratio, passed=observed <= bound + 1e-9,
-                         witness_rescaled=rescaled)
+                         ratio, passed=observed <= bound + 1e-9)
 
 
 def verify_performance_difference_bound(problems, instance_ids) -> list:
@@ -185,19 +170,17 @@ def verify_performance_difference_bound(problems, instance_ids) -> list:
     instances, inputs = [], []
     for problem in problems:
         gamma = problem.mdp.discount
-        witness, rescaled = _premise_witness(problem)
         for kernel in (problem.mdp.kernel, problem.model_kernel):
-            instances.append((kernel, feasible_reward(kernel, witness, gamma), gamma))
-        inputs.append((gamma, problem.mdp.n_states, problem.eps_t, problem.r_max, rescaled))
+            instances.append((kernel, feasible_reward(kernel, problem.witness, gamma), gamma))
+        inputs.append((gamma, problem.mdp.n_states, problem.eps_t, problem.r_max))
     values = hard_value_iteration(instances)
     rows = []
-    for i, (gamma, n_states, eps_t, r_max, rescaled) in enumerate(inputs):
+    for i, (gamma, n_states, eps_t, r_max) in enumerate(inputs):
         observed = float(np.max(np.abs(values[2 * i].v - values[2 * i + 1].v)))
         bound = performance_difference_bound(gamma, n_states, eps_t, r_max)
         ratio = observed / bound if bound > 0.0 else 0.0
         rows.append(BoundCheckRow(instance_ids[i], gamma, n_states, eps_t, observed,
-                                  bound, ratio, passed=observed <= bound + BOUND_DP_SLACK,
-                                  witness_rescaled=rescaled))
+                                  bound, ratio, passed=observed <= bound + BOUND_DP_SLACK))
     return rows
 
 

@@ -56,8 +56,8 @@ def _row_sample_batch(cumulative_rows, rng):
 class TabularMDP:
     """Finite MDP: kernel T[s, a, s'], reward R[s, a], discount, start distribution.
 
-    Arrays are validated and frozen at construction; derived views (the
-    flattened kernel, cumulative rows for sampling) are cached.
+    Arrays are validated and frozen at construction; the cumulative rows
+    for sampling are cached.
     """
 
     def __init__(self, kernel, reward, discount, init_dist, r_max=None):
@@ -90,7 +90,6 @@ class TabularMDP:
         self.discount = float(discount)
         self.init_dist = init_dist
         self.r_max = float(r_max)
-        self._kernel_2d = kernel.reshape(n_states * n_actions, n_states)
         self._kernel_cum = np.cumsum(kernel, axis=-1)
 
     @property
@@ -100,11 +99,6 @@ class TabularMDP:
     @property
     def n_actions(self) -> int:
         return self.kernel.shape[1]
-
-    @property
-    def kernel_2d(self) -> np.ndarray:
-        """Kernel reshaped to (S*A, S) for fast value backups."""
-        return self._kernel_2d
 
     def sample_init(self, rng) -> int:
         return _row_sample(np.cumsum(self.init_dist), rng)
@@ -131,14 +125,6 @@ class TabularPolicy:
     @classmethod
     def uniform(cls, n_states, n_actions) -> "TabularPolicy":
         return cls(np.full((n_states, n_actions), 1.0 / n_actions))
-
-    @property
-    def n_states(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.probs.shape[1]
 
     def sample(self, state, rng) -> int:
         return _row_sample(self._cum[state], rng)

@@ -1,7 +1,7 @@
 """Small feedforward nets with hand-rolled reverse-mode gradients and Adam.
 
 All parameters of a net live in one flat float64 vector, so optimizer
-state, checkpointing and finite-difference checks stay generic.
+state and finite-difference checks stay generic.
 
 A caller that will differentiate a forward pass asks for its tape,
 `out, tape = net.forward(x, tape=True)`, and hands it to
@@ -183,23 +183,3 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     v_hat = state.v / (1.0 - state.beta2 ** state.step)
     return params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
-
-def save_params(path, sizes, params) -> None:
-    """Text checkpoint: layer sizes on the first line, one float per line after.
-
-    repr() floats round-trip bit-exactly through load_params.
-    """
-    lines = [" ".join(str(int(s)) for s in sizes)]
-    lines += [repr(float(p)) for p in np.asarray(params).ravel()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_params(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"empty checkpoint file {path}")
-    sizes = [int(tok) for tok in lines[0].split()]
-    params = np.array([float(line) for line in lines[1:]], dtype=np.float64)
-    return sizes, params

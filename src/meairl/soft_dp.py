@@ -12,8 +12,9 @@ whose fixed point gives the soft-optimal policy pi(a|s) = exp(Q - V).
 list of (kernel, reward, discount) instances, `discounted_occupancy` a
 list of (kernel, init_dist, discount) instances, and a single MDP is a
 list of one. Every solver runs one stacked kernel, `_iterate`, over the
-instances that share (S, A), so each numpy call of a sweep serves the
-whole stack. Each instance stops at its own sweep, and stacking changes
+instances that share (S, A): a sweep is one `soft_backup` or `hard_backup`
+of the whole stack, so each numpy call serves every instance. Each
+instance stops at its own sweep, and stacking changes
 neither its arithmetic nor its result: an instance solved in a stack
 gets, bit for bit, what it gets in a stack of one. Instances are plain
 arrays, not validated `TabularMDP`s, so a verifier pays no validation per
@@ -47,19 +48,17 @@ def logsumexp(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarr
 
 @dataclass
 class SoftValues:
-    """Soft fixed point: q, v = logsumexp_a q, adv = q - v, final sup-norm residual."""
+    """Soft fixed point: q, v = logsumexp_a q, adv = q - v."""
 
     q: np.ndarray
     v: np.ndarray
     adv: np.ndarray
-    residual: float
 
 
 @dataclass
 class HardValues:
     q: np.ndarray
     v: np.ndarray
-    residual: float
 
 
 class _Stack(NamedTuple):
@@ -70,9 +69,6 @@ class _Stack(NamedTuple):
     kernel_2d: np.ndarray
     reward: np.ndarray
     discount: np.ndarray
-
-    def take(self, rows) -> "_Stack":
-        return _Stack(self.kernel_2d[rows], self.reward[rows], self.discount[rows])
 
     def keep(self, rows) -> "_Stack":
         """The stack without the rows not kept, for a stack that owns its kernels.
@@ -88,32 +84,26 @@ class _Stack(NamedTuple):
         return _Stack(self.kernel_2d[:len(kept)], self.reward[rows], self.discount[rows])
 
 
-def soft_backup(mdp: TabularMDP, q: np.ndarray) -> np.ndarray:
-    """One application of the soft Bellman operator.
-
-    `mdp` is a TabularMDP with q of shape (S, A), or a `_Stack` with q of
-    shape (B, S, A).
-    """
+def soft_backup(stack: _Stack, q: np.ndarray) -> np.ndarray:
+    """One application of the soft Bellman operator to every instance of a
+    stack, q of shape (B, S, A)."""
     v = logsumexp(q, axis=-1, keepdims=True)
-    return mdp.reward + (mdp.discount * (mdp.kernel_2d @ v)).reshape(q.shape)
+    return stack.reward + (stack.discount * (stack.kernel_2d @ v)).reshape(q.shape)
 
 
-def hard_backup(mdp: TabularMDP, q: np.ndarray) -> np.ndarray:
+def hard_backup(stack: _Stack, q: np.ndarray) -> np.ndarray:
     v = np.maximum.reduce(q, axis=-1, keepdims=True)
-    return mdp.reward + (mdp.discount * (mdp.kernel_2d @ v)).reshape(q.shape)
+    return stack.reward + (stack.discount * (stack.kernel_2d @ v)).reshape(q.shape)
 
 
 def _iterate(backup, stack: _Stack, q: np.ndarray, tol, max_iters, what):
     """Sweep every instance of the stack from q until its residual is <= tol.
 
-    An instance's result is its first iterate within tol, and its residual
-    comes from one more backup of that iterate. Instances leave the stack
-    on the sweep they converge, so the stack is compacted only on sweeps
-    where some instance converges. Returns (q, residual), ordered like
-    the stack.
+    An instance's result is its first iterate within tol of the one before,
+    and it leaves the stack on that sweep, so the stack is compacted only
+    on sweeps where some instance converges. Returns q, ordered like the stack.
     """
     q_out = np.empty_like(q)
-    res_out = np.empty(len(q))
     live = np.arange(len(q))
     res = np.full(len(q), np.inf)
     for _ in range(max_iters):
@@ -122,12 +112,9 @@ def _iterate(backup, stack: _Stack, q: np.ndarray, tol, max_iters, what):
         q = q_new
         if res[res.argmin()] <= tol:  # a third the cost of a ufunc reduction
             done = res <= tol
-            q_done = q[done]
-            q_out[live[done]] = q_done
-            res_out[live[done]] = np.maximum.reduce(
-                np.abs(backup(stack.take(done), q_done) - q_done), axis=(1, 2))
+            q_out[live[done]] = q[done]
             if done.all():
-                return q_out, res_out
+                return q_out
             keep = ~done
             stack, q, live = stack.keep(keep), q[keep], live[keep]
     worst = float(res.max())
@@ -145,7 +132,7 @@ def _by_shape(arrays) -> list:
 
 
 def _solve(backup, instances, q_inits, tol, max_iters, what) -> list:
-    """(q, residual) of every (kernel, reward, discount) instance, in stacks of one (S, A).
+    """The q of every (kernel, reward, discount) instance, solved in stacks of one (S, A).
 
     A kernel is (S, A, S), or already flattened to (S*A, S). S is never
     padded to stack unequal instances: a padded kernel changes the BLAS
@@ -160,9 +147,9 @@ def _solve(backup, instances, q_inits, tol, max_iters, what) -> list:
                        np.repeat(discounts[:, None, None], kernels.shape[1], axis=1))
         q = np.zeros(stack.reward.shape) if q_inits is None \
             else np.stack([np.asarray(q_inits[i], dtype=np.float64) for i in idx])
-        q, res = _iterate(backup, stack, q, tol, max_iters, what)
+        q = _iterate(backup, stack, q, tol, max_iters, what)
         for j, i in enumerate(idx):
-            out[i] = (q[j], float(res[j]))
+            out[i] = q[j]
     return out
 
 
@@ -170,10 +157,9 @@ def soft_value_iteration(instances, tol: float = ORACLE_TOL,
                          max_iters: int = ORACLE_MAX_ITERS) -> list:
     """Soft fixed points of (kernel, reward, discount) instances, in their order."""
     out = []
-    for q, residual in _solve(soft_backup, instances, None, tol, max_iters,
-                              "value iteration"):
+    for q in _solve(soft_backup, instances, None, tol, max_iters, "value iteration"):
         v = logsumexp(q, axis=1)
-        out.append(SoftValues(q=q, v=v, adv=q - v[:, None], residual=residual))
+        out.append(SoftValues(q=q, v=v, adv=q - v[:, None]))
     return out
 
 
@@ -187,9 +173,8 @@ def soft_optimal_policy(values: SoftValues) -> TabularPolicy:
 def hard_value_iteration(instances, tol: float = ORACLE_TOL,
                          max_iters: int = ORACLE_MAX_ITERS) -> list:
     """Hard (max) fixed points of (kernel, reward, discount) instances, in their order."""
-    return [HardValues(q=q, v=q.max(axis=1), residual=residual)
-            for q, residual in _solve(hard_backup, instances, None, tol, max_iters,
-                                      "value iteration")]
+    return [HardValues(q=q, v=q.max(axis=1))
+            for q in _solve(hard_backup, instances, None, tol, max_iters, "value iteration")]
 
 
 def greedy_policy(values: HardValues) -> TabularPolicy:
@@ -210,8 +195,8 @@ def policy_value(instances, policies, tol: float = ORACLE_TOL,
     evaluations = [(np.einsum("sa,sap->sp", probs, kernel),
                     np.einsum("sa,sa->s", probs, reward)[:, None], gamma)
                    for (kernel, reward, gamma), probs in zip(instances, policies)]
-    return [q[:, 0] for q, _ in _solve(hard_backup, evaluations, None, tol, max_iters,
-                                       "policy evaluation")]
+    return [q[:, 0] for q in _solve(hard_backup, evaluations, None, tol, max_iters,
+                                    "policy evaluation")]
 
 
 def discounted_occupancy(instances, policies, tol: float = ORACLE_TOL,
@@ -228,7 +213,7 @@ def discounted_occupancy(instances, policies, tol: float = ORACLE_TOL,
         rho0 = np.asarray(init_dist, dtype=np.float64)[:, None]
         flows.append((np.einsum("sa,sap->sp", probs, kernel).T, (1.0 - gamma) * rho0, gamma))
         starts.append(rho0)
-    return [probs * d for probs, (d, _) in
+    return [probs * d for probs, d in
             zip(policies, _solve(hard_backup, flows, starts, tol, max_iters,
                                  "occupancy iteration"))]
 

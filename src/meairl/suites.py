@@ -81,6 +81,8 @@ def run_invariance_suite(n_cases: int = 200, tol: float = 1e-8, seed: int = 0,
     Half the cases use unit-scale potentials, half use potentials up to a
     hundred times the reward scale to stress cancellation.
     """
+    if n_cases < 1:
+        raise ValueError(f"n_cases must be >= 1, got {n_cases}")
     rng = as_generator(seed)
     start = time.perf_counter()
     bases, shaped, phis = [], [], []
@@ -93,10 +95,10 @@ def run_invariance_suite(n_cases: int = 200, tol: float = 1e-8, seed: int = 0,
         phis.append(phi)
     values = soft_value_iteration(bases + shaped, tol=dp_tol)
     base_values, shaped_values = values[:n_cases], values[n_cases:]
-    max_adv = max([0.0] + [check_policy_invariance(a, b)
-                           for a, b in zip(base_values, shaped_values)])
-    max_shift = max([0.0] + [q_shift_identity_gap(a, b, phi)
-                             for a, b, phi in zip(base_values, shaped_values, phis)])
+    max_adv = max(check_policy_invariance(a, b)
+                  for a, b in zip(base_values, shaped_values))
+    max_shift = max(q_shift_identity_gap(a, b, phi)
+                    for a, b, phi in zip(base_values, shaped_values, phis))
     elapsed = time.perf_counter() - start
     return InvarianceSuiteReport(n_cases, max_adv, max_shift, tol,
                                  passed=(max_adv <= tol and max_shift <= tol),
@@ -111,6 +113,8 @@ def run_alignment_suite(n_cases: int = 50, tol: float = 1e-8, seed: int = 0,
     the expert's occupancy differs from the learner's and the MCE side is
     not zero.
     """
+    if n_cases < 1:
+        raise ValueError(f"n_cases must be >= 1, got {n_cases}")
     rng = as_generator(seed)
     start = time.perf_counter()
     cases = []

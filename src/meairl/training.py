@@ -7,8 +7,8 @@ state), takes the environment step, stores the real transition and takes
 a model step. Past pretraining the adversarial variants then take
 a discriminator step, push a short model rollout into a second buffer and
 take a policy step on a batch whose synthetic share follows a ramped
-schedule; behavior cloning takes a BC step instead. Evaluation rows and
-checkpoints follow on their periods.
+schedule; behavior cloning takes a BC step instead. Evaluation rows
+follow on their period.
 Variants:
 
   meairl               model inside the shaping term + synthetic data
@@ -39,7 +39,6 @@ generators of one seed, so records are bit-reproducible.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -52,7 +51,7 @@ from .dynamics import (GaussianDynamicsModel, TabularDynamicsEstimate,
                        rollout_synthetic, tv_distance)
 from .mdp import (ContinuousEnv, TabularEnv, TabularPolicy,
                   sample_trajectory, save_continuous_demos, save_tabular_demos)
-from .neural import AdamState, Mlp, adam_step, save_params
+from .neural import AdamState, Mlp, adam_step
 from .policy_opt import SAC_LR, SacAgent
 from .seeding import as_generator, spawn_streams
 from .soft_dp import logsumexp, soft_optimal_policy, soft_value_iteration
@@ -144,8 +143,6 @@ class TrainingConfig:
     use_synthetic: bool = True
     eval_period: int = 1_000
     eval_episodes: int = 10
-    checkpoint_period: int = 0
-    checkpoint_dir: str = ""
     algorithm: str = "meairl"
     seed: int = 0
 
@@ -164,10 +161,8 @@ class TrainingConfig:
             value = getattr(self, name)
             if any(width < 1 for width in value):
                 raise ValueError(f"every width in {name} must be >= 1, got {value}")
-        for name in ("checkpoint_period", "seed"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.discount < 1.0:
             raise ValueError(f"discount must lie in (0, 1), got {self.discount}")
         if not 0.0 < self.disc_lr < float("inf"):
@@ -226,7 +221,7 @@ class _Run:
     A subclass sets `reset`, `step` (returning the successor only),
     `horizon`, `actor` (what acts and rolls out), `pi` (what the
     discriminator scores against), `model`, `disc` and `disc_adam`, and
-    defines the four differing parts plus `evaluate` and `checkpoint_params`.
+    defines the four differing parts plus `evaluate` and `model_columns`.
     """
 
     def __init__(self, env, expert, config, **buffer_kwargs):
@@ -280,9 +275,6 @@ class _Run:
                 model_nll, eps_t = self.model_columns()
                 record.rows.append(EvalRow(t, mean, std, last_disc_loss, model_nll,
                                            eps_t, self.synthetic_fraction(t)))
-            if (config.checkpoint_period and config.checkpoint_dir
-                    and t % config.checkpoint_period == 0):
-                self.checkpoint(t)
         return record
 
     def disc_step(self, t) -> float:
@@ -317,15 +309,6 @@ class _Run:
         if n_syn == 0:
             return real
         return tuple(np.concatenate(pair) for pair in zip(real, self.d_gen.sample(n_syn, rng)))
-
-    def checkpoint(self, t) -> None:
-        named = self.checkpoint_params()
-        if self.disc is not None:
-            named["disc"] = ([self.disc.n_params], self.disc.params)
-        os.makedirs(self.config.checkpoint_dir, exist_ok=True)
-        for name, (sizes, params) in named.items():
-            save_params(os.path.join(self.config.checkpoint_dir, f"step{t}_{name}.txt"),
-                        sizes, params)
 
 
 def _bc_policy_tabular(expert: ExpertBuffer, n_states: int, n_actions: int) -> TabularPolicy:
@@ -366,8 +349,8 @@ class _TabularRun(_Run):
         if self.model_based:
             self.model = TabularDynamicsEstimate(n_states, n_actions, alpha=MODEL_ALPHA)
         if config.algorithm != "bc_none":
-            self.disc = Discriminator.tabular(n_states, mdp.discount, dynamics=self.model,
-                                              shaping=self.shaping)
+            kernel = self.model.kernel if self.model is not None else None
+            self.disc = Discriminator.tabular(n_states, mdp.discount, kernel, self.shaping)
             self.disc_adam = AdamState.for_params(self.disc.params, lr=config.disc_lr)
             self.policy = TabularPolicy.uniform(n_states, n_actions)
             self.q_pol = np.zeros((n_states, n_actions))
@@ -416,10 +399,6 @@ class _TabularRun(_Run):
         es, ea, en = self.d_env.newest(256)
         return (self.model.nll(es, ea, en),
                 tv_distance(self.env.mdp.kernel, self.model.kernel)[0])
-
-    def checkpoint_params(self) -> dict:
-        return {"policy": ([self.policy.n_states, self.policy.n_actions],
-                           self.policy.probs.ravel())}
 
 
 def evaluate_continuous_policy(env: ContinuousEnv, act_fn, episodes: int, rng):
@@ -508,11 +487,6 @@ class _ContinuousRun(_Run):
     def model_columns(self):
         """(the last model step's NLL, NaN: there is no true kernel to compare)."""
         return self.last_model_nll, float("nan")
-
-    def checkpoint_params(self) -> dict:
-        if self.bc_net is not None:
-            return {}
-        return {"actor": (self.agent.actor.sizes, self.agent.actor.params)}
 
 
 def generate_expert(env, seed: int, n_episodes: int, out_path,

@@ -277,15 +277,20 @@ class TestCliExitCodes:
         "rollout_starts", "disc_updates_per_step", "policy_updates_per_step",
         "env_buffer_capacity", "model_lr", "model_alpha", "model_clip_norm",
         "policy_td_rate", "sac_lr", "alpha_ent", "tau", "gen_buffer_init",
-        "gen_buffer_growth", "gen_buffer_max"])
+        "gen_buffer_growth", "gen_buffer_max",
+        # checkpoint files, which nothing read back
+        "checkpoint_period", "checkpoint_dir"])
     def test_retired_mix_schedule_keys_exit_two(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "old.cfg"
         cfg_path.write_text(MICRO_CONFIG.replace("batch_size = 32",
                                                  f"batch_size = 32\n{key} = 0.1"))
+        demos = tmp_path / "demos.txt"
         for command in ("train", "compare"):
-            code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+            code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "--demos", str(demos)])
             assert code == 2
             assert f"unknown key '{key}'" in capsys.readouterr().err
+            assert not demos.exists()
             assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])
@@ -313,13 +318,12 @@ class TestCliExitCodes:
         ("batch_size = 32", "batch_size = 32\ndisc_hidden = 0"),
         ("batch_size = 32", "batch_size = 32\nmodel_hidden = 8,0"),
         ("batch_size = 32", "batch_size = 32\nsac_hidden = 64,-1"),
-        ("batch_size = 32", "batch_size = 32\ncheckpoint_period = -20"),
         ("batch_size = 32", "batch_size = 32\ndiscount = 1.5"),
         ("batch_size = 32", "batch_size = 32\nseed = -1"),
         ("seeds = 0,1", "seeds = 0,-1"),
     ], ids=["slip_one", "zero_width", "zero_height", "negative_disc_lr",
             "zero_model_samples", "zero_disc_width", "zero_model_width",
-            "negative_sac_width", "negative_checkpoint_period", "train_discount_above_one",
+            "negative_sac_width", "train_discount_above_one",
             "negative_train_seed", "negative_run_seed"])
     def test_bad_value_exits_two(self, tmp_path, capsys, old, new):
         # refused from the config, before the expert is generated or any run is trained
@@ -559,8 +563,6 @@ FIELD_RANGES = {
     ("train", "use_synthetic"): (st.booleans(), st.sampled_from(["yes", "no", "1", "0", "on"])),
     ("train", "eval_period"): (POSITIVE, BELOW_ONE | st.integers(min_value=301)),
     ("train", "eval_episodes"): (POSITIVE, BELOW_ONE),
-    ("train", "checkpoint_period"): (st.integers(0, 10 ** 6), NEGATIVE),
-    ("train", "checkpoint_dir"): (WORD, None),
     ("train", "algorithm"): (st.sampled_from(ALGORITHMS),
                              WORD.filter(lambda w: w not in ALGORITHMS)),
     ("train", "seed"): (st.integers(0, 2 ** 32 - 1), NEGATIVE),

@@ -1,4 +1,4 @@
-"""MLP substrate: forward/backward against finite differences, Adam, checkpoints."""
+"""MLP substrate: forward/backward against finite differences, Adam, initialisation."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import finite_difference_grad, max_rel_err, reference_backward
 from meairl import AdamState, Mlp, adam_step
-from meairl.neural import clip_by_global_norm, load_params, save_params
+from meairl.neural import clip_by_global_norm
 
 
 class TestForward:
@@ -167,24 +167,7 @@ class TestAdam:
 
 
 class TestCheckpoints:
-    def test_bit_exact_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        net = Mlp([4, 7, 2], output="tanh", rng=rng)
-        path = tmp_path / "net.txt"
-        save_params(path, net.sizes, net.params)
-        sizes, params = load_params(path)
-        loaded = Mlp(sizes, output="tanh", params=params)
-        assert loaded.sizes == net.sizes
-        assert np.array_equal(loaded.params, net.params)
-
-    def test_raw_params_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        values = rng.normal(size=11) * 10.0 ** rng.integers(-8, 8, size=11)
-        path = tmp_path / "params.txt"
-        save_params(path, [11], values)
-        sizes, loaded = load_params(path)
-        assert sizes == [11]
-        assert np.array_equal(loaded, values)
+    """A net's flat parameter vector as initialised."""
 
     def test_seeded_init_is_deterministic(self):
         a = Mlp([3, 5, 1], rng=np.random.default_rng(9))

@@ -13,7 +13,7 @@ from meairl import (ConvergenceError, SoftValues, TabularMDP, TabularPolicy,
                     discounted_occupancy, finite_horizon_policy_value, greedy_policy,
                     hard_value_iteration, policy_value, soft_optimal_policy,
                     soft_value_iteration)
-from meairl.soft_dp import ORACLE_MAX_ITERS, soft_backup
+from meairl.soft_dp import ORACLE_MAX_ITERS
 
 
 def one_state_mdp(gamma=0.5, reward=1.0):
@@ -39,13 +39,17 @@ def value_of(mdp, policy, **kwargs):
     return v
 
 
+def soft_backup_reference(mdp, q):
+    """One soft Bellman sweep, written independently of the library."""
+    v = np.log(np.exp(q - q.max(axis=1, keepdims=True)).sum(axis=1)) + q.max(axis=1)
+    return mdp.reward + mdp.discount * np.einsum("sap,p->sa", mdp.kernel, v)
+
+
 def soft_vi_reference(mdp, sweeps):
     """Plain fixed-count sweep loop, written independently of the library."""
     q = np.zeros((mdp.n_states, mdp.n_actions))
     for _ in range(sweeps):
-        v = np.log(np.exp(q - q.max(axis=1, keepdims=True)).sum(axis=1)) \
-            + q.max(axis=1)
-        q = mdp.reward + mdp.discount * np.einsum("sap,p->sa", mdp.kernel, v)
+        q = soft_backup_reference(mdp, q)
     return q
 
 
@@ -85,9 +89,10 @@ class TestSoftValueIteration:
         rng = np.random.default_rng(12)
         mdp = random_mdp(rng, gamma=0.9)
         values = soft_vi(mdp, tol=1e-10)
-        # the reported residual is the true one-sweep Bellman residual
-        assert np.max(np.abs(soft_backup(mdp, values.q) - values.q)) <= values.residual + 1e-15
-        assert values.residual <= 1e-10
+        # the result is within tol of the iterate before it, so one more
+        # sweep moves it by at most gamma * tol (rounding aside)
+        residual = np.max(np.abs(soft_backup_reference(mdp, values.q) - values.q))
+        assert residual <= mdp.discount * 1e-10 + 1e-14
 
     def test_residual_monotone_after_first_sweep(self):
         rng = np.random.default_rng(13)
@@ -96,7 +101,7 @@ class TestSoftValueIteration:
             q = np.zeros((mdp.n_states, mdp.n_actions))
             residuals = []
             for _ in range(30):
-                nxt = soft_backup(mdp, q)
+                nxt = soft_backup_reference(mdp, q)
                 residuals.append(np.max(np.abs(nxt - q)))
                 q = nxt
             assert all(residuals[i + 1] <= residuals[i] + 1e-12
@@ -119,14 +124,14 @@ class TestSoftOptimalPolicy:
 
     def test_dominant_action(self):
         adv = np.array([[0.0, -1e9]])
-        values = SoftValues(q=adv, v=np.zeros(1), adv=adv, residual=0.0)
+        values = SoftValues(q=adv, v=np.zeros(1), adv=adv)
         pol = soft_optimal_policy(values)
         assert abs(pol.probs[0, 0] - 1.0) < 1e-12
         assert pol.probs[0, 1] < 1e-12
 
     def test_exp_of_log_probabilities(self):
         adv = np.log(np.array([[0.7, 0.3]]))
-        values = SoftValues(q=adv, v=np.zeros(1), adv=adv, residual=0.0)
+        values = SoftValues(q=adv, v=np.zeros(1), adv=adv)
         pol = soft_optimal_policy(values)
         assert np.allclose(pol.probs, [[0.7, 0.3]], atol=1e-12)
 
@@ -327,13 +332,12 @@ class TestStackedSolves:
                     continue
                 assert got.q.tobytes() == want.q.tobytes()
                 assert got.v.tobytes() == want.v.tobytes()
-                assert got.residual == want.residual
 
     def test_slow_instance_fails_the_stack(self):
         rng = np.random.default_rng(30)
         fast, slow = (random_mdp(rng, n_states=4, n_actions=2, gamma=g) for g in (0.5, 0.99))
         instances = [instance(m) for m in (fast, slow)]
-        assert hard_value_iteration(instances[:1], max_iters=60)[0].residual <= 1e-10
+        hard_value_iteration(instances[:1], max_iters=60)  # converges alone
         with pytest.raises(ConvergenceError) as err:
             hard_value_iteration(instances, max_iters=60)
         assert err.value.residual > 1e-10

@@ -1,6 +1,7 @@
 """Tests for the batch verification suites."""
 
 import numpy as np
+import pytest
 
 from meairl.adversarial import gradient_alignment_gap
 from meairl.shaping import (INVARIANCE_DP_TOL, check_policy_invariance,
@@ -99,3 +100,11 @@ class TestAlignmentSuite:
         b = run_alignment_suite(n_cases=5, seed=9)
         assert (a.max_gap, a.max_mce, a.sample_defect) == (b.max_gap, b.max_mce,
                                                           b.sample_defect)
+
+
+@pytest.mark.parametrize("suite", [run_invariance_suite, run_alignment_suite])
+@pytest.mark.parametrize("n_cases", [0, -3])
+def test_suite_refuses_fewer_than_one_case(suite, n_cases):
+    # a suite over no cases has no verdict to give
+    with pytest.raises(ValueError, match="n_cases"):
+        suite(n_cases=n_cases)

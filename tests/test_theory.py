@@ -6,7 +6,7 @@ import pytest
 
 from helpers import instance
 from meairl import TabularMDP, hard_value_iteration, run_bound_sweep, tv_distance
-from meairl.bounds import (SWEEP_CSV_HEADER, FeasibleRewardWitness, IrlProblem,
+from meairl.bounds import (GAMMA_CHOICES, SWEEP_CSV_HEADER, FeasibleRewardWitness,
                            feasible_reward, performance_difference_bound, perturb_kernel,
                            random_problem, reward_error_bound, sweep_csv_text,
                            verify_performance_difference_bound, verify_reward_error_bound)
@@ -143,18 +143,17 @@ class TestRewardBoundVerifier:
                                       - feasible_reward(problem.model_kernel, witness, 0.9))))
         assert max(gaps) <= row.bound + 1e-9
 
-    def test_oversized_witness_is_rescaled_and_noted(self):
+    def test_drawn_witnesses_meet_the_value_premise(self):
+        # the bound assumes max|v| <= r_max / (1 - gamma); the sweeps check it
+        # on random_problem's witnesses as drawn, so every draw must meet it
         rng = np.random.default_rng(7)
-        problem = random_problem(rng, n_states=4, gamma=0.9)
-        cap = problem.r_max / (1.0 - 0.9)
-        big = FeasibleRewardWitness(np.full(4, 3.0 * cap),
-                                    problem.witness.support, problem.witness.xi)
-        loud = IrlProblem(problem.mdp, problem.model_kernel, big, problem.r_max)
-        row = verify_reward_error_bound(loud)
-        assert row.witness_rescaled
-        assert row.passed
-        quiet = verify_reward_error_bound(problem)
-        assert not quiet.witness_rescaled
+        gammas = set()
+        for _ in range(2000):
+            problem = random_problem(rng)
+            gamma = problem.mdp.discount
+            gammas.add(gamma)
+            assert np.max(np.abs(problem.witness.v)) <= problem.r_max / (1.0 - gamma)
+        assert gammas == set(GAMMA_CHOICES)
 
     def test_sweep_all_pass(self):
         rows = run_bound_sweep("reward", 50, seed=0)

@@ -10,12 +10,10 @@ from helpers import instance
 from meairl import (ExpertBuffer, Mlp, TabularEnv, TabularMDP, TabularPolicy,
                     TrainingConfig, generate_expert, load_demos, make_gridworld,
                     make_noisy_pointmass, policy_value, run_meairl,
-                    save_continuous_demos, soft_optimal_policy, soft_value_iteration,
-                    training)
-from meairl.neural import load_params
+                    save_continuous_demos, soft_optimal_policy, soft_value_iteration)
 from meairl.seeding import spawn_streams
 from meairl.training import (CSV_HEADER, EvalRow, TrainingDivergedError, TrainingRecord,
-                             evaluate_tabular_policy, mix_action)
+                             _TabularRun, evaluate_tabular_policy, mix_action)
 
 
 def small_grid_env(slip=0.1, width=3, height=3, goal=5.0, discount=0.9,
@@ -310,6 +308,22 @@ class TestTabularLoop:
         eps = [r.eps_t for r in record.rows]
         assert eps[-1] < eps[0]
 
+    def test_discriminator_reads_the_count_model_in_place(self, tmp_path):
+        # model shaping reads the count model's own kernel array, so a row
+        # the model step refreshes reaches the discriminator at once; a copy
+        # or a rebound array would leave f on the stale row
+        env = small_grid_env()
+        run = _TabularRun(env, expert_for(env, tmp_path), TrainingConfig(seed=4))
+        run.disc.params = np.random.default_rng(0).normal(size=run.disc.n_params)
+        s, a, s_next = 4, 1, 7
+        stale = run.model.kernel[s, a].copy()
+        run.model_step(1, s, a, s_next)
+        row = run.model.kernel[s, a]
+        assert not np.array_equal(row, stale)
+        g, phi = run.disc.r_table, run.disc.phi_table
+        want = g[s] + env.mdp.discount * (row @ phi) - phi[s]
+        assert abs(run.disc.f_values([s], [a])[0] - want) < 1e-12
+
 
 class TestContinuousLoop:
     def test_smoke_runs_and_records(self, tmp_path):
@@ -368,72 +382,6 @@ class TestContinuousLoop:
             run_meairl(env, expert, cfg)
         assert info.value.step >= 1
         assert "disc_loss" in info.value.snapshot
-
-
-class TestCheckpointing:
-    """Checkpoint files hold the run's parameters as they stand at the end."""
-
-    @staticmethod
-    def spy(monkeypatch, seen, evaluate_name):
-        real_disc = training.discriminator_loss_and_grads
-        real_eval = getattr(training, evaluate_name)
-
-        def disc_spy(disc, expert_batch, policy_batch, policy, **kwargs):
-            seen["disc"], seen["pi"] = disc, policy
-            return real_disc(disc, expert_batch, policy_batch, policy, **kwargs)
-
-        def eval_spy(env, policy, *args):
-            seen["evaluated"] = policy
-            return real_eval(env, policy, *args)
-
-        monkeypatch.setattr(training, "discriminator_loss_and_grads", disc_spy)
-        monkeypatch.setattr(training, evaluate_name, eval_spy)
-
-    @staticmethod
-    def check_files(ckpt, names):
-        assert sorted(os.listdir(ckpt)) == sorted(
-            f"step{t}_{name}.txt" for t in (150, 300) for name in names)
-        for name in names:
-            _, mid = load_params(ckpt / f"step150_{name}.txt")
-            _, last = load_params(ckpt / f"step300_{name}.txt")
-            assert not np.array_equal(mid, last)
-
-    def test_tabular_run(self, tmp_path, monkeypatch):
-        env = small_grid_env()
-        expert = expert_for(env, tmp_path)
-        seen = {}
-        self.spy(monkeypatch, seen, "evaluate_tabular_policy")
-        ckpt = tmp_path / "ckpt"
-        run_meairl(env, expert, TrainingConfig(
-            total_steps=300, pretrain_steps=100, eval_period=100, eval_episodes=2,
-            batch_size=32, checkpoint_period=150, checkpoint_dir=str(ckpt), seed=1))
-        self.check_files(ckpt, ("policy", "disc"))
-        sizes, probs = load_params(ckpt / "step300_policy.txt")
-        # the policy evaluated at the last step is the run's final policy
-        assert sizes == [9, 4]
-        assert np.array_equal(probs, seen["evaluated"].probs.ravel())
-        sizes, params = load_params(ckpt / "step300_disc.txt")
-        assert sizes == [seen["disc"].n_params]
-        assert np.array_equal(params, seen["disc"].params)
-
-    def test_continuous_run(self, tmp_path, monkeypatch):
-        env = make_noisy_pointmass(0.5)
-        expert = pointmass_expert(env, tmp_path)
-        seen = {}
-        self.spy(monkeypatch, seen, "evaluate_continuous_policy")
-        ckpt = tmp_path / "ckpt"
-        run_meairl(env, expert, TrainingConfig(
-            total_steps=300, pretrain_steps=100, eval_period=100, eval_episodes=1,
-            batch_size=32, model_hidden=(16,), disc_hidden=(16,), sac_hidden=(16,),
-            n_model_samples=2, checkpoint_period=150, checkpoint_dir=str(ckpt),
-            seed=0))
-        self.check_files(ckpt, ("actor", "disc"))
-        actor = seen["pi"].actor
-        sizes, params = load_params(ckpt / "step300_actor.txt")
-        assert sizes == actor.sizes
-        assert np.array_equal(params, actor.params)
-        _, params = load_params(ckpt / "step300_disc.txt")
-        assert np.array_equal(params, seen["disc"].params)
 
 
 class TestDivergedError:
