@@ -56,12 +56,11 @@ REWARD_CLAMP = 50.0
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u, dtype=np.float64)
-    pos = u >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    """1 / (1 + exp(-u)) for u >= 0 and exp(u) / (1 + exp(u)) below, so no
+    exp overflows; exp(-|u|) is the exp of either branch."""
+    e = np.exp(-np.abs(u))
+    d = 1.0 + e
+    return np.where(u >= 0.0, 1.0 / d, e / d)
 
 
 class Discriminator:
@@ -86,18 +85,26 @@ class Discriminator:
         self.r_net = r_net
         self.phi_net = phi_net
         self.n_model_samples = int(n_model_samples)
+        # Tabular batches index the tables raveled: row k of an (R, B) batch
+        # is offset to run k's block, so one flat gather serves every run.
+        self._offsets = (0 if r_table is None or r_table.ndim == 1
+                         else np.arange(r_table.shape[0])[:, None] * r_table.shape[-1])
 
     @classmethod
-    def tabular(cls, n_states, discount, dynamics=None, shaping="model") -> "Discriminator":
+    def tabular(cls, n_states, discount, dynamics=None, shaping="model",
+                runs=None) -> "Discriminator":
         """Zero-initialised tables of shape (S,): the state-only reward g(s) and phi.
 
         g(s) rather than a free r(s, a), so that the shaping rule decides
         which advantages f can represent (see the module docstring).
         `dynamics` is the (S, A, S) kernel array, read afresh on every call.
+        With `runs=R` the tables are (R, S), the kernel (R, S, A, S), the
+        parameters (R, 2S), and batches (R, B) with row k for run k.
         """
+        shape = (n_states,) if runs is None else (runs, n_states)
         return cls("tabular", discount, dynamics, shaping,
-                   r_table=np.zeros(n_states),
-                   phi_table=np.zeros(n_states))
+                   r_table=np.zeros(shape),
+                   phi_table=np.zeros(shape))
 
     @classmethod
     def continuous(cls, state_dim, action_dim, discount, dynamics=None, shaping="model",
@@ -110,43 +117,68 @@ class Discriminator:
 
     @property
     def n_params(self) -> int:
+        """Parameters per run."""
         if self.mode == "tabular":
-            return self.r_table.size + self.phi_table.size
+            return self.r_table.shape[-1] + self.phi_table.shape[-1]
         return self.r_net.n_params + self.phi_net.n_params
 
     @property
     def params(self) -> np.ndarray:
         if self.mode == "tabular":
-            return np.concatenate([self.r_table, self.phi_table])
+            return np.concatenate([self.r_table, self.phi_table], axis=-1)
         return np.concatenate([self.r_net.params, self.phi_net.params])
 
     @params.setter
     def params(self, value):
         value = np.asarray(value, dtype=np.float64)
-        if value.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} params, got shape {value.shape}")
+        runs = self.r_table.shape[:-1] if self.mode == "tabular" else ()
+        if value.shape != runs + (self.n_params,):
+            raise ValueError(f"expected params of shape {runs + (self.n_params,)}, "
+                             f"got {value.shape}")
         if self.mode == "tabular":
-            split = self.r_table.size
-            self.r_table[...] = value[:split]
-            self.phi_table[...] = value[split:]
+            split = self.r_table.shape[-1]
+            self.r_table[...] = value[..., :split]
+            self.phi_table[...] = value[..., split:]
         else:
             split = self.r_net.n_params
             self.r_net.params = value[:split]
             self.phi_net.params = value[split:]
 
-    def _f_tabular(self, states, actions, next_states):
-        states = np.asarray(states, dtype=np.int64)
-        actions = np.asarray(actions, dtype=np.int64)
+    def _flat(self, states):
+        """Indices of a batch's states into the raveled (R, S) tables."""
+        return np.asarray(states, dtype=np.int64) + self._offsets
+
+    def _kernel_rows(self, flat_states, actions):
+        """The model's successor rows at a batch's (state, action) pairs."""
+        kernel = self.dynamics
+        return np.take(kernel.reshape(-1, kernel.shape[-1]),
+                       flat_states * kernel.shape[-2] + np.asarray(actions, dtype=np.int64),
+                       axis=0)
+
+    def _tabular_batch(self, states, actions, next_states):
+        """A batch as tabular f and its gradient read it: the states' flat
+        indices and what the successor term reads, the model's kernel rows
+        at the batch's pairs (model shaping) or the successors' flat
+        indices (sample shaping)."""
+        states = self._flat(states)
         if self.shaping == "model":
-            rows = self.dynamics[states, actions]
-            expected_phi = rows @ self.phi_table
+            return states, self._kernel_rows(states, actions)
+        if next_states is None:
+            raise ValueError("sample shaping needs observed next states")
+        return states, self._flat(next_states)
+
+    def _f_batch(self, states, successors):
+        """f on a batch from `_tabular_batch`."""
+        phi = self.phi_table.reshape(-1)
+        if self.shaping == "model":
+            # (R, B, S) @ (R, S, 1) gives each run the bits of its own (B, S) @ (S,)
+            expected_phi = (successors @ self.phi_table[..., None])[..., 0]
         else:
-            if next_states is None:
-                raise ValueError("sample shaping needs observed next states")
-            expected_phi = self.phi_table[np.asarray(next_states, dtype=np.int64)]
-        return (self.r_table[states]
-                + self.discount * expected_phi
-                - self.phi_table[states])
+            expected_phi = phi[successors]
+        return self.r_table.reshape(-1)[states] + self.discount * expected_phi - phi[states]
+
+    def _f_tabular(self, states, actions, next_states):
+        return self._f_batch(*self._tabular_batch(states, actions, next_states))
 
     def _f_continuous(self, states, actions, next_states, rng, tape=False):
         """Returns (f, tapes). With `tape`, tapes holds the tapes of r(s, a),
@@ -191,8 +223,8 @@ def _forward(net, x, tape):
 
 def _log_policy(policy, states, actions):
     if isinstance(policy, TabularPolicy):
-        probs = policy.probs[np.asarray(states, dtype=np.int64),
-                             np.asarray(actions, dtype=np.int64)]
+        probs = policy.at(np.asarray(states, dtype=np.int64),
+                          np.asarray(actions, dtype=np.int64))
         with np.errstate(divide="ignore"):
             return np.log(probs)
     if hasattr(policy, "log_prob"):
@@ -213,7 +245,9 @@ def discriminator_loss_and_grads(disc: Discriminator, expert_batch, policy_batch
 
     Batches are (states, actions, next_states) column triples; the expert
     batch is scored as positive, the policy batch as negative. `policy`
-    supplies pi(a|s): a TabularPolicy or anything with .log_prob.
+    supplies pi(a|s): a TabularPolicy or anything with .log_prob. A
+    discriminator with R stacked tables takes (R, B) batches and a stacked
+    policy, and returns R losses and (R, 2S) gradients.
 
     Continuous mode finishes the expert batch (forward, loss terms,
     backward) before it forwards the policy batch. The per-sample
@@ -227,45 +261,53 @@ def discriminator_loss_and_grads(disc: Discriminator, expert_batch, policy_batch
     exp_s, exp_a, exp_n = expert_batch
     pol_s, pol_a, pol_n = policy_batch
     if disc.mode == "tabular":
-        f_e = disc._f_tabular(exp_s, exp_a, exp_n)
-        f_p = disc._f_tabular(pol_s, pol_a, pol_n)
-        log_e, df_e = _cross_entropy_terms(f_e, _log_policy(policy, exp_s, exp_a), True)
-        log_p, df_p = _cross_entropy_terms(f_p, _log_policy(policy, pol_s, pol_a), False)
-        grads = _tabular_grads(disc, (exp_s, exp_a, exp_n, df_e), (pol_s, pol_a, pol_n, df_p))
+        exp_b = disc._tabular_batch(exp_s, exp_a, exp_n)
+        pol_b = disc._tabular_batch(pol_s, pol_a, pol_n)
+        log_e, df_e = _cross_entropy_terms(disc._f_batch(*exp_b),
+                                           _log_policy(policy, exp_s, exp_a), True)
+        log_p, df_p = _cross_entropy_terms(disc._f_batch(*pol_b),
+                                           _log_policy(policy, pol_s, pol_a), False)
+        grads = _tabular_grads(disc, (*exp_b, df_e), (*pol_b, df_p))
     else:
         g_r = np.zeros(disc.r_net.n_params)
         g_phi = np.zeros(disc.phi_net.n_params)
         log_e = _continuous_batch_step(disc, expert_batch, policy, rng, True, g_r, g_phi)
         log_p = _continuous_batch_step(disc, policy_batch, policy, rng, False, g_r, g_phi)
         grads = np.concatenate([g_r, g_phi])
-    loss = float(-np.mean(log_e) - np.mean(log_p))
-    return loss, grads
+    # np.mean is this sum and division, minus its Python wrapper
+    loss = (-np.add.reduce(log_e, axis=-1) / log_e.shape[-1]
+            - np.add.reduce(log_p, axis=-1) / log_p.shape[-1])
+    return (float(loss) if loss.ndim == 0 else loss), grads
 
 
 def _cross_entropy_terms(f, log_pi, expert):
     """Per-sample log D (expert) or log(1 - D) (policy), clamped, and
     d loss / d f, which is zero where the clamp saturates."""
     d = _sigmoid(f - log_pi)
-    dc = np.clip(d, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    dc = np.minimum(np.maximum(d, PROB_CLAMP), 1.0 - PROB_CLAMP)  # np.clip's bits
     live = (d > PROB_CLAMP) & (d < 1.0 - PROB_CLAMP)
+    batch = f.shape[-1]
     if expert:
-        return np.log(dc), np.where(live, -(1.0 - d), 0.0) / f.shape[0]
-    return np.log(1.0 - dc), np.where(live, d, 0.0) / f.shape[0]
+        return np.log(dc), np.where(live, -(1.0 - d), 0.0) / batch
+    return np.log(1.0 - dc), np.where(live, d, 0.0) / batch
 
 
 def _tabular_grads(disc, expert, policy):
-    g_r = np.zeros_like(disc.r_table)
-    g_phi = np.zeros_like(disc.phi_table)
-    for states, actions, next_states, df in (expert, policy):
-        states = np.asarray(states, dtype=np.int64)
-        actions = np.asarray(actions, dtype=np.int64)
-        np.add.at(g_r, states, df)
-        np.add.at(g_phi, states, -df)
+    """Gradient from each batch's `_tabular_batch` pair and d loss / d f,
+    scatter-added into the raveled tables, expert batch then policy batch."""
+    g_r = np.zeros(disc.r_table.size)
+    g_phi = np.zeros(disc.phi_table.size)
+    for states, successors, df in (expert, policy):
+        flat_states, flat_df = states.ravel(), np.ravel(df)
+        np.add.at(g_r, flat_states, flat_df)
+        np.add.at(g_phi, flat_states, -flat_df)
         if disc.shaping == "model":
-            g_phi += disc.discount * np.einsum("b,bp->p", df, disc.dynamics[states, actions])
+            # per run the "b,bp->p" reduction, in the same order
+            g_phi += disc.discount * np.einsum("...b,...bp->...p", df, successors).ravel()
         else:
-            np.add.at(g_phi, np.asarray(next_states, dtype=np.int64), disc.discount * df)
-    return np.concatenate([g_r, g_phi])
+            np.add.at(g_phi, successors.ravel(), disc.discount * flat_df)
+    shape = disc.r_table.shape
+    return np.concatenate([g_r.reshape(shape), g_phi.reshape(shape)], axis=-1)
 
 
 def _continuous_batch_step(disc, batch, policy, rng, expert, g_r, g_phi):
@@ -362,10 +404,10 @@ def _exact_grads(disc, policy, kernel, d_exp, d_pi):
                                  n_actions * n_states)
         actions, next_states = np.divmod(rest, n_states)
         weights = ((d_exp[:, :, None] * kernel).ravel(), (d_pi[:, :, None] * kernel).ravel())
-    f = disc._f_tabular(states, actions, next_states)
+    batch = disc._tabular_batch(states, actions, next_states)
+    f = disc._f_batch(*batch)
     log_pi = _log_policy(policy, states, actions)
-    batches = [(states, actions, next_states,
-                _cross_entropy_terms(f, log_pi, expert)[1] * (f.shape[0] * weight))
+    batches = [(*batch, _cross_entropy_terms(f, log_pi, expert)[1] * (f.shape[0] * weight))
                for expert, weight in zip((True, False), weights)]
     return _tabular_grads(disc, *batches)
 

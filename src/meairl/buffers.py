@@ -16,6 +16,11 @@ class ReplayBuffer:
     covers batches larger than the current size. A buffer made with
     `with_reward=True` also stores a scalar reward per transition and
     returns it as a fourth column.
+
+    R runs stepping in lockstep share one buffer whose rows hold one
+    transition per run (`state_shape=(R,)`). Sampled with RunStreams, run
+    k draws its own offsets and reads its batch from column k; the
+    columns come back (R, n).
     """
 
     def __init__(self, capacity: int, state_shape=(), action_shape=(),
@@ -81,7 +86,14 @@ class ReplayBuffer:
         if self._count == 0:
             raise ValueError("cannot sample from an empty buffer")
         offsets = rng.integers(0, self._count, size=n)
-        return self._columns((self._head - self._count + offsets) % self._phys)
+        idx = (self._head - self._count + offsets) % self._phys
+        if idx.ndim == 1:
+            return self._columns(idx)
+        # one row of offsets per run: run k's entries of the raveled columns
+        runs = idx.shape[0]
+        flat = idx * runs + np.arange(runs)[:, None]
+        return tuple(column.reshape(-1)[flat]
+                     for column in (self.states, self.actions, self.next_states))
 
     def newest(self, k: int):
         """The k most recently added transitions, oldest first, no randomness involved."""

@@ -220,17 +220,18 @@ def cmd_train(args) -> int:
 def cmd_compare(args) -> int:
     config = load_config(args.config)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    runs = {(alg, seed): _with_train(config, algorithm=alg, seed=seed).train
-            for alg in algorithms for seed in config.run.seeds}
+    seeds = list(dict.fromkeys(config.run.seeds))  # a repeated seed trains once
+    trains = {alg: _with_train(config, algorithm=alg).train for alg in algorithms}
     env, out_dir, expert = _training_setup(args, config)
     target = expert_return_target(env, config)  # before training: it may refuse the config
     threshold = attainment_threshold(target)
     results = {}
-    for (alg, seed), train_cfg in runs.items():
-        record = run_meairl(env, expert, train_cfg)
-        record.to_csv(_out_file(out_dir, f"{alg}_seed{seed}.csv"))
-        results[(alg, seed)] = record
-        print(f"{alg} seed {seed}: final return {record.rows[-1].return_mean:.4f}")
+    for alg, train_cfg in trains.items():
+        # one call trains every seed of the algorithm (stacked on a tabular env)
+        for seed, record in zip(seeds, run_meairl(env, expert, train_cfg, seeds)):
+            record.to_csv(_out_file(out_dir, f"{alg}_seed{seed}.csv"))
+            results[(alg, seed)] = record
+            print(f"{alg} seed {seed}: final return {record.rows[-1].return_mean:.4f}")
     rows = per_seed_rows(results, threshold)
     with open(_out_file(out_dir, "summary.csv"), "w", encoding="utf-8") as fh:
         fh.write(summary_csv_text(rows))

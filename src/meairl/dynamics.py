@@ -10,6 +10,8 @@ for the Gaussian.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .mdp import _row_sample, _row_sample_batch
@@ -26,23 +28,43 @@ class TabularDynamicsEstimate:
 
     kernel[s, a, s'] = (N[s, a, s'] + alpha) / sum_s'' (N[s, a, s''] + alpha).
     With alpha = 0 an unvisited (s, a) row falls back to uniform.
+
+    With `runs=R` it holds the estimates of R runs on a leading axis,
+    kernel (R, S, A, S): `add` takes one transition per run as (R,)
+    arrays, `sample_next_batch` takes (R, n) batches, row k for run k,
+    and `run(k)` is run k's estimate as a view of the stacked arrays.
     """
 
-    def __init__(self, n_states: int, n_actions: int, alpha: float):
+    def __init__(self, n_states: int, n_actions: int, alpha: float, runs: int = None):
         if alpha < 0.0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         self.alpha = float(alpha)
-        self.counts = np.zeros((n_states, n_actions, n_states), dtype=np.int64)
-        self._kernel = np.full((n_states, n_actions, n_states), 1.0 / n_states)
+        shape = (n_states, n_actions, n_states) if runs is None else (
+            runs, n_states, n_actions, n_states)
+        self.counts = np.zeros(shape, dtype=np.int64)
+        self._kernel = np.full(shape, 1.0 / n_states)
         self._cum = np.cumsum(self._kernel, axis=-1)
+        # index prefix that sends entry k of (R,) transitions to run k, and
+        # offsets that send row k of an (R, n) batch to run k's block of rows
+        self._runs = () if runs is None else (np.arange(runs),)
+        self._offsets = 0 if runs is None else np.arange(runs)[:, None] * n_states
 
-    def add(self, s: int, a: int, s_next: int) -> None:
+    def add(self, s, a, s_next) -> None:
         """Count one transition and refresh the (s, a) row it lands in."""
-        self.counts[s, a, s_next] += 1
-        row = self.counts[s, a] + self.alpha
-        row = row / row.sum()  # the row holds the count just added, so its sum is >= 1
-        self._kernel[s, a] = row
-        self._cum[s, a] = np.cumsum(row)
+        row_index = self._runs + (s, a)
+        self.counts[row_index + (s_next,)] += 1
+        row = self.counts[row_index] + self.alpha
+        # the row holds the count just added, so its sum is >= 1
+        row = row / row.sum(axis=-1, keepdims=True)
+        self._kernel[row_index] = row
+        self._cum[row_index] = np.cumsum(row, axis=-1)
+
+    def run(self, k: int) -> "TabularDynamicsEstimate":
+        """Run k's estimate; it shares the stacked arrays, so it sees every `add`."""
+        view = copy.copy(self)
+        view.counts, view._kernel, view._cum = self.counts[k], self._kernel[k], self._cum[k]
+        view._runs, view._offsets = (), 0
+        return view
 
     @property
     def kernel(self) -> np.ndarray:
@@ -52,7 +74,9 @@ class TabularDynamicsEstimate:
         return _row_sample(self._cum[s, a], rng)
 
     def sample_next_batch(self, states, actions, rng) -> np.ndarray:
-        return _row_sample_batch(self._cum[states, actions], rng)
+        cum = self._cum
+        rows = (states + self._offsets) * cum.shape[-2] + actions
+        return _row_sample_batch(np.take(cum.reshape(-1, cum.shape[-1]), rows, axis=0), rng)
 
     def nll(self, states, actions, next_states) -> float:
         """Mean negative log-likelihood of transitions under the current kernel."""
@@ -176,21 +200,23 @@ class GaussianDynamicsModel:
 def rollout_synthetic(model, policy, start_states, horizon: int, seed):
     """Roll the model forward `horizon` steps from each start state.
 
-    Returns transition columns (states, actions, next_states). Tabular
-    models take a TabularPolicy; continuous models take a callable
-    act(states, rng) -> actions operating on batches. Deterministic given
-    the seed.
+    Returns transition columns (states, actions, next_states), the
+    horizon steps one after another along the batch axis. Tabular models
+    take a TabularPolicy; continuous models take a callable
+    act(states, rng) -> actions operating on batches. A stacked count
+    model takes a stacked policy, (R, n) start states and RunStreams, and
+    returns (R, horizon * n) columns. Deterministic given the seed.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = as_generator(seed)
     if isinstance(model, TabularDynamicsEstimate):
         states = np.asarray(start_states, dtype=np.int64)
-        act, step = policy.sample_batch, model.sample_next_batch
+        act, step, batch_axis = policy.sample_batch, model.sample_next_batch, -1
     else:
         states = np.atleast_2d(np.asarray(start_states, dtype=np.float64))
-        act, step = policy, model.sample_next
-    if len(states) == 0:
+        act, step, batch_axis = policy, model.sample_next, 0
+    if states.shape[batch_axis] == 0:
         raise ValueError("start_states must be nonempty")
     out_s, out_a, out_n = [], [], []
     for _ in range(horizon):
@@ -200,4 +226,4 @@ def rollout_synthetic(model, policy, start_states, horizon: int, seed):
         out_a.append(actions)
         out_n.append(nxt)
         states = nxt
-    return np.concatenate(out_s), np.concatenate(out_a), np.concatenate(out_n)
+    return tuple(np.concatenate(out, axis=batch_axis) for out in (out_s, out_a, out_n))

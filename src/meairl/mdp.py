@@ -32,7 +32,7 @@ class DemoFormatError(ValueError):
 
 
 def _check_distribution(arr, what):
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    if (arr < 0.0).any() or not np.isfinite(arr).all():
         raise ValueError(f"{what} entries must be finite and nonnegative")
     sums = arr.sum(axis=-1)
     worst = float(np.abs(sums - 1.0).max())
@@ -43,21 +43,28 @@ def _check_distribution(arr, what):
 def _row_sample(cumulative, rng):
     """Inverse-CDF draw from one cumulative row."""
     u = rng.random()
-    idx = int(np.searchsorted(cumulative, u, side="right"))
+    # the method, not np.searchsorted, whose wrapper costs as much as the search
+    idx = int(cumulative.searchsorted(u, side="right"))
     return min(idx, cumulative.shape[-1] - 1)
 
 
 def _row_sample_batch(cumulative_rows, rng):
-    u = rng.random(cumulative_rows.shape[0])
-    idx = (cumulative_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cumulative_rows.shape[1] - 1)
+    """One inverse-CDF draw per row of an (n, K) stack of cumulative rows.
+
+    With RunStreams the rows are (R, n, K) and run k draws the n uniforms
+    of its own rows. Counting the entries <= u picks the index
+    `searchsorted(side="right")` picks, as `_row_sample` does.
+    """
+    u = rng.random(cumulative_rows.shape[-2])
+    idx = (cumulative_rows <= u[..., None]).sum(axis=-1)
+    return np.minimum(idx, cumulative_rows.shape[-1] - 1)
 
 
 class TabularMDP:
     """Finite MDP: kernel T[s, a, s'], reward R[s, a], discount, start distribution.
 
     Arrays are validated and frozen at construction; the cumulative rows
-    for sampling are cached.
+    of the kernel and of the start distribution are cached for sampling.
     """
 
     def __init__(self, kernel, reward, discount, init_dist, r_max=None):
@@ -91,6 +98,7 @@ class TabularMDP:
         self.init_dist = init_dist
         self.r_max = float(r_max)
         self._kernel_cum = np.cumsum(kernel, axis=-1)
+        self._init_cum = np.cumsum(init_dist)
 
     @property
     def n_states(self) -> int:
@@ -101,7 +109,7 @@ class TabularMDP:
         return self.kernel.shape[1]
 
     def sample_init(self, rng) -> int:
-        return _row_sample(np.cumsum(self.init_dist), rng)
+        return _row_sample(self._init_cum, rng)
 
     def sample_next(self, state, action, rng) -> int:
         return _row_sample(self._kernel_cum[state, action], rng)
@@ -111,26 +119,36 @@ class TabularMDP:
 
 
 class TabularPolicy:
-    """Stochastic policy over a finite MDP, rows pi[s, :] summing to one."""
+    """Stochastic policy over a finite MDP, rows pi[s, :] summing to one.
+
+    An (R, S, A) table holds the policies of R runs; its batch methods
+    take (R, n) states, row k for run k. `sample` draws from an (S, A) one.
+    """
 
     def __init__(self, probs):
         probs = np.array(probs, dtype=np.float64)
-        if probs.ndim != 2:
-            raise ValueError(f"policy must be 2-D (S, A), got shape {probs.shape}")
+        if probs.ndim not in (2, 3):
+            raise ValueError(f"policy must be (S, A) or (R, S, A), got shape {probs.shape}")
         _check_distribution(probs, "policy")
         probs.flags.writeable = False
         self.probs = probs
         self._cum = np.cumsum(probs, axis=-1)
-
-    @classmethod
-    def uniform(cls, n_states, n_actions) -> "TabularPolicy":
-        return cls(np.full((n_states, n_actions), 1.0 / n_actions))
+        # row k of an (R, n) batch is offset to run k's block of the (R * S)
+        # rows, so one flat gather serves every run
+        self._offsets = (0 if probs.ndim == 2
+                         else np.arange(probs.shape[0])[:, None] * probs.shape[1])
 
     def sample(self, state, rng) -> int:
         return _row_sample(self._cum[state], rng)
 
     def sample_batch(self, states, rng) -> np.ndarray:
-        return _row_sample_batch(self._cum[states], rng)
+        cum = self._cum
+        return _row_sample_batch(np.take(cum.reshape(-1, cum.shape[-1]),
+                                         states + self._offsets, axis=0), rng)
+
+    def at(self, states, actions) -> np.ndarray:
+        """pi(a|s) at each (state, action) pair of a batch."""
+        return self.probs.reshape(-1)[(states + self._offsets) * self.probs.shape[-1] + actions]
 
 
 @dataclass
@@ -249,11 +267,13 @@ class ContinuousEnv:
     def step(self, state, action, rng):
         """Return (next_state, reward). Reward is charged on the current state."""
         state = np.asarray(state, dtype=np.float64)
-        action = np.clip(np.asarray(action, dtype=np.float64), self.action_low, self.action_high)
+        # minimum(maximum(.)) is np.clip bit for bit, without its wrapper's cost
+        action = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), self.action_low),
+                            self.action_high)
         nxt = np.asarray(self.drift(state, action), dtype=np.float64)
         if self.dynamics_noise_std > 0.0:
             nxt = nxt + self.dynamics_noise_std * rng.standard_normal(self.state_dim)
-        nxt = np.clip(nxt, self.state_low, self.state_high)
+        nxt = np.minimum(np.maximum(nxt, self.state_low), self.state_high)
         return nxt, self.reward_fn(state, action)
 
 

@@ -1,14 +1,20 @@
 """The interactive reward-learning loop and expert-demonstration generation.
 
 `run_meairl` runs one loop for tabular and continuous environments. Each
-step acts (past pretraining, meairl acts through `mix_action`, with
-probability `mix_prob` from a model-predicted stand-in of the current
-state), takes the environment step, stores the real transition and takes
-a model step. Past pretraining the adversarial variants then take
-a discriminator step, push a short model rollout into a second buffer and
-take a policy step on a batch whose synthetic share follows a ramped
-schedule; behavior cloning takes a BC step instead. Evaluation rows
-follow on their period.
+step acts (past pretraining, meairl acts at `mix_state`: with probability
+`mix_prob` a model-predicted stand-in of the current state), takes the
+environment step, stores the real transition and takes a model step.
+Past pretraining the adversarial variants then take a discriminator step,
+push a short model rollout into a second buffer and take a policy step on
+a batch whose synthetic share follows a ramped schedule; behavior cloning
+takes a BC step instead. Evaluation rows follow on their period.
+
+Tabular runs of several seeds train in that one loop together: Q tables,
+discriminator tables, count models, replay buffers and the policy carry a
+leading run axis, so each numpy call serves every run, and a single run
+is the case of one seed. Each run draws from its own named streams in the
+order it would alone (`seeding.RunStreams`), so its record is
+byte-identical to its solo run. Continuous runs train one at a time.
 Variants:
 
   meairl               model inside the shaping term + synthetic data
@@ -25,7 +31,7 @@ runs learn
 with a state-only reward g, so the shaping term decides which advantages
 f can represent; continuous runs use a net r(s, a) in place of g(s).
 
-Four parts differ between the cases, one method each of `_TabularRun` and
+Four parts differ between the cases, one method each of `_TabularRuns` and
 `_ContinuousRun`. Model step: count the transition, or an Adam step on the
 Gaussian model's NLL. Policy step: a soft TD backup of a Q table toward
 f + gamma * soft V(s') at the pairs in the batch (the entropy bonus enters
@@ -34,7 +40,7 @@ or a SAC update on f - log pi. BC step: none, the tabular BC policy is
 fixed by the expert's action counts, or a regression step of a tanh net.
 Model columns of an evaluation row: the count model's NLL and worst-row TV
 error, or the last Gaussian NLL. Everything is driven by named child
-generators of one seed, so records are bit-reproducible.
+generators of each run's seed, so records are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -46,14 +52,14 @@ import numpy as np
 
 from .adversarial import (REWARD_CLAMP, Discriminator, ExpertBuffer,
                           discriminator_loss_and_grads, extract_reward)
-from .buffers import GEN_BUFFER_INIT, GEN_BUFFER_MAX, RatioSchedule, ReplayBuffer
+from .buffers import GEN_BUFFER_INIT, RatioSchedule, ReplayBuffer
 from .dynamics import (GaussianDynamicsModel, TabularDynamicsEstimate,
                        rollout_synthetic, tv_distance)
 from .mdp import (ContinuousEnv, TabularEnv, TabularPolicy,
                   sample_trajectory, save_continuous_demos, save_tabular_demos)
 from .neural import AdamState, Mlp, adam_step
 from .policy_opt import SAC_LR, SacAgent
-from .seeding import as_generator, spawn_streams
+from .seeding import as_generator, run_streams, spawn_streams
 from .soft_dp import logsumexp, soft_optimal_policy, soft_value_iteration
 
 ALGORITHMS = ("meairl", "airl_sample_baseline", "bc_none")
@@ -177,39 +183,43 @@ class TrainingConfig:
                              int(round(self.ratio_ramp_frac * self.total_steps)))
 
 
-def _act(agent, state, rng):
-    if isinstance(agent, TabularPolicy):
-        return agent.sample(state, rng)
-    return agent(state, rng)
+def mix_state(real_state, model, mix_prob: float, prev_transition, rng):
+    """The state the policy acts at: sometimes a model-predicted stand-in.
 
-
-def mix_action(real_state, agent, model, mix_prob: float, prev_transition, rng):
-    """Pick the action from a model-predicted stand-in of the current state.
-
-    With probability mix_prob (and when a previous transition and a model
-    exist), the agent (a TabularPolicy or a callable act(state, rng)) is
-    queried at s_hat sampled from the model's prediction for the previous
-    (state, action) instead of at the real state. Returns (action,
-    used_model_state). The stored transition must still record the real
-    state; this only shifts where the policy is evaluated, which counters
-    train/deploy distribution mismatch.
+    With probability mix_prob, when a previous transition exists, it is
+    s_hat drawn from the model's prediction for that (state, action);
+    otherwise the real state. The stored transition still records the
+    real state; this only shifts where the policy is evaluated, which
+    counters train/deploy distribution mismatch. The coin is drawn first
+    either way, then s_hat's draw, from `rng`.
     """
-    rng = as_generator(rng)
     coin = rng.random()
-    if model is not None and prev_transition is not None and coin < mix_prob:
-        prev_s, prev_a = prev_transition
-        state = model.sample_next(prev_s, prev_a, rng)
-        return _act(agent, state, rng), True
-    return _act(agent, real_state, rng), False
+    if prev_transition is not None and coin < mix_prob:
+        return model.sample_next(*prev_transition, rng)
+    return real_state
 
 
-def run_meairl(env, expert: ExpertBuffer, config: TrainingConfig) -> TrainingRecord:
-    """Run the full loop; returns the evaluation record."""
+def run_meairl(env, expert: ExpertBuffer, config: TrainingConfig, seeds=None):
+    """Train one run per seed; return the evaluation record(s).
+
+    Without `seeds` this trains `config.seed` and returns its record.
+    With `seeds` it returns one record per seed, every other setting taken
+    from `config`. Tabular runs of all seeds step together through one
+    loop with a leading run axis on every table, buffer and batch. Each
+    run draws from its own streams, in the order it would alone, so its
+    record does not depend on what it trained beside. Continuous runs go
+    one after another.
+    """
+    runs = [config.seed] if seeds is None else list(seeds)
+    if not runs:
+        raise ValueError("seeds must name at least one seed")
     if isinstance(env, TabularEnv):
-        return _TabularRun(env, expert, config).run()
-    if isinstance(env, ContinuousEnv):
-        return _ContinuousRun(env, expert, config).run()
-    raise TypeError(f"unsupported env type {type(env).__name__}")
+        records = _TabularRuns(env, expert, config, runs).run()
+    elif isinstance(env, ContinuousEnv):
+        records = [_ContinuousRun(env, expert, config, seed).run()[0] for seed in runs]
+    else:
+        raise TypeError(f"unsupported env type {type(env).__name__}")
+    return records[0] if seeds is None else records
 
 
 STREAMS = ("interact", "disc", "rollout", "policy", "mix", "eval", "init")
@@ -218,82 +228,103 @@ STREAMS = ("interact", "disc", "rollout", "policy", "mix", "eval", "init")
 class _Run:
     """The step loop and everything in it that both cases share.
 
-    A subclass sets `reset`, `step` (returning the successor only),
-    `horizon`, `actor` (what acts and rolls out), `pi` (what the
-    discriminator scores against), `model`, `disc` and `disc_adam`, and
-    defines the four differing parts plus `evaluate` and `model_columns`.
+    It trains the runs of `seeds` in lockstep: a tabular subclass stacks
+    them on a leading run axis, a continuous one holds a single run.
+    `streams` maps each of STREAMS to the runs' generators (RunStreams
+    when stacked). A subclass sets `horizon`, `actor` (what acts and rolls
+    out), `pi` (what the discriminator scores against), `model`, `disc`,
+    `disc_adam` and `batch_axis` (the batch axis of a sampled column), and
+    defines `reset`, `act`, `step` (returning the successor only), the
+    model, policy and BC steps, `evaluate` and `model_columns`; the last
+    two give one entry per run.
     """
 
-    def __init__(self, env, expert, config, **buffer_kwargs):
+    def __init__(self, env, expert, config, seeds, streams, **buffer_kwargs):
         self.env = env
         self.expert = expert
         self.config = config
+        self.seeds = seeds
+        self.streams = streams
         self.model_based = config.algorithm == "meairl"
         self.shaping = "model" if self.model_based else "sample"
         self.synthetic = self.model_based and config.use_synthetic
-        self.streams = spawn_streams(config.seed, STREAMS)
         self.ratio = config.ratio_schedule()
         self.d_env = ReplayBuffer(ENV_BUFFER_CAPACITY, **buffer_kwargs)
-        self.d_gen = ReplayBuffer(GEN_BUFFER_INIT, phys_capacity=GEN_BUFFER_MAX,
+        # Storage for the most rows the schedule ever keeps: GEN_BUFFER_MAX,
+        # or less in a shorter run. Samples read rows by their age, so the
+        # storage size changes no draw.
+        self.d_gen = ReplayBuffer(GEN_BUFFER_INIT,
+                                  phys_capacity=self.ratio.capacity(config.total_steps),
                                   **buffer_kwargs)
         self.model = self.disc = None
 
-    def run(self) -> TrainingRecord:
-        config, streams = self.config, self.streams
-        last_disc_loss = float("nan")
-        record = TrainingRecord()
-        state = self.reset(streams["interact"])
+    def run(self) -> list:
+        """One record per run."""
+        config = self.config
+        disc_loss = [float("nan")] * len(self.seeds)
+        records = [TrainingRecord() for _ in self.seeds]
+        state = self.reset()
         ep_t = 0
         prev = None
         for t in range(1, config.total_steps + 1):
-            if self.model_based and t > config.pretrain_steps:
-                action, _ = mix_action(state, self.actor, self.model, config.mix_prob,
-                                       prev, streams["mix"])
-            else:
-                action = _act(self.actor, state, streams["interact"])
-            s_next = self.step(state, action, streams["interact"])
+            action = self.act(t, state, prev)
+            s_next = self.step(state, action)
             self.d_env.add(state, action, s_next)
             if self.model is not None:
                 self.model_step(t, state, action, s_next)
             prev = (state, action)
             ep_t += 1
             if ep_t >= self.horizon:
-                state = self.reset(streams["interact"])
+                state = self.reset()
                 ep_t, prev = 0, None
             else:
                 state = s_next
             if t > config.pretrain_steps:
                 if self.disc is not None:
-                    last_disc_loss = self.disc_step(t)
+                    disc_loss = self.disc_step(t)
                     if self.synthetic:
                         self.rollout(t)
-                    self.policy_step(t, *self.mixed_batch(t, streams["policy"]))
+                    self.policy_step(t, *self.mixed_batch(t))
                 else:
                     self.bc_step()
             if t % config.eval_period == 0:
-                mean, std = self.evaluate(streams["eval"])
-                model_nll, eps_t = self.model_columns()
-                record.rows.append(EvalRow(t, mean, std, last_disc_loss, model_nll,
-                                           eps_t, self.synthetic_fraction(t)))
-        return record
+                fraction = self.synthetic_fraction(t)
+                for record, loss, (mean, std), (model_nll, eps_t) in zip(
+                        records, disc_loss, self.evaluate(), self.model_columns()):
+                    record.rows.append(EvalRow(t, mean, std, loss, model_nll, eps_t,
+                                               fraction))
+        return records
 
-    def disc_step(self, t) -> float:
+    def check_finite(self, t, **columns) -> None:
+        """Raise TrainingDivergedError for the first run whose values (one
+        per run, or one row per run) are not all finite."""
+        if all(np.isfinite(values).all() for values in columns.values()):
+            return
+        runs = len(self.seeds)
+        rows = {name: np.reshape(values, (runs, -1)) for name, values in columns.items()}
+        k = min(k for k in range(runs) for v in rows.values() if not np.isfinite(v[k]).all())
+        raise TrainingDivergedError(t, {"seed": self.seeds[k], **{
+            name: float(v[k, 0]) if v.shape[1] == 1 else "non-finite"
+            for name, v in rows.items()}})
+
+    def disc_step(self, t) -> list:
         rng = self.streams["disc"]
         e_batch = self.expert.sample(self.config.batch_size, rng)
         p_batch = self.d_env.sample(self.config.batch_size, rng)
         loss, grads = discriminator_loss_and_grads(self.disc, e_batch, p_batch, self.pi,
                                                    rng=rng)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(t, {"disc_loss": loss})
+        self.check_finite(t, disc_loss=loss)
         self.disc.params = adam_step(self.disc_adam, self.disc.params, grads)
-        return loss
+        return np.reshape(loss, -1).tolist()
 
     def rollout(self, t) -> None:
         rng = self.streams["rollout"]
         self.d_gen.set_capacity(self.ratio.capacity(t))
         starts, _, _ = self.d_env.sample(ROLLOUT_STARTS, rng)
-        self.d_gen.add_batch(*rollout_synthetic(self.model, self.actor, starts,
-                                                self.config.rollout_horizon, rng))
+        columns = rollout_synthetic(self.model, self.actor, starts,
+                                    self.config.rollout_horizon, rng)
+        # batch axis first: the buffer's rows are transitions (one per run)
+        self.d_gen.add_batch(*(c.swapaxes(0, self.batch_axis) for c in columns))
 
     def synthetic_fraction(self, t) -> float:
         """Synthetic share of the policy batches at step t."""
@@ -301,22 +332,24 @@ class _Run:
             return self.ratio.fraction(t)
         return 0.0
 
-    def mixed_batch(self, t, rng):
+    def mixed_batch(self, t):
         """A policy batch: real transitions, then synthetic ones once there are any."""
+        rng = self.streams["policy"]
         batch_size = self.config.batch_size
         n_syn = int(round(self.synthetic_fraction(t) * batch_size)) if len(self.d_gen) else 0
         real = self.d_env.sample(batch_size - n_syn, rng)
         if n_syn == 0:
             return real
-        return tuple(np.concatenate(pair) for pair in zip(real, self.d_gen.sample(n_syn, rng)))
+        return tuple(np.concatenate(pair, axis=self.batch_axis)
+                     for pair in zip(real, self.d_gen.sample(n_syn, rng)))
 
 
-def _bc_policy_tabular(expert: ExpertBuffer, n_states: int, n_actions: int) -> TabularPolicy:
+def _bc_policy_tabular(expert: ExpertBuffer, n_states: int, n_actions: int) -> np.ndarray:
+    """The expert's empirical action distribution per state, uniform where unseen."""
     counts = np.zeros((n_states, n_actions))
     np.add.at(counts, (expert.states, expert.actions), 1.0)
     totals = counts.sum(axis=1, keepdims=True)
-    probs = np.where(totals > 0.0, counts / np.maximum(totals, 1.0), 1.0 / n_actions)
-    return TabularPolicy(probs)
+    return np.where(totals > 0.0, counts / np.maximum(totals, 1.0), 1.0 / n_actions)
 
 
 def evaluate_tabular_policy(env: TabularEnv, policy: TabularPolicy, episodes: int, rng):
@@ -339,23 +372,45 @@ def evaluate_tabular_policy(env: TabularEnv, policy: TabularPolicy, episodes: in
     return float(returns.mean()), float(returns.std())
 
 
-class _TabularRun(_Run):
-    def __init__(self, env: TabularEnv, expert: ExpertBuffer, config: TrainingConfig):
-        super().__init__(env, expert, config)
+class _TabularRuns(_Run):
+    """R tabular runs stacked: Q tables (R, S, A), discriminator tables
+    (R, S), count models (R, S, A, S), buffer rows of R transitions, one
+    stacked policy, and (R,) environment states. Each numpy call serves
+    all runs; each draw comes from the drawing run's own stream."""
+
+    batch_axis = -1
+
+    def __init__(self, env: TabularEnv, expert: ExpertBuffer, config: TrainingConfig, seeds):
+        n_runs = len(seeds)
+        super().__init__(env, expert, config, seeds, run_streams(seeds, STREAMS),
+                         state_shape=(n_runs,), action_shape=(n_runs,))
         mdp = env.mdp
-        self.reset, self.step = mdp.sample_init, mdp.sample_next
         self.horizon = env.episode_horizon
         n_states, n_actions = mdp.n_states, mdp.n_actions
+        # Batches index the stacked tables raveled, where an index past one
+        # run's block reads the next run's; refuse such demos up front.
+        for column, bound in ((expert.states, n_states), (expert.actions, n_actions),
+                              (expert.next_states, n_states)):
+            if column.min() < 0 or column.max() >= bound:
+                raise ValueError(f"expert demonstrations leave the environment: an index "
+                                 f"outside [0, {bound}) for {n_states} states and "
+                                 f"{n_actions} actions")
+        self.run_index = np.arange(n_runs)[:, None]  # row k of an (R, n) batch is run k's
         if self.model_based:
-            self.model = TabularDynamicsEstimate(n_states, n_actions, alpha=MODEL_ALPHA)
+            self.model = TabularDynamicsEstimate(n_states, n_actions, alpha=MODEL_ALPHA,
+                                                 runs=n_runs)
+            self.run_models = [self.model.run(k) for k in range(n_runs)]
         if config.algorithm != "bc_none":
             kernel = self.model.kernel if self.model is not None else None
-            self.disc = Discriminator.tabular(n_states, mdp.discount, kernel, self.shaping)
+            self.disc = Discriminator.tabular(n_states, mdp.discount, kernel, self.shaping,
+                                              runs=n_runs)
             self.disc_adam = AdamState.for_params(self.disc.params, lr=config.disc_lr)
-            self.policy = TabularPolicy.uniform(n_states, n_actions)
-            self.q_pol = np.zeros((n_states, n_actions))
+            self.policy = TabularPolicy(np.full((n_runs, n_states, n_actions), 1.0 / n_actions))
+            self.q_pol = np.zeros((n_runs, n_states, n_actions))
+            self.v_pol = logsumexp(self.q_pol, axis=-1)  # soft V of q_pol, kept current
         else:
-            self.policy = _bc_policy_tabular(expert, n_states, n_actions)
+            probs = _bc_policy_tabular(expert, n_states, n_actions)
+            self.policy = TabularPolicy(np.broadcast_to(probs, (n_runs, *probs.shape)))
 
     @property
     def actor(self):
@@ -363,42 +418,68 @@ class _TabularRun(_Run):
 
     pi = actor
 
+    def reset(self):
+        mdp = self.env.mdp
+        return np.array([mdp.sample_init(g) for g in self.streams["interact"].generators])
+
+    def act(self, t, state, prev):
+        if self.model_based and t > self.config.pretrain_steps:
+            rng = self.streams["mix"]
+            prevs = [None] * len(state) if prev is None else zip(*prev)  # per run (s, a)
+            state = np.array([mix_state(s, model, self.config.mix_prob, run_prev, g)
+                              for s, model, run_prev, g in zip(state, self.run_models, prevs,
+                                                              rng.generators)])
+        else:
+            rng = self.streams["interact"]
+        return self.policy.sample_batch(state[:, None], rng)[:, 0]
+
+    def step(self, state, action):
+        return self.env.mdp.sample_next_batch(state[:, None], action[:, None],
+                                              self.streams["interact"])[:, 0]
+
     def model_step(self, t, state, action, s_next) -> None:
         self.model.add(state, action, s_next)
 
     def policy_step(self, t, bs, ba, bn) -> None:
-        rewards = np.clip(self.disc.f_values(bs, ba, bn), -REWARD_CLAMP, REWARD_CLAMP)
-        if not np.all(np.isfinite(rewards)):
-            raise TrainingDivergedError(t, {"reward_targets": "non-finite"})
+        f = self.disc.f_values(bs, ba, bn)
+        rewards = np.minimum(np.maximum(f, -REWARD_CLAMP), REWARD_CLAMP)  # np.clip's bits
+        self.check_finite(t, reward_targets=rewards)
         # One soft TD backup per sampled transition, the tabular counterpart
         # of a single actor-critic step. Duplicate (s,a) rows fold into one
         # convex step per pair; a plain scatter-add would multiply the step
         # size by the duplicate count (batches pile onto absorbing states)
-        # and diverge.
+        # and diverge. Pair ids are offset per run, so bincount keeps each
+        # run's pairs, in batch order, apart from the other runs'.
         q_pol = self.q_pol
-        td = rewards + self.env.mdp.discount * logsumexp(q_pol, axis=1)[bn]
-        pair = bs * q_pol.shape[1] + ba
+        n_states, n_actions = q_pol.shape[1:]
+        v_next = self.v_pol.reshape(-1)[self.run_index * n_states + bn]
+        td = rewards + self.env.mdp.discount * v_next
+        pair = ((self.run_index * n_states + bs) * n_actions + ba).ravel()
         counts = np.bincount(pair, minlength=q_pol.size)
         hit = counts > 0
-        sums = np.bincount(pair, weights=td, minlength=q_pol.size)
+        sums = np.bincount(pair, weights=td.ravel(), minlength=q_pol.size)
         decay = (1.0 - POLICY_TD_RATE) ** counts[hit]
         flat = q_pol.ravel()
         flat[hit] = decay * flat[hit] + (1.0 - decay) * (sums[hit] / counts[hit])
-        self.policy = TabularPolicy(np.exp(q_pol - logsumexp(q_pol, axis=1)[:, None]))
+        self.v_pol = logsumexp(q_pol, axis=-1)
+        self.policy = TabularPolicy(np.exp(q_pol - self.v_pol[..., None]))
 
     def bc_step(self) -> None:
         pass
 
-    def evaluate(self, rng):
-        return evaluate_tabular_policy(self.env, self.policy, self.config.eval_episodes, rng)
+    def evaluate(self):
+        return [evaluate_tabular_policy(self.env, TabularPolicy(probs),
+                                        self.config.eval_episodes, g)
+                for probs, g in zip(self.policy.probs, self.streams["eval"].generators)]
 
     def model_columns(self):
-        """(model_nll on the newest 256 transitions, worst-row TV error)."""
+        """Per run: (model_nll on the newest 256 transitions, worst-row TV error)."""
         if self.model is None:
-            return float("nan"), float("nan")
+            return [(float("nan"), float("nan"))] * len(self.seeds)
         es, ea, en = self.d_env.newest(256)
-        return (self.model.nll(es, ea, en),
-                tv_distance(self.env.mdp.kernel, self.model.kernel)[0])
+        return [(model.nll(es[:, k], ea[:, k], en[:, k]),
+                 tv_distance(self.env.mdp.kernel, model.kernel)[0])
+                for k, model in enumerate(self.run_models)]
 
 
 def evaluate_continuous_policy(env: ContinuousEnv, act_fn, episodes: int, rng):
@@ -416,11 +497,13 @@ def evaluate_continuous_policy(env: ContinuousEnv, act_fn, episodes: int, rng):
 
 
 class _ContinuousRun(_Run):
-    def __init__(self, env: ContinuousEnv, expert: ExpertBuffer, config: TrainingConfig):
+    batch_axis = 0
+
+    def __init__(self, env: ContinuousEnv, expert: ExpertBuffer, config: TrainingConfig, seed):
         d, k = env.state_dim, env.action_dim
-        super().__init__(env, expert, config, state_shape=(d,), action_shape=(k,),
-                         dtype=np.float64)
-        self.reset, self.horizon = env.reset, env.horizon
+        super().__init__(env, expert, config, [seed], spawn_streams(seed, STREAMS),
+                         state_shape=(d,), action_shape=(k,), dtype=np.float64)
+        self.horizon = env.horizon
         init = self.streams["init"]
         if self.model_based:
             self.model = GaussianDynamicsModel(d, k, hidden=config.model_hidden,
@@ -444,8 +527,19 @@ class _ContinuousRun(_Run):
             self.bc_adam = AdamState.for_params(self.bc_net.params, lr=SAC_LR)
             self.actor = self._bc_act
 
-    def step(self, state, action, rng):
-        return self.env.step(state, action, rng)[0]
+    def reset(self):
+        return self.env.reset(self.streams["interact"])
+
+    def act(self, t, state, prev):
+        if self.model_based and t > self.config.pretrain_steps:
+            rng = self.streams["mix"]
+            state = mix_state(state, self.model, self.config.mix_prob, prev, rng)
+        else:
+            rng = self.streams["interact"]
+        return self.actor(state, rng)
+
+    def step(self, state, action):
+        return self.env.step(state, action, self.streams["interact"])[0]
 
     def _bc_act(self, states, rng=None):
         out = self.bc_net.forward(np.atleast_2d(states))
@@ -455,8 +549,7 @@ class _ContinuousRun(_Run):
     def model_step(self, t, *transition) -> None:
         ms, ma, mn = self.d_env.sample(self.config.batch_size, self.streams["disc"])
         nll, grads = self.model.loss_and_grads(ms, ma, mn)
-        if not np.isfinite(nll):
-            raise TrainingDivergedError(t, {"model_nll": nll})
+        self.check_finite(t, model_nll=nll)
         self.model.params = adam_step(self.model_adam, self.model.params, grads,
                                       clip_norm=MODEL_CLIP_NORM)
         self.last_model_nll = nll
@@ -467,9 +560,7 @@ class _ContinuousRun(_Run):
                                  log_policy_prob=self.agent.log_prob(bs, ba),
                                  next_states=bn, rng=rng)
         diag = self.agent.update((bs, ba, rewards, bn), rng)
-        if not (np.isfinite(diag.critic_loss) and np.isfinite(diag.actor_loss)):
-            raise TrainingDivergedError(t, {"critic_loss": diag.critic_loss,
-                                            "actor_loss": diag.actor_loss})
+        self.check_finite(t, critic_loss=diag.critic_loss, actor_loss=diag.actor_loss)
 
     def bc_step(self) -> None:
         es, ea, _ = self.expert.sample(self.config.batch_size, self.streams["policy"])
@@ -479,14 +570,15 @@ class _ContinuousRun(_Run):
         grads, _ = self.bc_net.backward(tape, 2.0 * diff / diff.shape[0])
         self.bc_net.params[...] = adam_step(self.bc_adam, self.bc_net.params, grads)
 
-    def evaluate(self, rng):
+    def evaluate(self):
         act = self._bc_act if self.bc_net is not None else partial(self.agent.act,
                                                                     deterministic=True)
-        return evaluate_continuous_policy(self.env, act, self.config.eval_episodes, rng)
+        return [evaluate_continuous_policy(self.env, act, self.config.eval_episodes,
+                                           self.streams["eval"])]
 
     def model_columns(self):
         """(the last model step's NLL, NaN: there is no true kernel to compare)."""
-        return self.last_model_nll, float("nan")
+        return [(self.last_model_nll, float("nan"))]
 
 
 def generate_expert(env, seed: int, n_episodes: int, out_path,

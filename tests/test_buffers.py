@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meairl import RatioSchedule, ReplayBuffer
+from meairl.seeding import RunStreams
 
 
 class TestReplayBuffer:
@@ -109,6 +110,22 @@ class TestReplayBuffer:
             plain.add(i, 0, i + 1)
         assert np.array_equal(plain.sample(50, np.random.default_rng(0))[0], states)
 
+
+    def test_run_streams_sample_each_run_as_its_own_buffer(self):
+        # rows of R transitions sampled with RunStreams: run k's batch is
+        # what a buffer of run k's transitions alone gives its generator
+        runs = 3
+        stacked = ReplayBuffer(4, state_shape=(runs,), action_shape=(runs,), phys_capacity=6)
+        alone = [ReplayBuffer(4, phys_capacity=6) for _ in range(runs)]
+        rows = np.random.default_rng(1).integers(0, 100, size=(9, 3, runs))
+        for s, a, n in rows:
+            stacked.add(s, a, n)
+            for k, buf in enumerate(alone):
+                buf.add(s[k], a[k], n[k])
+        columns = stacked.sample(50, RunStreams(np.random.default_rng(k) for k in range(runs)))
+        for k, buf in enumerate(alone):
+            for got, want in zip(columns, buf.sample(50, np.random.default_rng(k))):
+                assert np.array_equal(got[k], want)
 
     @pytest.mark.parametrize("state_shape, with_reward", [((), False), ((2,), True)])
     def test_add_batch_equals_sequential_adds(self, state_shape, with_reward):

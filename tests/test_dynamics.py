@@ -186,7 +186,7 @@ class TestRolloutSynthetic:
         rng = np.random.default_rng(8)
         mdp = random_mdp(rng, n_states=4, n_actions=2)
         est = TabularDynamicsEstimate(4, 2, alpha=1.0)
-        pol = TabularPolicy.uniform(4, 2)
+        pol = TabularPolicy(np.full((4, 2), 0.5))
         starts = np.array([0, 1, 2])
         r1 = rollout_synthetic(est, pol, starts, horizon=3, seed=123)
         r2 = rollout_synthetic(est, pol, starts, horizon=3, seed=123)
@@ -200,7 +200,7 @@ class TestRolloutSynthetic:
         for s in range(3):
             for a in range(2):
                 est.add(s, a, (s + 1) % 3)  # deterministic cycle
-        pol = TabularPolicy.uniform(3, 2)
+        pol = TabularPolicy(np.full((3, 2), 0.5))
         s, a, n = rollout_synthetic(est, pol, np.array([0]), horizon=3, seed=1)
         assert list(s) == [0, 1, 2]
         assert list(n) == [1, 2, 0]

@@ -199,6 +199,22 @@ class TestPointmass:
             s, _ = env.step(s, np.array([1.0]), rng)
             assert -5.0 <= s[0] <= 5.0
 
+    def test_step_clips_exactly_as_np_clip(self):
+        # step bounds the action and the successor with minimum(maximum(.));
+        # it must give np.clip's bits on every input, NaN, signed zero and
+        # the bounds themselves included
+        env = make_noisy_pointmass(noise_std=0.0)
+        edge = [np.nan, -np.inf, np.inf, -0.0, 0.0, -1.0, 1.0, -5.0, 5.0,
+                np.nextafter(1.0, 2.0), np.nextafter(-5.0, -6.0)]
+        values = np.concatenate([edge, 4.0 * np.random.default_rng(0).standard_normal(2000)])
+        # each value once as the action (from state 0) and once as the state
+        cases = [(0.0, x) for x in values] + [(x, 1.0) for x in values]
+        for state, action in (tuple(np.array([v]) for v in case) for case in cases):
+            nxt, _ = env.step(state, action, None)
+            clipped = np.clip(action, env.action_low, env.action_high)
+            want = np.clip(state + 0.1 * clipped, env.state_low, env.state_high)
+            assert nxt.tobytes() == want.tobytes(), (state, action)
+
 
 class TestDemoFiles:
     def test_tabular_round_trip(self, tmp_path):

@@ -1,5 +1,6 @@
 """The training loop: schedules, mixing, determinism, expert generation."""
 
+import dataclasses
 import math
 import os
 
@@ -8,12 +9,13 @@ import pytest
 
 from helpers import instance
 from meairl import (ExpertBuffer, Mlp, TabularEnv, TabularMDP, TabularPolicy,
-                    TrainingConfig, generate_expert, load_demos, make_gridworld,
-                    make_noisy_pointmass, policy_value, run_meairl,
+                    TrainingConfig, build_env, generate_expert, load_config, load_demos,
+                    make_gridworld, make_noisy_pointmass, policy_value, run_meairl,
                     save_continuous_demos, soft_optimal_policy, soft_value_iteration)
+from meairl.cli import main
 from meairl.seeding import spawn_streams
 from meairl.training import (CSV_HEADER, EvalRow, TrainingDivergedError, TrainingRecord,
-                             _TabularRun, evaluate_tabular_policy, mix_action)
+                             _TabularRuns, evaluate_tabular_policy, mix_state)
 
 
 def small_grid_env(slip=0.1, width=3, height=3, goal=5.0, discount=0.9,
@@ -111,16 +113,18 @@ class StubModel:
         return int(np.argmax(self.kernel[s, a]))
 
 
+def to_state_one():
+    """A stub whose every prediction is state 1, so a mixed state shows."""
+    kernel = np.zeros((2, 2, 2))
+    kernel[:, :, 1] = 1.0
+    return StubModel(kernel)
+
+
 class TestMixAction:
     def test_zero_prob_never_uses_model(self):
-        kernel = np.zeros((2, 2, 2))
-        kernel[:, :, 1] = 1.0
-        model = StubModel(kernel)
-        policy = TabularPolicy(np.array([[1.0, 0.0], [0.0, 1.0]]))
         rng = np.random.default_rng(0)
         for _ in range(200):
-            _, used = mix_action(0, policy, model, 0.0, (1, 0), rng)
-            assert not used
+            assert mix_state(0, to_state_one(), 0.0, (1, 0), rng) == 0
 
     def test_full_prob_with_perfect_model_matches_real_action(self):
         # deterministic env, exact model: the stand-in state equals the
@@ -129,34 +133,22 @@ class TestMixAction:
         model = StubModel(mdp.kernel)
         policy = TabularPolicy(np.eye(4)[np.zeros(9, dtype=int)])  # always "up"
         rng = np.random.default_rng(1)
-        state = 4
         for prev_s in range(9):
             for prev_a in range(4):
                 real_next = int(np.argmax(mdp.kernel[prev_s, prev_a]))
-                a_mix, used = mix_action(real_next, policy, model, 1.0,
-                                         (prev_s, prev_a), rng)
-                a_real = policy.sample(real_next, rng)
-                assert used
-                assert a_mix == a_real
+                mixed = mix_state(real_next, model, 1.0, (prev_s, prev_a), rng)
+                assert mixed == real_next
+                assert policy.sample(mixed, rng) == policy.sample(real_next, rng)
 
     def test_missing_prev_transition_falls_back_to_real(self):
-        model = StubModel(np.ones((2, 2, 2)) * 0.5)
-        policy = TabularPolicy(np.array([[1.0, 0.0], [0.0, 1.0]]))
         rng = np.random.default_rng(2)
-        _, used = mix_action(0, policy, model, 1.0, None, rng)
-        assert not used
+        assert mix_state(0, to_state_one(), 1.0, None, rng) == 0
 
     def test_frequency_matches_probability(self):
         # 1e5 draws at mix_prob 0.1: frequency within [0.095, 0.105]
-        kernel = np.zeros((2, 2, 2))
-        kernel[:, :, 0] = 1.0
-        model = StubModel(kernel)
-        policy = TabularPolicy(np.full((2, 2), 0.5))
         rng = np.random.default_rng(3)
-        used = 0
-        for _ in range(100_000):
-            _, flag = mix_action(0, policy, model, 0.1, (0, 0), rng)
-            used += flag
+        model = to_state_one()
+        used = sum(mix_state(0, model, 0.1, (0, 0), rng) for _ in range(100_000))
         assert 0.095 <= used / 100_000 <= 0.105
 
 
@@ -240,7 +232,8 @@ class TestTabularLoop:
         # against an explicit uniform policy reproduces the rows exactly
         streams = spawn_streams(5, ("interact", "disc", "rollout", "policy",
                                     "mix", "eval"))
-        uniform = TabularPolicy.uniform(env.mdp.n_states, env.mdp.n_actions)
+        n_states, n_actions = env.mdp.n_states, env.mdp.n_actions
+        uniform = TabularPolicy(np.full((n_states, n_actions), 1.0 / n_actions))
         for row in record.rows:
             mean, std = evaluate_tabular_policy(env, uniform, 3, streams["eval"])
             assert row.return_mean == mean
@@ -309,20 +302,102 @@ class TestTabularLoop:
         assert eps[-1] < eps[0]
 
     def test_discriminator_reads_the_count_model_in_place(self, tmp_path):
-        # model shaping reads the count model's own kernel array, so a row
-        # the model step refreshes reaches the discriminator at once; a copy
-        # or a rebound array would leave f on the stale row
+        # model shaping reads the stacked count model's own kernel array, so
+        # a row the model step refreshes reaches every run's discriminator at
+        # once, and the per-run views that mixing and eps_T read see it too;
+        # a copy or a rebound array would leave them on the stale row
         env = small_grid_env()
-        run = _TabularRun(env, expert_for(env, tmp_path), TrainingConfig(seed=4))
-        run.disc.params = np.random.default_rng(0).normal(size=run.disc.n_params)
-        s, a, s_next = 4, 1, 7
-        stale = run.model.kernel[s, a].copy()
-        run.model_step(1, s, a, s_next)
-        row = run.model.kernel[s, a]
-        assert not np.array_equal(row, stale)
-        g, phi = run.disc.r_table, run.disc.phi_table
-        want = g[s] + env.mdp.discount * (row @ phi) - phi[s]
-        assert abs(run.disc.f_values([s], [a])[0] - want) < 1e-12
+        runs = _TabularRuns(env, expert_for(env, tmp_path), TrainingConfig(), [4, 9])
+        runs.disc.params = np.random.default_rng(0).normal(size=(2, runs.disc.n_params))
+        s, a, s_next = np.array([4, 2]), np.array([1, 3]), np.array([7, 5])
+        stale = runs.model.kernel[[0, 1], s, a].copy()
+        runs.model_step(1, s, a, s_next)
+        f = runs.disc.f_values(s[:, None], a[:, None])
+        for k in range(2):
+            row = runs.model.kernel[k, s[k], a[k]]
+            assert not np.array_equal(row, stale[k])
+            assert np.array_equal(runs.run_models[k].kernel[s[k], a[k]], row)
+            g, phi = runs.disc.r_table[k], runs.disc.phi_table[k]
+            want = g[s[k]] + env.mdp.discount * (row @ phi) - phi[s[k]]
+            assert abs(f[k, 0] - want) < 1e-12
+
+    @pytest.mark.parametrize("column, value", [(0, 9), (0, -1), (1, 4), (2, 9)])
+    def test_demos_outside_the_grid_are_refused(self, column, value):
+        # a 3x3 grid has states 0..8 and actions 0..3; an index past them
+        # would read another run's table row, so the runs refuse to start
+        columns = [np.array([0, 1, 2]) for _ in range(3)]
+        columns[column][1] = value
+        with pytest.raises(ValueError, match="leave the environment"):
+            _TabularRuns(small_grid_env(), ExpertBuffer(*columns), TrainingConfig(), [0, 1])
+
+    def test_first_diverged_run_is_named(self, tmp_path):
+        # a non-finite discriminator in the second run stops the stacked
+        # loop at the first adversarial step, naming that run's seed
+        env = small_grid_env()
+        cfg = TrainingConfig(total_steps=50, pretrain_steps=20, eval_period=50,
+                             batch_size=8)
+        runs = _TabularRuns(env, expert_for(env, tmp_path), cfg, [3, 8])
+        runs.disc.r_table[1] = np.nan
+        with pytest.raises(TrainingDivergedError) as info:
+            runs.run()
+        assert info.value.step == 21
+        assert info.value.snapshot["seed"] == 8
+        assert math.isnan(info.value.snapshot["disc_loss"])
+
+
+STACKED_CONFIG = """\
+[env]
+name = gridworld
+width = 5
+height = 5
+slip_prob = 0.3
+goal_reward = 5.0
+discount = 0.95
+horizon = 40
+
+[train]
+total_steps = 1500
+pretrain_steps = 500
+eval_period = 500
+
+[run]
+seeds = {seeds}
+expert_seed = 0
+"""
+STACKED_ALGORITHMS = ("meairl", "airl_sample_baseline", "bc_none")
+
+
+@pytest.fixture(scope="module")
+def solo_records(tmp_path_factory):
+    """Each (algorithm, seed) of the slip-0.3 grid trained alone, as CSV bytes."""
+    work = tmp_path_factory.mktemp("solo")
+    cfg = work / "solo.cfg"
+    cfg.write_text(STACKED_CONFIG.format(seeds="0"))
+    config = load_config(cfg)
+    env = build_env(config.env)
+    demos = work / "demos.txt"
+    generate_expert(env, config.run.expert_seed, config.run.expert_episodes, demos)
+    expert = ExpertBuffer.from_file(demos)
+    records = {(alg, seed): run_meairl(env, expert, dataclasses.replace(
+                   config.train, algorithm=alg, seed=seed)).to_csv_text().encode()
+               for alg in STACKED_ALGORITHMS for seed in (0, 1, 2)}
+    return demos, records
+
+
+class TestStackedRuns:
+    @pytest.mark.parametrize("seeds", ["0,1,2", "2,0,1"])
+    def test_compare_writes_each_seed_its_solo_record(self, seeds, solo_records, tmp_path):
+        # compare trains the seeds of an algorithm in one stacked loop; each
+        # seed's CSV must be the bytes its run alone writes, whatever the
+        # seeds' order (a run reading another run's row would show here)
+        demos, solo = solo_records
+        cfg = tmp_path / "stacked.cfg"
+        cfg.write_text(STACKED_CONFIG.format(seeds=seeds))
+        code = main(["compare", "--config", str(cfg), "--demos", str(demos),
+                     "--algorithms", ",".join(STACKED_ALGORITHMS), "--out", str(tmp_path)])
+        assert code == 0
+        for (alg, seed), want in solo.items():
+            assert (tmp_path / f"{alg}_seed{seed}.csv").read_bytes() == want, (alg, seed)
 
 
 class TestContinuousLoop:
