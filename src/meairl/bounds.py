@@ -6,12 +6,15 @@ pattern pi, the reward
 
     R(s, a) = V(s) - gamma * sum_s' T(s, a, s') V(s') - xi * [a unsupported]
 
-makes every supported action exactly greedy with optimal value V, so the
-same witness parameterizes the recovered reward under the true kernel and
-under a perturbed one. The sup-norm gap between the two rewards, and the
-sup-norm gap between the optimal values of the two reward/kernel pairs,
-are both checked against the closed-form bounds with the kernel error
-measured as the worst per-row total variation.
+makes every supported action exactly greedy with optimal value V, so one
+witness gives the reward recovered under the true kernel, r_true, and
+under the model kernel, r_model; eps_T is the worst per-row total
+variation between the kernels. `run_bound_sweep` draws each random problem
+once and checks it against both bounds. The reward gap is
+max |r_true - r_model|. The performance gap deploys pi_hat, greedy for
+hard value iteration on (T_true, r_model), and is
+max_s (V*_true - V^pi_hat_true), both values on (T_true, r_true); it is
+evaluated as pi_hat's value under the loss V*_true - Q*_true.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .dynamics import tv_distance
 from .mdp import TabularMDP
 from .seeding import as_generator
-from .soft_dp import hard_value_iteration
+from .soft_dp import greedy_policy, hard_value_iteration, policy_value
 
 BOUND_DP_SLACK = 1e-8  # absorbs value-iteration tolerance in the pass rule
 GAMMA_CHOICES = (0.5, 0.9, 0.99)
@@ -158,46 +161,53 @@ def verify_reward_error_bound(problem: IrlProblem, instance_id: int = 0) -> Boun
 
 
 def verify_performance_difference_bound(problems, instance_ids) -> list:
-    """Gap between the optimal value vectors of the two reward/kernel pairs,
-    one row per problem, with all value iterations stacked.
+    """The true-MDP value lost by deploying pi_hat, one row per problem,
+    with all solves stacked.
 
-    Both pairs are built from a shared witness, whose value solves the
-    hard Bellman equation exactly in each, so the observed gap sits at
-    the solver tolerance; the pass rule carries a small slack for that.
+    pi_hat is `greedy_policy` of hard value iteration on (T_true, r_model);
+    the gap is max_s (V*_true - V^pi_hat_true), both on (T_true, r_true).
+    The feasible reward makes Q*_true(s, a) = V(s) - xi * [a unsupported],
+    so by the performance difference lemma V*_true - V^pi_hat_true is the
+    value of pi_hat under the per-step loss xi * [a unsupported], which one
+    `policy_value` evaluates: no two values of size r_max / (1 - gamma) are
+    subtracted, and a policy that loses nothing has a gap of exactly zero.
     `problems` may be a generator: only each problem's arrays are kept,
     which keeps the sweep's peak memory down.
     """
-    instances, inputs = [], []
+    deploy, losses, inputs = [], [], []
     for problem in problems:
-        gamma = problem.mdp.discount
-        for kernel in (problem.mdp.kernel, problem.model_kernel):
-            instances.append((kernel, feasible_reward(kernel, problem.witness, gamma), gamma))
-        inputs.append((gamma, problem.mdp.n_states, problem.eps_t, problem.r_max))
-    values = hard_value_iteration(instances)
+        mdp, witness = problem.mdp, problem.witness
+        gamma = mdp.discount
+        deploy.append((mdp.kernel, feasible_reward(problem.model_kernel, witness, gamma), gamma))
+        losses.append((mdp.kernel, witness.xi * ~witness.support, gamma))
+        inputs.append((gamma, mdp.n_states, problem.eps_t, problem.r_max))
+    policies = [greedy_policy(values).probs for values in hard_value_iteration(deploy)]
     rows = []
-    for i, (gamma, n_states, eps_t, r_max) in enumerate(inputs):
-        observed = float(np.max(np.abs(values[2 * i].v - values[2 * i + 1].v)))
+    for instance_id, gap, (gamma, n_states, eps_t, r_max) in zip(
+            instance_ids, policy_value(losses, policies), inputs):
+        observed = float(np.max(gap))
         bound = performance_difference_bound(gamma, n_states, eps_t, r_max)
         ratio = observed / bound if bound > 0.0 else 0.0
-        rows.append(BoundCheckRow(instance_ids[i], gamma, n_states, eps_t, observed,
+        rows.append(BoundCheckRow(instance_id, gamma, n_states, eps_t, observed,
                                   bound, ratio, passed=observed <= bound + BOUND_DP_SLACK))
     return rows
 
 
-def run_bound_sweep(kind: str, n_instances: int, seed: int = 0) -> list:
-    """kind is 'reward' or 'performance'; returns one row per instance.
-
-    The performance sweep draws every problem first, in the same order,
-    then solves them all at once.
-    """
-    if kind not in ("reward", "performance"):
-        raise ValueError(f"kind must be 'reward' or 'performance', got {kind!r}")
+def run_bound_sweep(n_instances: int, seed: int = 0) -> tuple:
+    """(reward_rows, performance_rows) of n problems, each drawn once: its
+    reward row is taken as it is drawn, its performance row in one stacked
+    solve of all of them."""
     rng = as_generator(seed)
-    if kind == "reward":
-        return [verify_reward_error_bound(random_problem(rng), instance_id=i)
-                for i in range(n_instances)]
-    return verify_performance_difference_bound(
-        (random_problem(rng) for _ in range(n_instances)), range(n_instances))
+    reward_rows = []
+
+    def problems():
+        for i in range(n_instances):
+            problem = random_problem(rng)
+            reward_rows.append(verify_reward_error_bound(problem, instance_id=i))
+            yield problem
+
+    performance_rows = verify_performance_difference_bound(problems(), range(n_instances))
+    return reward_rows, performance_rows
 
 
 def sweep_csv_text(rows) -> str:

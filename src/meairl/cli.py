@@ -287,10 +287,9 @@ def cmd_verify_bounds(args) -> int:
     _require_verify_args({"--instances": args.instances}, args.seed)
     out_dir = resolve_out_dir(args.out, "", "")
     status = 0
-    for kind, name in (("reward", "bounds_reward.csv"),
-                       ("performance", "bounds_performance.csv")):
-        rows = run_bound_sweep(kind, args.instances, seed=args.seed)
-        write_sweep_csv(_out_file(out_dir, name), rows)
+    for kind, rows in zip(("reward", "performance"),
+                          run_bound_sweep(args.instances, seed=args.seed)):
+        write_sweep_csv(_out_file(out_dir, f"bounds_{kind}.csv"), rows)
         n_fail = sum(1 for r in rows if not r.passed)
         ratios = np.sort([r.ratio for r in rows])
         # linear-interpolated quantiles; np.quantile would import numpy.ma
@@ -302,7 +301,6 @@ def cmd_verify_bounds(args) -> int:
               f"max {worst:.3e}; {n_fail} violations)")
         if n_fail:
             status = 1
-        del rows  # written out; not held while the next sweep holds its problems
     return status
 
 

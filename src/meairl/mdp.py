@@ -257,6 +257,7 @@ class ContinuousEnv:
     state_high: np.ndarray
     dynamics_noise_std: float
     horizon: int
+    discount: float
     drift: Callable = field(repr=False)
     reward_fn: Callable = field(repr=False)
     init_sampler: Callable = field(repr=False)
@@ -278,7 +279,8 @@ class ContinuousEnv:
 
 
 def make_noisy_pointmass(noise_std: float = 0.5) -> ContinuousEnv:
-    """1-D point mass: x' = clip(x + 0.1 a + noise), reward -x^2, horizon 100."""
+    """1-D point mass: x' = clip(x + 0.1 a + noise), reward -x^2, horizon 100,
+    discount 0.99."""
     if noise_std < 0.0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     return ContinuousEnv(
@@ -291,6 +293,7 @@ def make_noisy_pointmass(noise_std: float = 0.5) -> ContinuousEnv:
         state_high=np.array([5.0]),
         dynamics_noise_std=float(noise_std),
         horizon=100,
+        discount=0.99,
         drift=lambda s, a: s + 0.1 * a,
         reward_fn=lambda s, a: -float(s @ s),
         init_sampler=lambda rng: rng.uniform(-2.0, 2.0, size=1),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import DIST_ATOL, TabularMDP
+from .mdp import TabularMDP, _check_distribution
 from .soft_dp import SoftValues
 
 # Value-iteration tolerance of the invariance checks. A solve stopped at
@@ -23,27 +23,18 @@ from .soft_dp import SoftValues
 INVARIANCE_DP_TOL = 1e-12
 
 
-def _as_kernel_array(kernel) -> np.ndarray:
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 3 or kernel.shape[0] != kernel.shape[2]:
-        raise ValueError(f"kernel must have shape (S, A, S), got {kernel.shape}")
-    sums = kernel.sum(axis=-1)
-    if np.any(kernel < 0.0) or float(np.abs(sums - 1.0).max()) > DIST_ATOL:
-        raise ValueError("kernel rows must be probability distributions")
-    return kernel
-
-
 def shape_reward(mdp: TabularMDP, phi: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """The (S, A) table mdp.reward shaped with potential phi under an (S, A, S)
     row-stochastic model kernel."""
-    kernel = _as_kernel_array(kernel)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    if kernel.shape != mdp.kernel.shape:
+        raise ValueError(f"kernel shape {kernel.shape} != {mdp.kernel.shape}")
+    _check_distribution(kernel, "kernel")
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (mdp.n_states,):
         raise ValueError(f"phi shape {phi.shape} != ({mdp.n_states},)")
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi entries must be finite")
-    if kernel.shape != mdp.kernel.shape:
-        raise ValueError(f"kernel shape {kernel.shape} != {mdp.kernel.shape}")
     expected_phi = (kernel.reshape(-1, mdp.n_states) @ phi).reshape(mdp.n_states, mdp.n_actions)
     return mdp.reward + mdp.discount * expected_phi - phi[:, None]
 

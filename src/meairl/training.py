@@ -141,7 +141,6 @@ class TrainingConfig:
     n_model_samples: int = 8
     disc_hidden: tuple = (100, 100)
     sac_hidden: tuple = (64, 64)
-    discount: float = 0.99  # continuous loop only; tabular uses the MDP's own
     ratio_start: float = 0.05
     ratio_end: float = 0.5
     ratio_ramp_frac: float = 0.5
@@ -169,8 +168,6 @@ class TrainingConfig:
                 raise ValueError(f"every width in {name} must be >= 1, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError(f"discount must lie in (0, 1), got {self.discount}")
         if not 0.0 < self.disc_lr < float("inf"):
             raise ValueError(f"disc_lr must be finite and > 0, got {self.disc_lr}")
         for name in ("ratio_start", "ratio_end", "ratio_ramp_frac", "mix_prob"):
@@ -510,13 +507,13 @@ class _ContinuousRun(_Run):
                                                state_low=env.state_low,
                                                state_high=env.state_high, rng=init)
             self.model_adam = AdamState.for_params(self.model.params, lr=MODEL_LR)
-        self.agent = SacAgent(d, k, env.action_low, env.action_high, config.discount,
+        self.agent = SacAgent(d, k, env.action_low, env.action_high, env.discount,
                               hidden=config.sac_hidden, rng=init)
         self.pi, self.actor = self.agent, self.agent.act
         self.bc_net = None
         self.last_model_nll = float("nan")
         if config.algorithm != "bc_none":
-            self.disc = Discriminator.continuous(d, k, config.discount, dynamics=self.model,
+            self.disc = Discriminator.continuous(d, k, env.discount, dynamics=self.model,
                                                  shaping=self.shaping,
                                                  hidden=config.disc_hidden,
                                                  n_model_samples=config.n_model_samples,
@@ -609,7 +606,7 @@ def generate_expert(env, seed: int, n_episodes: int, out_path,
     config = config or TrainingConfig()
     streams = spawn_streams(seed, ("interact", "update", "eval", "init", "demo"))
     agent = SacAgent(env.state_dim, env.action_dim, env.action_low, env.action_high,
-                     config.discount, hidden=config.sac_hidden, rng=streams["init"])
+                     env.discount, hidden=config.sac_hidden, rng=streams["init"])
     buf = ReplayBuffer(ENV_BUFFER_CAPACITY, state_shape=(env.state_dim,),
                        action_shape=(env.action_dim,), dtype=np.float64, with_reward=True)
     state = env.reset(streams["interact"])

@@ -111,8 +111,15 @@ def test_criterion_3_negative_control_b_expert_rows_weighted_by_policy_fails(mon
     assert report.max_gap > 1e-2
 
 
-def test_criterion_4_reward_recovery_error_bound_holds_on_sweep():
-    rows = run_bound_sweep("reward", 1000, seed=0)
+@pytest.fixture(scope="module")
+def bound_sweep():
+    # one 1000-instance pass shared by criteria 4 and 5: each problem is
+    # drawn once and checked against both bounds
+    return run_bound_sweep(1000, seed=0)
+
+
+def test_criterion_4_reward_recovery_error_bound_holds_on_sweep(bound_sweep):
+    rows, _ = bound_sweep
     assert len(rows) == 1000
     assert all(r.passed for r in rows)
     assert abs(reward_error_bound(0.9, 5, 0.1, 1.0) - 4.5) < 1e-9
@@ -123,21 +130,35 @@ def test_criterion_4_negative_control_a_shrunk_bound_fails(monkeypatch):
     # bound 100x too small must be caught
     true_bound = bounds.reward_error_bound
     monkeypatch.setattr(bounds, "reward_error_bound", lambda *args: true_bound(*args) / 100.0)
-    rows = run_bound_sweep("reward", 200, seed=0)
+    rows, _ = run_bound_sweep(200, seed=0)
     assert sum(not r.passed for r in rows) >= 100
 
 
-def test_criterion_5_optimal_value_gap_bound_holds_on_sweep():
-    rows = run_bound_sweep("performance", 1000, seed=0)
+def test_criterion_5_optimal_value_gap_bound_holds_on_sweep(bound_sweep):
+    _, rows = bound_sweep
     assert len(rows) == 1000
     assert all(r.passed for r in rows)
     assert abs(performance_difference_bound(0.9, 5, 0.1, 1.0) - 104.0) < 1e-9
-    # a perfect model collapses the gap to solver precision
+    # the model-greedy policy loses true value on many instances (276 at
+    # seed 0, up to 0.085 of the bound), so the check is not vacuous
+    assert sum(r.observed_gap > 1e-6 for r in rows) >= 100
+    assert max(r.ratio for r in rows) > 1e-2
+    # a perfect model loses nothing
     rng = np.random.default_rng(7)
     for _ in range(5):
         problem = random_problem(rng, perturb_rate=0.0)
         row, = verify_performance_difference_bound([problem], [0])
         assert row.observed_gap <= 1e-8
+
+
+def test_criterion_5_negative_control_a_shrunk_bound_fails(monkeypatch):
+    # no gap at seed 0 comes within 10x of its bound, but 55 come within
+    # 100x, so a bound 100x too small must be caught
+    true_bound = bounds.performance_difference_bound
+    monkeypatch.setattr(bounds, "performance_difference_bound",
+                        lambda *args: true_bound(*args) / 100.0)
+    _, rows = run_bound_sweep(1000, seed=0)
+    assert sum(not r.passed for r in rows) >= 25
 
 
 def test_criterion_6_analytic_gradients_match_finite_differences():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meairl
+from meairl import bounds
 from meairl import (ConfigError, ExperimentConfig, TrainingConfig, build_env,
                     load_config, save_config, save_continuous_demos)
 from meairl.cli import (SUMMARY_CSV_HEADER, AggregateRow, aggregate,
@@ -279,7 +280,9 @@ class TestCliExitCodes:
         "policy_td_rate", "sac_lr", "alpha_ent", "tau", "gen_buffer_init",
         "gen_buffer_growth", "gen_buffer_max",
         # checkpoint files, which nothing read back
-        "checkpoint_period", "checkpoint_dir"])
+        "checkpoint_period", "checkpoint_dir",
+        # the point mass's discount, now fixed by its environment like its horizon
+        "discount"])
     def test_retired_mix_schedule_keys_exit_two(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "old.cfg"
         cfg_path.write_text(MICRO_CONFIG.replace("batch_size = 32",
@@ -419,6 +422,21 @@ class TestCliExitCodes:
             "instance_id,gamma,n_states,eps_T,observed_gap,bound,ratio")
         assert (tmp_path / "bounds_performance.csv").exists()
 
+    def test_verify_bounds_draws_each_problem_once(self, tmp_path, capsys, monkeypatch):
+        # both sweeps check the same draws, so n instances cost n draws
+        draws = []
+        real_draw = bounds.random_problem
+
+        def counted_draw(rng):
+            draws.append(rng)
+            return real_draw(rng)
+
+        monkeypatch.setattr(bounds, "random_problem", counted_draw)
+        assert main(["verify-bounds", "--instances", "7", "--out", str(tmp_path)]) == 0
+        assert len(draws) == 7
+        for kind in ("reward", "performance"):
+            assert len((tmp_path / f"bounds_{kind}.csv").read_text().splitlines()) == 8
+
 
 class TestCliTrain:
     def test_train_twice_is_byte_identical(self, tmp_path, capsys):
@@ -555,7 +573,6 @@ FIELD_RANGES = {
     ("train", "n_model_samples"): (POSITIVE, BELOW_ONE),
     ("train", "disc_hidden"): (WIDTHS, BAD_WIDTHS),
     ("train", "sac_hidden"): (WIDTHS, BAD_WIDTHS),
-    ("train", "discount"): (OPEN_UNIT, OUTSIDE_OPEN_UNIT),
     ("train", "ratio_start"): (UNIT, OUTSIDE_UNIT),
     ("train", "ratio_end"): (UNIT, OUTSIDE_UNIT),
     ("train", "ratio_ramp_frac"): (UNIT, OUTSIDE_UNIT),

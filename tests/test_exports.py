@@ -1,8 +1,7 @@
 """Every name the package exports has a caller in another library module.
 
 A name that only tests reach backs nothing the commands run: it leaves
-the package's exports, or it is deleted. The allowlist names the names
-that wait for a caller, each with the ROADMAP item that gives it one.
+the package's exports, or it is deleted.
 """
 
 import ast
@@ -13,11 +12,6 @@ import pytest
 import meairl
 
 PACKAGE = Path(meairl.__file__).parent
-
-AWAITING_CALLER = {
-    "greedy_policy": "ROADMAP item 1: the policy deployed by criterion 5's re-paired gap",
-    "policy_value": "ROADMAP item 1: that policy's value on the true MDP",
-}
 
 
 def _exports() -> list:
@@ -46,11 +40,4 @@ READ = _names_read_by_module()
 def test_export_has_a_library_caller(module, name):
     callers = sorted(other for other, names in READ.items()
                      if other != module and name in names)
-    if name in AWAITING_CALLER:
-        assert not callers, f"{name} is called from {callers}; drop it from AWAITING_CALLER"
-    else:
-        assert callers, f"meairl.{name} has no caller outside meairl.{module}"
-
-
-def test_allowlist_names_exports():
-    assert set(AWAITING_CALLER) <= {name for _, name in EXPORTS}
+    assert callers, f"meairl.{name} has no caller outside meairl.{module}"

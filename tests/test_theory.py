@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import instance
-from meairl import TabularMDP, hard_value_iteration, run_bound_sweep, tv_distance
+from meairl import (TabularMDP, greedy_policy, hard_value_iteration, policy_value,
+                    run_bound_sweep, tv_distance)
 from meairl.bounds import (GAMMA_CHOICES, SWEEP_CSV_HEADER, FeasibleRewardWitness,
                            feasible_reward, performance_difference_bound, perturb_kernel,
                            random_problem, reward_error_bound, sweep_csv_text,
@@ -156,7 +157,7 @@ class TestRewardBoundVerifier:
         assert gammas == set(GAMMA_CHOICES)
 
     def test_sweep_all_pass(self):
-        rows = run_bound_sweep("reward", 50, seed=0)
+        rows, _ = run_bound_sweep(50, seed=0)
         assert len(rows) == 50
         assert all(r.passed for r in rows)
         assert all(r.observed_gap <= r.bound + 1e-9 for r in rows)
@@ -167,29 +168,56 @@ class TestPerformanceBoundVerifier:
         rng = np.random.default_rng(8)
         problem = random_problem(rng, perturb_rate=0.0)
         row, = verify_performance_difference_bound([problem], [0])
-        assert row.observed_gap <= 1e-8
+        assert row.observed_gap == 0.0  # pi_hat takes only supported actions
         assert row.passed
 
     def test_sweep_all_pass(self):
-        rows = run_bound_sweep("performance", 50, seed=1)
+        _, rows = run_bound_sweep(50, seed=1)
         assert len(rows) == 50
         assert all(r.passed for r in rows)
 
     def test_sweep_rows_equal_problem_by_problem_rows(self):
-        # the sweep solves all problems stacked; stacks of one problem must agree
+        # the sweep draws each problem once for both checks and solves the
+        # performance side stacked; one problem at a time must agree
         rng = np.random.default_rng(1)
-        expected = [row for i in range(50)
-                    for row in verify_performance_difference_bound([random_problem(rng)], [i])]
-        assert run_bound_sweep("performance", 50, seed=1) == expected
+        problems = [random_problem(rng) for _ in range(50)]
+        expected = ([verify_reward_error_bound(p, instance_id=i) for i, p in enumerate(problems)],
+                    [row for i, p in enumerate(problems)
+                     for row in verify_performance_difference_bound([p], [i])])
+        assert run_bound_sweep(50, seed=1) == expected
 
-    def test_sweep_kind_validated(self):
-        with pytest.raises(ValueError):
-            run_bound_sweep("nonsense", 3)
+    def test_witness_is_the_optimal_value_of_both_pairs(self):
+        # the same-witness identity: (T_true, r_true) and (T_model, r_model)
+        # share the optimal value V, which is why the gap deploys pi_hat
+        # on the true MDP instead of comparing these two solves
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            problem = random_problem(rng)
+            gamma = problem.mdp.discount
+            pairs = [(kernel, feasible_reward(kernel, problem.witness, gamma), gamma)
+                     for kernel in (problem.mdp.kernel, problem.model_kernel)]
+            for values in hard_value_iteration(pairs):
+                assert np.max(np.abs(values.v - problem.witness.v)) <= 1e-8
+
+    def test_gap_is_the_value_lost_by_the_model_greedy_policy(self):
+        # the verifier evaluates the gap as pi_hat's value under the loss
+        # xi * [a unsupported]; here it is V*_true - V^pi_hat_true solved as written
+        rng = np.random.default_rng(13)
+        problem = random_problem(rng, n_states=6, gamma=0.9, perturb_rate=0.3)
+        kernel, gamma = problem.mdp.kernel, 0.9
+        r_model = feasible_reward(problem.model_kernel, problem.witness, gamma)
+        [deploy] = hard_value_iteration([(kernel, r_model, gamma)])
+        pi_hat = greedy_policy(deploy)
+        [v_pi] = policy_value([(kernel, problem.mdp.reward, gamma)], [pi_hat.probs])
+        [v_star] = hard_value_iteration([instance(problem.mdp)])
+        row, = verify_performance_difference_bound([problem], [0])
+        assert abs(row.observed_gap - np.max(v_star.v - v_pi)) <= 1e-8
+        assert row.observed_gap > 1e-3  # this instance's model misleads the policy
 
 
 class TestSweepCsv:
     def test_header_and_shape(self):
-        rows = run_bound_sweep("reward", 5, seed=2)
+        rows, _ = run_bound_sweep(5, seed=2)
         text = sweep_csv_text(rows)
         lines = text.strip().split("\n")
         assert lines[0] == SWEEP_CSV_HEADER
@@ -199,7 +227,7 @@ class TestSweepCsv:
         assert len(first) == 7
 
     def test_floats_round_trip(self):
-        rows = run_bound_sweep("performance", 3, seed=3)
+        _, rows = run_bound_sweep(3, seed=3)
         lines = sweep_csv_text(rows).strip().split("\n")[1:]
         for row, line in zip(rows, lines):
             cols = line.split(",")

@@ -15,7 +15,8 @@ from meairl import (ExpertBuffer, Mlp, TabularEnv, TabularMDP, TabularPolicy,
 from meairl.cli import main
 from meairl.seeding import spawn_streams
 from meairl.training import (CSV_HEADER, EvalRow, TrainingDivergedError, TrainingRecord,
-                             _TabularRuns, evaluate_tabular_policy, mix_state)
+                             _ContinuousRun, _TabularRuns, evaluate_tabular_policy,
+                             mix_state)
 
 
 def small_grid_env(slip=0.1, width=3, height=3, goal=5.0, discount=0.9,
@@ -445,6 +446,17 @@ class TestContinuousLoop:
         run_meairl(env, expert, cfg)
         assert calls["backward"] >= 40
         assert calls["pass"] == calls["forward"]
+
+    def test_run_reads_the_environment_discount(self, tmp_path):
+        # the point mass fixes its discount like its horizon; SAC and the
+        # discriminator take it from the environment, not from the config
+        assert make_noisy_pointmass().discount == 0.99
+        env = dataclasses.replace(make_noisy_pointmass(0.5), discount=0.8)
+        cfg = TrainingConfig(model_hidden=(8,), disc_hidden=(8,), sac_hidden=(8,),
+                             n_model_samples=1)
+        run = _ContinuousRun(env, pointmass_expert(env, tmp_path), cfg, 0)
+        assert run.agent.discount == 0.8
+        assert run.disc.discount == 0.8
 
     def test_nan_demos_raise_diverged(self, tmp_path):
         env = make_noisy_pointmass(0.5)
