@@ -16,7 +16,7 @@ from .dynamics import (GaussianDynamicsModel, TabularDynamicsEstimate,
                        rollout_synthetic, tv_distance)
 from .mdp import (ContinuousEnv, ConvergenceError, DemoFormatError, TabularEnv,
                   TabularMDP, TabularPolicy, load_demos, make_gridworld,
-                  make_noisy_pointmass, sample_trajectory, save_continuous_demos,
+                  make_noisy_pointmass, sample_episodes, save_continuous_demos,
                   save_tabular_demos)
 from .neural import AdamState, Mlp, adam_step
 from .policy_opt import SacAgent

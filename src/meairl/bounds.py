@@ -19,7 +19,7 @@ evaluated as pi_hat's value under the loss V*_true - Q*_true.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,10 +95,10 @@ class IrlProblem:
     model_kernel: np.ndarray
     witness: FeasibleRewardWitness
     r_max: float
+    eps_t: float = field(init=False)  # worst-row TV error of the model kernel
 
-    @property
-    def eps_t(self) -> float:
-        return tv_distance(self.mdp.kernel, self.model_kernel)[0]
+    def __post_init__(self):
+        self.eps_t = tv_distance(self.mdp.kernel, self.model_kernel)[0]
 
 
 def random_problem(rng, n_states: int = None, n_actions: int = None,

@@ -3,9 +3,10 @@
 Three sections. [env] describes the environment, [train] maps one-to-one
 onto TrainingConfig fields, [run] holds everything around a run (seeds,
 demo path, output directory, expert generation knobs). Unknown sections
-or keys are rejected with the offending line number; serialization is
-canonical so parse(serialize(c)) == c and a resolved copy of the config
-can be dropped next to every run's outputs.
+or keys are rejected with the offending line number, and [env] keys the
+named environment does not read by name; serialization is canonical so
+parse(serialize(c)) == c and a resolved copy of the config can be
+dropped next to every run's outputs.
 
     [env]
     name = gridworld
@@ -29,7 +30,11 @@ from dataclasses import dataclass, field
 from .mdp import TabularEnv, make_gridworld, make_noisy_pointmass
 from .training import TrainingConfig
 
-ENV_NAMES = ("gridworld", "pointmass")
+# The [env] keys that each environment reads in `build_env`.
+ENV_KEYS = {"gridworld": ("name", "width", "height", "slip_prob", "goal_reward", "discount",
+                          "horizon"),
+            "pointmass": ("name", "noise_std")}
+ENV_NAMES = tuple(ENV_KEYS)
 
 
 class ConfigError(ValueError):
@@ -166,6 +171,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
         sections[current][key] = _parse_value(raw, defaults[current][key], key, lineno)
+    env_name = sections["env"].get("name", defaults["env"]["name"])
+    read = ENV_KEYS.get(env_name, sections["env"])  # EnvSpec refuses an unknown name
+    unread = [key for key in sections["env"] if key not in read]
+    if unread:
+        raise ConfigError(f"key {unread[0]!r} in [env] is not read by {env_name}")
     try:
         return ExperimentConfig(env=EnvSpec(**sections["env"]),
                                 train=TrainingConfig(**sections["train"]),
@@ -191,7 +201,8 @@ def serialize_config(config: ExperimentConfig) -> str:
         lines.append(f"[{name}]")
         section = getattr(config, name)
         for f in dataclasses.fields(section):
-            lines.append(f"{f.name} = {_render_value(getattr(section, f.name))}")
+            if name != "env" or f.name in ENV_KEYS[section.name]:
+                lines.append(f"{f.name} = {_render_value(getattr(section, f.name))}")
         lines.append("")
     return "\n".join(lines)
 

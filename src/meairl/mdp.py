@@ -1,19 +1,20 @@
-"""Finite stochastic MDPs, trajectories, and the two desk-scale environments.
+"""Finite stochastic MDPs, episode sampling, and the two desk-scale environments.
 
 Conventions used everywhere in the package: transition kernels are float
 arrays indexed [state, action, next_state], rewards [state, action],
 policies [state, action]. Sampling goes through caller-supplied numpy
-Generators so any run is reproducible from a single 64-bit seed.
+Generators so any run is reproducible from a single 64-bit seed, and
+every discrete draw maps a uniform to an index by one rule, `_inverse_cdf`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-
-from .seeding import as_generator
 
 # Distributions (kernel rows, policies, start dists) must sum to one this tightly.
 DIST_ATOL = 1e-12
@@ -40,24 +41,28 @@ def _check_distribution(arr, what):
         raise ValueError(f"{what} rows must sum to 1 (worst deviation {worst:.3e})")
 
 
+def _inverse_cdf(cum_rows, u):
+    """Inverse-CDF index: how many entries of a cumulative row are <= u,
+    clamped to the last index (rounding can leave a row's total below u).
+    An array holds one row per entry of u on its last axis; a list is one
+    row, never decreasing, so `bisect_right` is that count."""
+    if isinstance(cum_rows, list):
+        return min(bisect_right(cum_rows, u), len(cum_rows) - 1)
+    return np.minimum((cum_rows <= u[..., None]).sum(axis=-1), cum_rows.shape[-1] - 1)
+
+
 def _row_sample(cumulative, rng):
-    """Inverse-CDF draw from one cumulative row."""
-    u = rng.random()
-    # the method, not np.searchsorted, whose wrapper costs as much as the search
-    idx = int(cumulative.searchsorted(u, side="right"))
-    return min(idx, cumulative.shape[-1] - 1)
+    """One inverse-CDF draw from one cumulative row."""
+    return int(_inverse_cdf(cumulative, rng.random(1))[0])
 
 
 def _row_sample_batch(cumulative_rows, rng):
     """One inverse-CDF draw per row of an (n, K) stack of cumulative rows.
 
     With RunStreams the rows are (R, n, K) and run k draws the n uniforms
-    of its own rows. Counting the entries <= u picks the index
-    `searchsorted(side="right")` picks, as `_row_sample` does.
+    of its own rows.
     """
-    u = rng.random(cumulative_rows.shape[-2])
-    idx = (cumulative_rows <= u[..., None]).sum(axis=-1)
-    return np.minimum(idx, cumulative_rows.shape[-1] - 1)
+    return _inverse_cdf(cumulative_rows, rng.random(cumulative_rows.shape[-2]))
 
 
 class TabularMDP:
@@ -98,7 +103,12 @@ class TabularMDP:
         self.init_dist = init_dist
         self.r_max = float(r_max)
         self._kernel_cum = np.cumsum(kernel, axis=-1)
-        self._init_cum = np.cumsum(init_dist)
+        self._init_cum = np.cumsum(init_dist).tolist()
+
+    @cached_property
+    def _kernel_cum_rows(self) -> list:
+        """The cumulative kernel as nested lists, for one-state draws."""
+        return self._kernel_cum.tolist()
 
     @property
     def n_states(self) -> int:
@@ -108,11 +118,11 @@ class TabularMDP:
     def n_actions(self) -> int:
         return self.kernel.shape[1]
 
-    def sample_init(self, rng) -> int:
-        return _row_sample(self._init_cum, rng)
+    def sample_init(self, u: float) -> int:
+        return _inverse_cdf(self._init_cum, u)
 
-    def sample_next(self, state, action, rng) -> int:
-        return _row_sample(self._kernel_cum[state, action], rng)
+    def sample_next(self, state: int, action: int, u: float) -> int:
+        return _inverse_cdf(self._kernel_cum_rows[state][action], u)
 
     def sample_next_batch(self, states, actions, rng) -> np.ndarray:
         return _row_sample_batch(self._kernel_cum[states, actions], rng)
@@ -122,7 +132,7 @@ class TabularPolicy:
     """Stochastic policy over a finite MDP, rows pi[s, :] summing to one.
 
     An (R, S, A) table holds the policies of R runs; its batch methods
-    take (R, n) states, row k for run k. `sample` draws from an (S, A) one.
+    take (R, n) states, row k for run k.
     """
 
     def __init__(self, probs):
@@ -138,9 +148,6 @@ class TabularPolicy:
         self._offsets = (0 if probs.ndim == 2
                          else np.arange(probs.shape[0])[:, None] * probs.shape[1])
 
-    def sample(self, state, rng) -> int:
-        return _row_sample(self._cum[state], rng)
-
     def sample_batch(self, states, rng) -> np.ndarray:
         cum = self._cum
         return _row_sample_batch(np.take(cum.reshape(-1, cum.shape[-1]),
@@ -151,33 +158,35 @@ class TabularPolicy:
         return self.probs.reshape(-1)[(states + self._offsets) * self.probs.shape[-1] + actions]
 
 
-@dataclass
-class Trajectory:
-    """State-action path plus the state the final transition landed in."""
+def sample_episodes(mdp: TabularMDP, policy: TabularPolicy, horizon: int, episodes: int,
+                    rng):
+    """States (E, H+1) and actions (E, H) of E episodes of H steps each.
 
-    steps: list  # [(state, action), ...]
-    terminal_state: int
-
-    def transitions(self):
-        """Yield (s, a, s_next) for every step."""
-        for t, (s, a) in enumerate(self.steps):
-            s_next = self.steps[t + 1][0] if t + 1 < len(self.steps) else self.terminal_state
-            yield s, a, s_next
-
-
-def sample_trajectory(mdp: TabularMDP, policy: TabularPolicy, horizon: int, seed) -> Trajectory:
-    """Roll out `horizon` steps from the start distribution."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    rng = as_generator(seed)
-    s = mdp.sample_init(rng)
-    steps = []
-    for _ in range(horizon):
-        a = policy.sample(s, rng)
-        s_next = mdp.sample_next(s, a, rng)
-        steps.append((s, a))
-        s = s_next
-    return Trajectory(steps, s)
+    All E * (1 + 2H) uniforms are drawn up front, in the order a rollout
+    draws them: an episode's start, then each step's action and successor.
+    With RunStreams and an (R, S, A) policy, run k draws its own block and
+    acts with its own policy, and both arrays gain a leading run axis.
+    """
+    if horizon < 1 or episodes < 1:
+        raise ValueError(f"horizon and episodes must be >= 1, got {horizon} and {episodes}")
+    uniforms = rng.random((episodes, 1 + 2 * horizon))
+    lead = uniforms.shape[:-1]
+    runs = uniforms.reshape(-1, episodes, 1 + 2 * horizon).tolist()
+    tables = np.broadcast_to(policy._cum, (len(runs), *policy._cum.shape[-2:])).tolist()
+    states, actions = [], []
+    for run, table in zip(runs, tables):
+        for u in run:
+            s = mdp.sample_init(u[0])
+            visited, taken = [s], []
+            for t in range(1, 2 * horizon, 2):
+                a = _inverse_cdf(table[s], u[t])
+                s = mdp.sample_next(s, a, u[t + 1])
+                taken.append(a)
+                visited.append(s)
+            states.append(visited)
+            actions.append(taken)
+    return (np.array(states, dtype=np.int64).reshape(*lead, horizon + 1),
+            np.array(actions, dtype=np.int64).reshape(*lead, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +334,13 @@ class DemoSet:
     next_states: np.ndarray
 
 
-def save_tabular_demos(path, trajectories, env_name: str, seed: int,
+def save_tabular_demos(path, states, actions, env_name: str, seed: int,
                        n_states: int, n_actions: int) -> None:
+    """states (E, H+1) and actions (E, H), one episode per row, as `sample_episodes` returns."""
     lines = [f"# env={env_name} seed={seed} kind=tabular n_states={n_states} n_actions={n_actions}"]
-    for ep, traj in enumerate(trajectories):
-        for t, (s, a, s_next) in enumerate(traj.transitions()):
-            lines.append(f"{ep},{t},{s},{a},{s_next}")
+    # formatted from Python ints: f-strings on numpy integers are slow
+    for ep, (visited, taken) in enumerate(zip(states.tolist(), actions.tolist())):
+        lines.extend(f"{ep},{t},{visited[t]},{a},{visited[t + 1]}" for t, a in enumerate(taken))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -374,53 +384,26 @@ def load_demos(path) -> DemoSet:
     if not raw:
         raise DemoFormatError("empty demonstration file")
     meta = _parse_demo_header(raw[0])
-    kind = meta["kind"]
-    body = raw[1:]
-    episode_ids, steps = [], []
-    if kind == "tabular":
-        states, actions, next_states = [], [], []
-        for i, line in enumerate(body, start=2):
-            cells = line.split(",")
-            if len(cells) != 5:
-                raise DemoFormatError(f"line {i}: expected 5 fields, got {len(cells)}")
-            try:
-                ep, t, s, a, s_next = (int(c) for c in cells)
-            except ValueError as exc:
-                raise DemoFormatError(f"line {i}: non-integer field ({exc})") from None
-            episode_ids.append(ep)
-            steps.append(t)
-            states.append(s)
-            actions.append(a)
-            next_states.append(s_next)
-        return DemoSet(kind, meta["env"], int(meta["seed"]), meta,
-                       np.array(episode_ids, dtype=np.int64),
-                       np.array(steps, dtype=np.int64),
-                       np.array(states, dtype=np.int64),
-                       np.array(actions, dtype=np.int64),
-                       np.array(next_states, dtype=np.int64))
+    tabular = meta["kind"] == "tabular"
     try:
-        d = int(meta["state_dim"])
-        k = int(meta["action_dim"])
+        d, k = (1, 1) if tabular else (int(meta["state_dim"]), int(meta["action_dim"]))
     except KeyError as exc:
         raise DemoFormatError(f"continuous header missing {exc}") from None
-    width = 2 + 2 * d + k
-    states, actions, next_states = [], [], []
-    for i, line in enumerate(body, start=2):
+    width, parse = 2 + 2 * d + k, int if tabular else float
+    heads, values = [], []
+    for i, line in enumerate(raw[1:], start=2):
         cells = line.split(",")
         if len(cells) != width:
             raise DemoFormatError(f"line {i}: expected {width} fields, got {len(cells)}")
-        try:
-            episode_ids.append(int(cells[0]))
-            steps.append(int(cells[1]))
-            values = [float(c) for c in cells[2:]]
+        try:  # flat lists: a list per line would hold every line's list at once
+            heads += int(cells[0]), int(cells[1])
+            values += map(parse, cells[2:])
         except ValueError as exc:
             raise DemoFormatError(f"line {i}: bad field ({exc})") from None
-        states.append(values[:d])
-        actions.append(values[d:d + k])
-        next_states.append(values[d + k:])
-    return DemoSet(kind, meta["env"], int(meta["seed"]), meta,
-                   np.array(episode_ids, dtype=np.int64),
-                   np.array(steps, dtype=np.int64),
-                   np.array(states, dtype=np.float64),
-                   np.array(actions, dtype=np.float64),
-                   np.array(next_states, dtype=np.float64))
+    episode_ids, steps = np.array(heads, dtype=np.int64).reshape(-1, 2).T
+    values = np.array(values, dtype=np.int64 if tabular else np.float64).reshape(-1, width - 2)
+    columns = np.split(values, [d, d + k], axis=1)  # states, actions, next states
+    if tabular:
+        columns = [column[:, 0] for column in columns]
+    return DemoSet(meta["kind"], meta["env"], int(meta["seed"]), meta, episode_ids, steps,
+                   *columns)

@@ -14,7 +14,9 @@ discriminator tables, count models, replay buffers and the policy carry a
 leading run axis, so each numpy call serves every run, and a single run
 is the case of one seed. Each run draws from its own named streams in the
 order it would alone (`seeding.RunStreams`), so its record is
-byte-identical to its solo run. Continuous runs train one at a time.
+byte-identical to its solo run. One `evaluate_tabular_policy` call scores
+all runs, through `mdp.sample_episodes`, which also writes the tabular
+expert's demos. Continuous runs train one at a time.
 Variants:
 
   meairl               model inside the shaping term + synthetic data
@@ -56,7 +58,7 @@ from .buffers import GEN_BUFFER_INIT, RatioSchedule, ReplayBuffer
 from .dynamics import (GaussianDynamicsModel, TabularDynamicsEstimate,
                        rollout_synthetic, tv_distance)
 from .mdp import (ContinuousEnv, TabularEnv, TabularPolicy,
-                  sample_trajectory, save_continuous_demos, save_tabular_demos)
+                  sample_episodes, save_continuous_demos, save_tabular_demos)
 from .neural import AdamState, Mlp, adam_step
 from .policy_opt import SAC_LR, SacAgent
 from .seeding import as_generator, run_streams, spawn_streams
@@ -354,19 +356,16 @@ def evaluate_tabular_policy(env: TabularEnv, policy: TabularPolicy, episodes: in
 
     Actions are sampled from the policy, the same protocol the demonstration
     returns are measured under, so learner and expert numbers are comparable.
+    With RunStreams and an (R, S, A) policy, both are lists, one entry per run.
     """
     mdp = env.mdp
-    returns = np.empty(episodes)
-    for e in range(episodes):
-        s = mdp.sample_init(rng)
-        total, scale = 0.0, 1.0
-        for _ in range(env.episode_horizon):
-            a = policy.sample(s, rng)
-            total += scale * mdp.reward[s, a]
-            scale *= mdp.discount
-            s = mdp.sample_next(s, a, rng)
-        returns[e] = total
-    return float(returns.mean()), float(returns.std())
+    states, actions = sample_episodes(mdp, policy, env.episode_horizon, episodes, rng)
+    rewards = mdp.reward[states[..., :-1], actions]
+    returns, scale = 0.0, 1.0
+    for t in range(env.episode_horizon):  # summed in step order, as a rollout adds them
+        returns = returns + scale * rewards[..., t]
+        scale *= mdp.discount
+    return returns.mean(axis=-1).tolist(), returns.std(axis=-1).tolist()
 
 
 class _TabularRuns(_Run):
@@ -417,7 +416,7 @@ class _TabularRuns(_Run):
 
     def reset(self):
         mdp = self.env.mdp
-        return np.array([mdp.sample_init(g) for g in self.streams["interact"].generators])
+        return np.array([mdp.sample_init(u) for u in self.streams["interact"].random().tolist()])
 
     def act(self, t, state, prev):
         if self.model_based and t > self.config.pretrain_steps:
@@ -465,9 +464,9 @@ class _TabularRuns(_Run):
         pass
 
     def evaluate(self):
-        return [evaluate_tabular_policy(self.env, TabularPolicy(probs),
-                                        self.config.eval_episodes, g)
-                for probs, g in zip(self.policy.probs, self.streams["eval"].generators)]
+        return list(zip(*evaluate_tabular_policy(self.env, self.policy,
+                                                 self.config.eval_episodes,
+                                                 self.streams["eval"])))
 
     def model_columns(self):
         """Per run: (model_nll on the newest 256 transitions, worst-row TV error)."""
@@ -595,9 +594,9 @@ def generate_expert(env, seed: int, n_episodes: int, out_path,
         mdp = env.mdp
         [values] = soft_value_iteration([(mdp.kernel, mdp.reward, mdp.discount)])
         policy = soft_optimal_policy(values)
-        trajs = [sample_trajectory(mdp, policy, env.episode_horizon, rng)
-                 for _ in range(n_episodes)]
-        save_tabular_demos(out_path, trajs, env.name, seed, mdp.n_states, mdp.n_actions)
+        states, actions = sample_episodes(mdp, policy, env.episode_horizon, n_episodes, rng)
+        save_tabular_demos(out_path, states, actions, env.name, seed, mdp.n_states,
+                           mdp.n_actions)
         return out_path
     if not isinstance(env, ContinuousEnv):
         raise TypeError(f"unsupported env type {type(env).__name__}")

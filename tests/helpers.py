@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference and linear-solve oracles, random instances."""
+"""Shared test utilities: finite-difference, linear-solve and scalar-rollout
+oracles, random instances."""
 
 import numpy as np
 
@@ -41,6 +42,50 @@ def random_mdp(rng, n_states=None, n_actions=None, gamma=None, reward_scale=1.0)
 
 def random_policy(rng, n_states, n_actions):
     return TabularPolicy(rng.dirichlet(np.ones(n_actions), size=n_states))
+
+
+def searchsorted_draw(cumulative, rng):
+    """One inverse-CDF draw by `searchsorted`, a uniform drawn per call."""
+    idx = int(cumulative.searchsorted(rng.random(), side="right"))
+    return min(idx, cumulative.shape[-1] - 1)
+
+
+def scalar_rollouts(mdp, probs, horizon, episodes, rng):
+    """States (E, H+1) and actions (E, H) drawn one scalar at a time: the
+    start, then each step's action and successor. It shares no sampling
+    code with the library."""
+    init_cum, kernel_cum = np.cumsum(mdp.init_dist), np.cumsum(mdp.kernel, axis=-1)
+    policy_cum = np.cumsum(probs, axis=-1)
+    states, actions = [], []
+    for _ in range(episodes):
+        s = searchsorted_draw(init_cum, rng)
+        visited, taken = [s], []
+        for _ in range(horizon):
+            a = searchsorted_draw(policy_cum[s], rng)
+            s = searchsorted_draw(kernel_cum[s, a], rng)
+            taken.append(a)
+            visited.append(s)
+        states.append(visited)
+        actions.append(taken)
+    return np.array(states), np.array(actions)
+
+
+def scalar_evaluation(mdp, probs, horizon, episodes, rng):
+    """Mean and std of the discounted return of `episodes` scalar rollouts,
+    the reward added at each step as it is taken."""
+    init_cum, kernel_cum = np.cumsum(mdp.init_dist), np.cumsum(mdp.kernel, axis=-1)
+    policy_cum = np.cumsum(probs, axis=-1)
+    returns = np.empty(episodes)
+    for e in range(episodes):
+        s = searchsorted_draw(init_cum, rng)
+        total, scale = 0.0, 1.0
+        for _ in range(horizon):
+            a = searchsorted_draw(policy_cum[s], rng)
+            total += scale * mdp.reward[s, a]
+            scale *= mdp.discount
+            s = searchsorted_draw(kernel_cum[s, a], rng)
+        returns[e] = total
+    return float(returns.mean()), float(returns.std())
 
 
 def instance(mdp):

@@ -21,7 +21,8 @@ from meairl import (ConfigError, ExperimentConfig, TrainingConfig, build_env,
 from meairl.cli import (SUMMARY_CSV_HEADER, AggregateRow, aggregate,
                         attainment_threshold, main, median_steps,
                         render_steps, resolve_out_dir, summary_csv_text)
-from meairl.config import ENV_NAMES, EnvSpec, RunSpec, parse_config_text, serialize_config
+from meairl.config import (ENV_KEYS, ENV_NAMES, EnvSpec, RunSpec, parse_config_text,
+                           serialize_config)
 from meairl.training import ALGORITHMS, CSV_HEADER, EvalRow, TrainingRecord
 
 
@@ -248,6 +249,10 @@ expert_episodes = 20
 expert_seed = 7
 """
 
+# MICRO_CONFIG's [train] and [run] on the point mass
+POINTMASS_MICRO_CONFIG = ("[env]\nname = pointmass\n\n"
+                          + MICRO_CONFIG[MICRO_CONFIG.index("[train]"):])
+
 
 class TestCliExitCodes:
     def test_malformed_config_exits_two(self, tmp_path, capsys):
@@ -338,6 +343,24 @@ class TestCliExitCodes:
                          "--demos", str(demos)])
             assert code == 2
             assert new.split("\n")[-1].split(" = ")[0] in capsys.readouterr().err
+            assert not demos.exists()
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("base, line", [
+        (POINTMASS_MICRO_CONFIG, "discount = 0.5"),
+        (MICRO_CONFIG, "noise_std = 0.25"),
+    ], ids=["pointmass_discount", "gridworld_noise_std"])
+    def test_env_key_the_environment_does_not_read_exits_two(self, tmp_path, capsys,
+                                                             base, line):
+        # a key the named environment ignores would change nothing; it is refused
+        cfg_path = tmp_path / "foreign.cfg"
+        cfg_path.write_text(base.replace("[train]", f"{line}\n\n[train]"))
+        demos = tmp_path / "demos.txt"
+        for command in ("expert", "train", "compare"):
+            code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "--demos", str(demos)])
+            assert code == 2
+            assert f"key '{line.split(' = ')[0]}' in [env] is not read" in capsys.readouterr().err
             assert not demos.exists()
             assert not (tmp_path / "o").exists()
 
@@ -612,8 +635,14 @@ def test_every_config_field_is_classified():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_parsed_config_round_trips_through_resolved_cfg(data):
+    # [env] keys come from the drawn environment's own set
     chosen = {}
+    if data.draw(st.booleans()):
+        chosen["env"] = {"name": data.draw(FIELD_RANGES[("env", "name")][0])}
+    env_keys = ENV_KEYS[chosen.get("env", {}).get("name", EnvSpec.name)]
     for (section, name), (inside, _) in FIELD_RANGES.items():
+        if section == "env" and (name == "name" or name not in env_keys):
+            continue
         if data.draw(st.booleans()):
             chosen.setdefault(section, {})[name] = data.draw(inside)
     text = "".join(f"[{section}]\n" + "".join(f"{name} = {_render(value)}\n"
@@ -638,14 +667,17 @@ def test_parsed_config_round_trips_through_resolved_cfg(data):
 @given(data=st.data())
 def test_out_of_range_value_exits_two_without_out_dir(section, name, data):
     value = data.draw(FIELD_RANGES[(section, name)][1])
+    # an [env] key goes on an environment that reads it, so its range check runs
+    pointmass = section == "env" and name in ENV_KEYS["pointmass"]
+    base = POINTMASS_MICRO_CONFIG if pointmass else MICRO_CONFIG
     with tempfile.TemporaryDirectory() as where:
         cfg_path = os.path.join(where, "bad.cfg")
         with open(cfg_path, "w", encoding="utf-8") as fh:
-            fh.write(_set_key(MICRO_CONFIG, section, name, _render(value)))
+            fh.write(_set_key(base, section, name, _render(value)))
         out = os.path.join(where, "o")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["train", "--config", cfg_path, "--out", out])
         assert code == 2
-        assert name in err.getvalue()
+        assert name in err.getvalue() and "is not read" not in err.getvalue()
         assert not os.path.exists(out)

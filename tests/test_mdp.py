@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import random_mdp, random_policy
+from helpers import random_mdp, random_policy, scalar_rollouts
 from meairl import (DemoFormatError, TabularMDP, TabularPolicy,
                     discounted_occupancy, load_demos, make_gridworld,
-                    make_noisy_pointmass, sample_trajectory,
+                    make_noisy_pointmass, sample_episodes,
                     save_continuous_demos, save_tabular_demos)
+from meairl.mdp import _inverse_cdf
+from meairl.seeding import RunStreams
 
 
 def one_state_mdp(gamma=0.5, reward=1.0):
@@ -51,41 +53,101 @@ class TestValidation:
             assert np.allclose(pol.probs.sum(axis=1), 1.0, atol=1e-12)
 
 
+def sparse_rows(rng, shape):
+    """Random distributions over the last axis with about half their entries zero."""
+    probs = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    probs = np.where(rng.random(probs.shape) < 0.5, 0.0, probs)
+    probs[..., 0] += probs.sum(axis=-1) == 0.0  # every row keeps an entry
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def sampling_case(name, rng):
+    """(mdp, probs of an (S, A) policy): zero-probability entries in the
+    kernel, start distribution and policy, or a deterministic grid kernel."""
+    if name == "sparse":
+        kernel = sparse_rows(rng, (6, 3, 6))
+        mdp = TabularMDP(kernel, rng.normal(size=(6, 3)), 0.9, sparse_rows(rng, (6,)))
+    else:
+        mdp = make_gridworld(4, 4, 0.0, 1.0, 0.9)
+    return mdp, sparse_rows(rng, (mdp.n_states, mdp.n_actions))
+
+
 class TestSampling:
     def test_single_state_trajectory(self):
-        traj = sample_trajectory(one_state_mdp(), TabularPolicy([[1.0]]),
-                                 horizon=3, seed=0)
-        assert traj.steps == [(0, 0), (0, 0), (0, 0)]
-        assert traj.terminal_state == 0
+        states, actions = sample_episodes(one_state_mdp(), TabularPolicy([[1.0]]),
+                                          horizon=3, episodes=1, rng=np.random.default_rng(0))
+        assert states.tolist() == [[0, 0, 0, 0]]
+        assert actions.tolist() == [[0, 0, 0]]
 
     def test_deterministic_chain(self):
         kernel = np.zeros((2, 1, 2))
         kernel[0, 0, 1] = 1.0
         kernel[1, 0, 0] = 1.0
         mdp = TabularMDP(kernel, np.zeros((2, 1)), 0.9, [1.0, 0.0])
-        traj = sample_trajectory(mdp, TabularPolicy([[1.0], [1.0]]),
-                                 horizon=2, seed=7)
-        assert traj.steps == [(0, 0), (1, 0)]
-        assert traj.terminal_state == 0
+        states, actions = sample_episodes(mdp, TabularPolicy([[1.0], [1.0]]), horizon=2,
+                                          episodes=2, rng=np.random.default_rng(7))
+        assert states.tolist() == [[0, 1, 0], [0, 1, 0]]
+        assert actions.tolist() == [[0, 0], [0, 0]]
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(3)
         mdp = random_mdp(rng)
         pol = random_policy(rng, mdp.n_states, mdp.n_actions)
-        t1 = sample_trajectory(mdp, pol, horizon=20, seed=11)
-        t2 = sample_trajectory(mdp, pol, horizon=20, seed=11)
-        assert t1.steps == t2.steps and t1.terminal_state == t2.terminal_state
+        first, again, other = (sample_episodes(mdp, pol, 20, 3, np.random.default_rng(seed))
+                               for seed in (11, 11, 12))
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
+        assert not np.array_equal(first[0], other[0])
 
     def test_next_state_frequencies_match_kernel(self):
         # Monte Carlo frequency oracle for the row sampler
         row = np.array([0.5, 0.3, 0.2])
         kernel = np.broadcast_to(row, (3, 1, 3)).copy()
         mdp = TabularMDP(kernel, np.zeros((3, 1)), 0.9, [1.0, 0.0, 0.0])
-        rng = np.random.default_rng(42)
         n = 10 ** 5
-        draws = np.array([mdp.sample_next(0, 0, rng) for _ in range(n)])
+        uniforms = np.random.default_rng(42).random(n).tolist()
+        draws = np.array([mdp.sample_next(0, 0, u) for u in uniforms])
         freqs = np.bincount(draws, minlength=3) / n
         assert np.max(np.abs(freqs - row)) < 0.01
+
+    @pytest.mark.parametrize("case", ["sparse", "deterministic"])
+    def test_episodes_match_scalar_rollouts(self, case):
+        # uniforms drawn up front give the episodes that drawing each one
+        # when it is needed gives, by searchsorted
+        mdp, probs = sampling_case(case, np.random.default_rng(1))
+        for seed in range(5):
+            got = sample_episodes(mdp, TabularPolicy(probs), 7, 4, np.random.default_rng(seed))
+            want = scalar_rollouts(mdp, probs, 7, 4, np.random.default_rng(seed))
+            assert got[0].shape == (4, 8) and got[1].shape == (4, 7)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("case", ["sparse", "deterministic"])
+    def test_stacked_runs_match_scalar_rollouts(self, case):
+        # with RunStreams and an (R, S, A) policy, run k's episodes are the
+        # ones its own generator and policy give alone
+        rng = np.random.default_rng(2)
+        mdp, _ = sampling_case(case, rng)
+        probs = np.stack([sparse_rows(rng, (mdp.n_states, mdp.n_actions)) for _ in range(3)])
+        streams = RunStreams(np.random.default_rng(10 + k) for k in range(3))
+        states, actions = sample_episodes(mdp, TabularPolicy(probs), 7, 4, streams)
+        assert states.shape == (3, 4, 8) and actions.shape == (3, 4, 7)
+        for k in range(3):
+            want = scalar_rollouts(mdp, probs[k], 7, 4, np.random.default_rng(10 + k))
+            assert np.array_equal(states[k], want[0]) and np.array_equal(actions[k], want[1])
+
+    def test_list_and_array_rows_pick_the_same_index(self):
+        # one-state draws bisect a list row, batch draws count an array row;
+        # they agree at every entry's value, between ties left by
+        # zero-probability entries, and past a row total that rounds below 1
+        rng = np.random.default_rng(4)
+        rows = [np.cumsum(row) for row in sparse_rows(rng, (200, 5))]
+        rows.append(np.array([0.25, 0.25, 0.5, 1.0 - 2.0 ** -52]))
+        for row in rows:
+            edges = np.concatenate([row, np.nextafter(row, 0.0), np.nextafter(row, 2.0)])
+            uniforms = np.concatenate([[0.0, 1.0 - 2.0 ** -53], edges[edges < 1.0],
+                                       rng.random(20)])
+            counted = _inverse_cdf(row, uniforms)
+            assert [_inverse_cdf(row.tolist(), u) for u in uniforms.tolist()] == counted.tolist()
+            assert counted.max() <= row.size - 1
 
 
 def occupancy_linear_solve(mdp, policy):
@@ -221,17 +283,18 @@ class TestDemoFiles:
         rng = np.random.default_rng(0)
         mdp = random_mdp(rng, n_states=4, n_actions=2)
         pol = random_policy(rng, 4, 2)
-        trajs = [sample_trajectory(mdp, pol, horizon=6, seed=rng) for _ in range(3)]
+        states, actions = sample_episodes(mdp, pol, horizon=6, episodes=3, rng=rng)
         path = tmp_path / "demos.txt"
-        save_tabular_demos(path, trajs, "toy", 99, 4, 2)
+        save_tabular_demos(path, states, actions, "toy", 99, 4, 2)
         demos = load_demos(path)
         assert demos.kind == "tabular"
         assert demos.env_name == "toy"
         assert demos.seed == 99
-        flat = [(s, a, n) for t in trajs for (s, a, n) in t.transitions()]
-        assert len(demos.states) == len(flat)
-        for i, (s, a, n) in enumerate(flat):
-            assert (demos.states[i], demos.actions[i], demos.next_states[i]) == (s, a, n)
+        assert np.array_equal(demos.episode_ids, np.repeat(np.arange(3), 6))
+        assert np.array_equal(demos.steps, np.tile(np.arange(6), 3))
+        assert np.array_equal(demos.states, states[:, :-1].ravel())
+        assert np.array_equal(demos.actions, actions.ravel())
+        assert np.array_equal(demos.next_states, states[:, 1:].ravel())
 
     def test_continuous_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import instance
+from meairl import bounds
 from meairl import (TabularMDP, greedy_policy, hard_value_iteration, policy_value,
                     run_bound_sweep, tv_distance)
 from meairl.bounds import (GAMMA_CHOICES, SWEEP_CSV_HEADER, FeasibleRewardWitness,
@@ -117,6 +118,20 @@ class TestPerturbKernel:
         problem = random_problem(rng)
         want = tv_distance(problem.mdp.kernel, problem.model_kernel)[0]
         assert problem.eps_t == want
+
+    def test_eps_t_is_measured_once_per_problem(self, monkeypatch):
+        # both sweeps read each problem's eps_T; it is measured when the
+        # problem is drawn, not on every read
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return tv_distance(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "tv_distance", counted)
+        reward_rows, performance_rows = run_bound_sweep(6, seed=0)
+        assert len(calls) == 6
+        assert [r.eps_t for r in reward_rows] == [r.eps_t for r in performance_rows]
 
 
 class TestRewardBoundVerifier:

@@ -1,19 +1,20 @@
 """The training loop: schedules, mixing, determinism, expert generation."""
 
 import dataclasses
+import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
 
-from helpers import instance
+from helpers import instance, scalar_evaluation
 from meairl import (ExpertBuffer, Mlp, TabularEnv, TabularMDP, TabularPolicy,
                     TrainingConfig, build_env, generate_expert, load_config, load_demos,
                     make_gridworld, make_noisy_pointmass, policy_value, run_meairl,
                     save_continuous_demos, soft_optimal_policy, soft_value_iteration)
 from meairl.cli import main
-from meairl.seeding import spawn_streams
+from meairl.seeding import RunStreams, spawn_streams
 from meairl.training import (CSV_HEADER, EvalRow, TrainingDivergedError, TrainingRecord,
                              _ContinuousRun, _TabularRuns, evaluate_tabular_policy,
                              mix_state)
@@ -139,7 +140,8 @@ class TestMixAction:
                 real_next = int(np.argmax(mdp.kernel[prev_s, prev_a]))
                 mixed = mix_state(real_next, model, 1.0, (prev_s, prev_a), rng)
                 assert mixed == real_next
-                assert policy.sample(mixed, rng) == policy.sample(real_next, rng)
+                at_mixed, at_real = policy.sample_batch(np.array([mixed, real_next]), rng)
+                assert at_mixed == at_real
 
     def test_missing_prev_transition_falls_back_to_real(self):
         rng = np.random.default_rng(2)
@@ -163,6 +165,14 @@ class TestExpertGeneration:
         assert demos.env_name == env.name
         assert demos.seed == 3
         assert len(demos.states) == 5 * env.episode_horizon
+
+    def test_demo_file_bytes_are_pinned(self, tmp_path):
+        # the SHA-256 of this file when every uniform was drawn at its step;
+        # drawing them up front must not move a byte
+        path = tmp_path / "demos.txt"
+        generate_expert(small_grid_env(), 3, 5, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "5dc463ce0af42c328e3b7c398937da089f2ff9e42675ea285efb8106f51879a4"
 
     def test_slip_zero_trajectories_are_shortest_paths(self, tmp_path):
         # large goal reward makes the soft-optimal policy effectively greedy
@@ -239,6 +249,20 @@ class TestTabularLoop:
             mean, std = evaluate_tabular_policy(env, uniform, 3, streams["eval"])
             assert row.return_mean == mean
             assert row.return_std == std
+
+    def test_stacked_evaluation_matches_scalar_runs(self):
+        # one call with RunStreams and three distinct policies gives each
+        # run the mean and std, bit for bit, of its own scalar rollouts
+        env = small_grid_env(slip=0.3)
+        n_states, n_actions = env.mdp.n_states, env.mdp.n_actions
+        probs = np.random.default_rng(0).dirichlet(np.ones(n_actions), size=(3, n_states))
+        streams = RunStreams(np.random.default_rng(20 + k) for k in range(3))
+        means, stds = evaluate_tabular_policy(env, TabularPolicy(probs), 4, streams)
+        for k in range(3):
+            want = scalar_evaluation(env.mdp, probs[k], env.episode_horizon, 4,
+                                     np.random.default_rng(20 + k))
+            assert (means[k], stds[k]) == want
+        assert len(set(means)) == 3
 
     def test_records_are_deterministic(self, tmp_path):
         env = small_grid_env()
