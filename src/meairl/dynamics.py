@@ -1,8 +1,10 @@
 """Learned transition models: smoothed tabular counts and a Gaussian net.
 
-The count model learns one transition at a time through `add`, the call
-the training loop makes on every step, which refreshes the visited row.
-The Gaussian model predicts the state *delta*; its mean successor is
+The count model holds the estimates of R runs on a leading run axis, the
+one form the tabular training loop uses, a single run being R = 1. It
+learns one transition per run at a time through `add`, the call the loop
+makes on every step, which refreshes the visited rows. The Gaussian model
+predicts the state *delta*; its mean successor is
 state + mean_net(state, action). Synthetic rollouts draw batched
 successors from either: `sample_next_batch` for counts, `sample_next`
 for the Gaussian.
@@ -10,11 +12,9 @@ for the Gaussian.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
-from .mdp import _row_sample, _row_sample_batch
+from .mdp import _inverse_cdf, _row_sample_batch
 from .neural import Mlp
 from .seeding import as_generator
 
@@ -24,34 +24,31 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class TabularDynamicsEstimate:
-    """Transition counts with additive (Dirichlet-style) smoothing.
+    """Transition counts of R runs with additive (Dirichlet-style) smoothing.
 
-    kernel[s, a, s'] = (N[s, a, s'] + alpha) / sum_s'' (N[s, a, s''] + alpha).
-    With alpha = 0 an unvisited (s, a) row falls back to uniform.
-
-    With `runs=R` it holds the estimates of R runs on a leading axis,
-    kernel (R, S, A, S): `add` takes one transition per run as (R,)
-    arrays, `sample_next_batch` takes (R, n) batches, row k for run k,
-    and `run(k)` is run k's estimate as a view of the stacked arrays.
+    kernel[k, s, a, s'] = (N[k, s, a, s'] + alpha) / sum_s'' (N[k, s, a, s''] + alpha)
+    is run k's estimate, kernel (R, S, A, S). With alpha = 0 an unvisited
+    (s, a) row falls back to uniform. `add` takes one transition per run
+    as (R,) arrays; `sample_next_batch` and `nll` take (R, n) batches, row
+    k for run k.
     """
 
-    def __init__(self, n_states: int, n_actions: int, alpha: float, runs: int = None):
+    def __init__(self, n_states: int, n_actions: int, alpha: float, runs: int):
         if alpha < 0.0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         self.alpha = float(alpha)
-        shape = (n_states, n_actions, n_states) if runs is None else (
-            runs, n_states, n_actions, n_states)
+        shape = (runs, n_states, n_actions, n_states)
         self.counts = np.zeros(shape, dtype=np.int64)
         self._kernel = np.full(shape, 1.0 / n_states)
         self._cum = np.cumsum(self._kernel, axis=-1)
-        # index prefix that sends entry k of (R,) transitions to run k, and
-        # offsets that send row k of an (R, n) batch to run k's block of rows
-        self._runs = () if runs is None else (np.arange(runs),)
-        self._offsets = 0 if runs is None else np.arange(runs)[:, None] * n_states
+        # entry k of (R,) transitions is run k's; offsets send row k of an
+        # (R, n) batch to run k's block of rows
+        self._runs = np.arange(runs)
+        self._offsets = self._runs[:, None] * n_states
 
     def add(self, s, a, s_next) -> None:
-        """Count one transition and refresh the (s, a) row it lands in."""
-        row_index = self._runs + (s, a)
+        """Count one transition per run and refresh the (s, a) rows they land in."""
+        row_index = (self._runs, s, a)
         self.counts[row_index + (s_next,)] += 1
         row = self.counts[row_index] + self.alpha
         # the row holds the count just added, so its sum is >= 1
@@ -59,29 +56,23 @@ class TabularDynamicsEstimate:
         self._kernel[row_index] = row
         self._cum[row_index] = np.cumsum(row, axis=-1)
 
-    def run(self, k: int) -> "TabularDynamicsEstimate":
-        """Run k's estimate; it shares the stacked arrays, so it sees every `add`."""
-        view = copy.copy(self)
-        view.counts, view._kernel, view._cum = self.counts[k], self._kernel[k], self._cum[k]
-        view._runs, view._offsets = (), 0
-        return view
-
     @property
     def kernel(self) -> np.ndarray:
         return self._kernel
-
-    def sample_next(self, s: int, a: int, rng) -> int:
-        return _row_sample(self._cum[s, a], rng)
 
     def sample_next_batch(self, states, actions, rng) -> np.ndarray:
         cum = self._cum
         rows = (states + self._offsets) * cum.shape[-2] + actions
         return _row_sample_batch(np.take(cum.reshape(-1, cum.shape[-1]), rows, axis=0), rng)
 
-    def nll(self, states, actions, next_states) -> float:
-        """Mean negative log-likelihood of transitions under the current kernel."""
-        probs = self._kernel[states, actions, next_states]
-        return float(-np.mean(np.log(np.maximum(probs, 1e-300))))
+    def successors(self, runs, states, actions, u) -> np.ndarray:
+        """Entry i: run runs[i]'s successor of (states[i], actions[i]) at uniform u[i]."""
+        return _inverse_cdf(self._cum[runs, states, actions], u)
+
+    def nll(self, states, actions, next_states) -> list:
+        """Per run: mean negative log-likelihood of its row of transitions."""
+        probs = self._kernel[self._runs[:, None], states, actions, next_states]
+        return [float(-np.mean(np.log(np.maximum(row, 1e-300)))) for row in probs]
 
 
 def tv_distance(true_kernel: np.ndarray, est_kernel: np.ndarray, weights=None):
@@ -201,11 +192,11 @@ def rollout_synthetic(model, policy, start_states, horizon: int, seed):
     """Roll the model forward `horizon` steps from each start state.
 
     Returns transition columns (states, actions, next_states), the
-    horizon steps one after another along the batch axis. Tabular models
-    take a TabularPolicy; continuous models take a callable
-    act(states, rng) -> actions operating on batches. A stacked count
-    model takes a stacked policy, (R, n) start states and RunStreams, and
-    returns (R, horizon * n) columns. Deterministic given the seed.
+    horizon steps one after another along the batch axis. A count model
+    of R runs takes an (R, S, A) TabularPolicy, (R, n) start states and
+    RunStreams, and returns (R, horizon * n) columns; continuous models
+    take a callable act(states, rng) -> actions operating on batches.
+    Deterministic given the seed.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

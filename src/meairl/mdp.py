@@ -51,11 +51,6 @@ def _inverse_cdf(cum_rows, u):
     return np.minimum((cum_rows <= u[..., None]).sum(axis=-1), cum_rows.shape[-1] - 1)
 
 
-def _row_sample(cumulative, rng):
-    """One inverse-CDF draw from one cumulative row."""
-    return int(_inverse_cdf(cumulative, rng.random(1))[0])
-
-
 def _row_sample_batch(cumulative_rows, rng):
     """One inverse-CDF draw per row of an (n, K) stack of cumulative rows.
 

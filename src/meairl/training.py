@@ -1,22 +1,24 @@
 """The interactive reward-learning loop and expert-demonstration generation.
 
 `run_meairl` runs one loop for tabular and continuous environments. Each
-step acts (past pretraining, meairl acts at `mix_state`: with probability
-`mix_prob` a model-predicted stand-in of the current state), takes the
-environment step, stores the real transition and takes a model step.
+step acts (past pretraining, meairl acts at a mixed state: with
+probability `mix_prob` a model-predicted stand-in of the current state),
+takes the environment step, stores the real transition and takes a model step.
 Past pretraining the adversarial variants then take a discriminator step,
 push a short model rollout into a second buffer and take a policy step on
 a batch whose synthetic share follows a ramped schedule; behavior cloning
 takes a BC step instead. Evaluation rows follow on their period.
 
 Tabular runs of several seeds train in that one loop together: Q tables,
-discriminator tables, count models, replay buffers and the policy carry a
-leading run axis, so each numpy call serves every run, and a single run
+discriminator tables, the count model, replay buffers and the policy carry
+a leading run axis, so each numpy call serves every run, and a single run
 is the case of one seed. Each run draws from its own named streams in the
 order it would alone (`seeding.RunStreams`), so its record is
-byte-identical to its solo run. One `evaluate_tabular_policy` call scores
-all runs, through `mdp.sample_episodes`, which also writes the tabular
-expert's demos. Continuous runs train one at a time.
+byte-identical to its solo run. Mixing, the model columns and the
+discriminator read the one stacked count model on that axis. One
+`evaluate_tabular_policy` call scores all runs, through
+`mdp.sample_episodes`, which also writes the tabular expert's demos.
+Continuous runs train one at a time and mix through `mix_state`.
 Variants:
 
   meairl               model inside the shaping term + synthetic data
@@ -191,6 +193,9 @@ def mix_state(real_state, model, mix_prob: float, prev_transition, rng):
     real state; this only shifts where the policy is evaluated, which
     counters train/deploy distribution mismatch. The coin is drawn first
     either way, then s_hat's draw, from `rng`.
+
+    This is the continuous run's rule, and the reference for the stacked
+    tabular rule in `_TabularRuns.act`, which draws the same values per run.
     """
     coin = rng.random()
     if prev_transition is not None and coin < mix_prob:
@@ -370,7 +375,7 @@ def evaluate_tabular_policy(env: TabularEnv, policy: TabularPolicy, episodes: in
 
 class _TabularRuns(_Run):
     """R tabular runs stacked: Q tables (R, S, A), discriminator tables
-    (R, S), count models (R, S, A, S), buffer rows of R transitions, one
+    (R, S), one count model (R, S, A, S), buffer rows of R transitions, one
     stacked policy, and (R,) environment states. Each numpy call serves
     all runs; each draw comes from the drawing run's own stream."""
 
@@ -395,7 +400,6 @@ class _TabularRuns(_Run):
         if self.model_based:
             self.model = TabularDynamicsEstimate(n_states, n_actions, alpha=MODEL_ALPHA,
                                                  runs=n_runs)
-            self.run_models = [self.model.run(k) for k in range(n_runs)]
         if config.algorithm != "bc_none":
             kernel = self.model.kernel if self.model is not None else None
             self.disc = Discriminator.tabular(n_states, mdp.discount, kernel, self.shaping,
@@ -420,11 +424,15 @@ class _TabularRuns(_Run):
 
     def act(self, t, state, prev):
         if self.model_based and t > self.config.pretrain_steps:
+            # `mix_state` on the run axis: every run's coin, then one uniform
+            # from each run that mixes, in the order each run alone draws them
             rng = self.streams["mix"]
-            prevs = [None] * len(state) if prev is None else zip(*prev)  # per run (s, a)
-            state = np.array([mix_state(s, model, self.config.mix_prob, run_prev, g)
-                              for s, model, run_prev, g in zip(state, self.run_models, prevs,
-                                                              rng.generators)])
+            mixing = (rng.random() < self.config.mix_prob).nonzero()[0]
+            if prev is not None and mixing.size:
+                u = np.array([rng.generators[k].random() for k in mixing.tolist()])
+                state = state.copy()
+                state[mixing] = self.model.successors(mixing, prev[0][mixing],
+                                                      prev[1][mixing], u)
         else:
             rng = self.streams["interact"]
         return self.policy.sample_batch(state[:, None], rng)[:, 0]
@@ -473,9 +481,8 @@ class _TabularRuns(_Run):
         if self.model is None:
             return [(float("nan"), float("nan"))] * len(self.seeds)
         es, ea, en = self.d_env.newest(256)
-        return [(model.nll(es[:, k], ea[:, k], en[:, k]),
-                 tv_distance(self.env.mdp.kernel, model.kernel)[0])
-                for k, model in enumerate(self.run_models)]
+        return [(nll, tv_distance(self.env.mdp.kernel, kernel)[0])
+                for nll, kernel in zip(self.model.nll(es.T, ea.T, en.T), self.model.kernel)]
 
 
 def evaluate_continuous_policy(env: ContinuousEnv, act_fn, episodes: int, rng):

@@ -17,7 +17,7 @@ import pytest
 from helpers import finite_difference_grad, max_rel_err
 from helpers import random_mdp as fixed_size_mdp
 
-from meairl import adversarial, bounds
+from meairl import adversarial, bounds, seeding, training
 from meairl.adversarial import (Discriminator, ExpertBuffer,
                                 discriminator_loss_and_grads, gradient_alignment_gap)
 from meairl.bounds import (performance_difference_bound, random_problem,
@@ -161,9 +161,10 @@ def test_criterion_5_negative_control_a_shrunk_bound_fails(monkeypatch):
     assert sum(not r.passed for r in rows) >= 25
 
 
-def test_criterion_6_analytic_gradients_match_finite_differences():
-    rng = np.random.default_rng(0)
-
+def mlp_gradient_errors(rng) -> list:
+    """`Mlp.backward` against finite differences: the max relative error
+    for an identity and a tanh output layer."""
+    errors = []
     for output in ("identity", "tanh"):
         net = Mlp([3, 8, 5, 2], output=output, rng=rng)
         x = rng.normal(size=(6, 3))
@@ -177,24 +178,14 @@ def test_criterion_6_analytic_gradients_match_finite_differences():
             net.params = keep
             return out
 
-        assert max_rel_err(grads, finite_difference_grad(net_loss, net.params)) < 1e-4
+        errors.append(max_rel_err(grads, finite_difference_grad(net_loss, net.params)))
+    return errors
 
-    model = GaussianDynamicsModel(2, 1, hidden=(6,), rng=rng)
-    ms = rng.normal(size=(5, 2))
-    ma = rng.normal(size=(5, 1))
-    mn = ms + 0.1 * rng.normal(size=(5, 2))
-    _, mgrads = model.loss_and_grads(ms, ma, mn)
 
-    def model_loss(flat):
-        keep = model.params.copy()
-        model.params = flat
-        out, _ = model.loss_and_grads(ms, ma, mn)
-        model.params = keep
-        return out
-
-    assert max_rel_err(mgrads, finite_difference_grad(model_loss, model.params)) < 1e-4
-
-    # the state-only g(s) discriminator every tabular run trains
+def tabular_disc_gradient_errors(rng) -> list:
+    """The state-only g(s) discriminator every tabular run trains, against
+    finite differences: the max relative error under model and sample shaping."""
+    errors = []
     for shaping in ("model", "sample"):
         mdp = fixed_size_mdp(rng, n_states=5, n_actions=3, gamma=0.9)
         disc = Discriminator.tabular(5, 0.9, dynamics=mdp.kernel,
@@ -215,7 +206,33 @@ def test_criterion_6_analytic_gradients_match_finite_differences():
             d.params = keep
             return out
 
-        assert max_rel_err(dgrads, finite_difference_grad(disc_loss, disc.params)) < 1e-4
+        errors.append(max_rel_err(dgrads, finite_difference_grad(disc_loss, disc.params)))
+    return errors
+
+
+def test_criterion_6_analytic_gradients_match_finite_differences():
+    rng = np.random.default_rng(0)
+
+    for error in mlp_gradient_errors(rng):
+        assert error < 1e-4
+
+    model = GaussianDynamicsModel(2, 1, hidden=(6,), rng=rng)
+    ms = rng.normal(size=(5, 2))
+    ma = rng.normal(size=(5, 1))
+    mn = ms + 0.1 * rng.normal(size=(5, 2))
+    _, mgrads = model.loss_and_grads(ms, ma, mn)
+
+    def model_loss(flat):
+        keep = model.params.copy()
+        model.params = flat
+        out, _ = model.loss_and_grads(ms, ma, mn)
+        model.params = keep
+        return out
+
+    assert max_rel_err(mgrads, finite_difference_grad(model_loss, model.params)) < 1e-4
+
+    for error in tabular_disc_gradient_errors(rng):
+        assert error < 1e-4
 
     class FixedLogProb:
         def log_prob(self, states, actions):
@@ -276,6 +293,35 @@ def test_criterion_6_analytic_gradients_match_finite_differences():
     # composite objective (actor through frozen critic): looser tolerance
     assert max_rel_err(ac_grads,
                        finite_difference_grad(actor_loss, agent.actor.params)) < 1e-3
+
+
+def test_criterion_6_negative_control_a_gradient_without_successor_term_fails(monkeypatch):
+    # the tabular gradient with its gamma * E[phi(s')] term dropped
+    true_grads = adversarial._tabular_grads
+
+    def without_successor_term(disc, expert, policy):
+        wrong = copy.copy(disc)
+        wrong.discount = 0.0
+        return true_grads(wrong, expert, policy)
+
+    monkeypatch.setattr(adversarial, "_tabular_grads", without_successor_term)
+    errors = tabular_disc_gradient_errors(np.random.default_rng(0))
+    assert min(errors) > 1e-2  # under both shapings
+
+
+def test_criterion_6_negative_control_b_permuted_weight_gradient_fails(monkeypatch):
+    # the first layer's weight gradient handed back one entry out of place
+    true_backward = Mlp.backward
+
+    def permuted(net, x, upstream):
+        grads, dx = true_backward(net, x, upstream)
+        size = net.sizes[0] * net.sizes[1]
+        grads[:size] = np.roll(grads[:size], 1)
+        return grads, dx
+
+    monkeypatch.setattr(Mlp, "backward", permuted)
+    errors = mlp_gradient_errors(np.random.default_rng(0))
+    assert min(errors) > 1e-2  # for both output layers
 
 
 GRID_SEEDS = (0, 1, 2)
@@ -342,25 +388,40 @@ def test_criterion_7c_deterministic_grid_stays_competitive(gridworld_comparison)
         f"median steps-to-90% {ours:.0f} exceeds 1.25x baseline {base:.0f}"
 
 
-def test_criterion_8_learned_models_converge_with_data():
+def count_model_eps_t_means(feed=lambda s, a, s_next: (s, a, s_next)) -> list:
+    """Mean worst-row eps_T of 10 count models at n = 100, 1,000 and 10,000
+    uniform-policy transitions each, on one random 6-state MDP.
+
+    The 10 seeds train as 10 runs of one stacked model, one add per step,
+    the form a tabular training run uses. `feed` maps each seed's
+    (states, actions, successors) to what the model is given.
+    """
     mdp = fixed_size_mdp(np.random.default_rng(3), n_states=6, n_actions=3,
                          gamma=0.9)
     pol = TabularPolicy(np.full((6, 3), 1.0 / 3))
     means = []
     for n in (10 ** 2, 10 ** 3, 10 ** 4):
-        errs = []
+        columns = []
         for seed in range(10):
             sub = np.random.default_rng(1000 * n + seed)
             states = sub.integers(0, 6, size=n)
             actions = pol.sample_batch(states, sub)
-            nxt = mdp.sample_next_batch(states, actions, sub)
-            # one add per transition, as a tabular training run makes them
-            est = TabularDynamicsEstimate(6, 3, alpha=0.1)
-            for s, a, s_next in zip(states.tolist(), actions.tolist(), nxt.tolist()):
-                est.add(s, a, s_next)
-            errs.append(tv_distance(mdp.kernel, est.kernel)[0])
-        means.append(float(np.mean(errs)))
-    assert means[2] < means[1] < means[0]
+            columns.append(feed(states, actions, mdp.sample_next_batch(states, actions, sub)))
+        est = TabularDynamicsEstimate(6, 3, alpha=0.1, runs=10)
+        for s, a, s_next in zip(*(np.stack(runs, axis=1) for runs in zip(*columns))):
+            est.add(s, a, s_next)
+        means.append(float(np.mean([tv_distance(mdp.kernel, kernel)[0]
+                                    for kernel in est.kernel])))
+    return means
+
+
+def criterion_8_tabular_holds(means) -> bool:
+    """eps_T falls with data and is small at n = 10,000 (0.063 shipped)."""
+    return means[2] < means[1] < means[0] and means[2] < 0.1
+
+
+def test_criterion_8_learned_models_converge_with_data():
+    assert criterion_8_tabular_holds(count_model_eps_t_means())
 
     rng = np.random.default_rng(0)
     model = GaussianDynamicsModel(1, 1, hidden=(128, 128),
@@ -379,6 +440,20 @@ def test_criterion_8_learned_models_converge_with_data():
         model.params = adam_step(adam, model.params, grads, clip_norm=10.0)
     mu, _ = model.predict(held_s, held_a)
     assert float(np.mean(np.abs(mu - held_n))) < 0.01
+
+
+def test_criterion_8_negative_control_a_wrong_successor_fails():
+    # the count model fed (s' + 1) mod 6: eps_T still falls (0.84, 0.80, 0.78)
+    means = count_model_eps_t_means(lambda s, a, s_next: (s, a, (s_next + 1) % 6))
+    assert means[2] < means[1] < means[0]
+    assert not criterion_8_tabular_holds(means)
+
+
+def test_criterion_8_negative_control_b_wrong_state_fails():
+    # the count model fed (s + 1) mod 6: eps_T still falls (0.76, 0.68, 0.65)
+    means = count_model_eps_t_means(lambda s, a, s_next: ((s + 1) % 6, a, s_next))
+    assert means[2] < means[1] < means[0]
+    assert not criterion_8_tabular_holds(means)
 
 
 MICRO_CONFIG = """\
@@ -400,7 +475,8 @@ batch_size = 64
 """
 
 
-def test_criterion_9_training_runs_are_byte_reproducible(tmp_path):
+def train_micro_twice(tmp_path) -> list:
+    """The bytes of two `meairl train` runs of MICRO_CONFIG on one demo file."""
     cfg = tmp_path / "micro.cfg"
     cfg.write_text(MICRO_CONFIG)
     demos = tmp_path / "demos.txt"
@@ -411,5 +487,18 @@ def test_criterion_9_training_runs_are_byte_reproducible(tmp_path):
                      "--out", str(out)])
         assert code == 0
         blobs.append((out / "train_meairl_seed0.csv").read_bytes())
+    return blobs
+
+
+def test_criterion_9_training_runs_are_byte_reproducible(tmp_path):
+    blobs = train_micro_twice(tmp_path)
     assert blobs[0] == blobs[1]
     assert blobs[0].decode().split("\n")[0] == CSV_HEADER
+
+
+def test_criterion_9_negative_control_a_unseeded_streams_differ(tmp_path, monkeypatch):
+    # every run's streams from fresh entropy in place of its seed
+    monkeypatch.setattr(training, "run_streams", lambda seeds, names:
+                        seeding.run_streams([None] * len(seeds), names))
+    blobs = train_micro_twice(tmp_path)
+    assert blobs[0] != blobs[1]

@@ -8,23 +8,39 @@ import pytest
 from helpers import (finite_difference_grad, max_rel_err, random_mdp,
                      use_reference_backward)
 from meairl import (GaussianDynamicsModel, TabularDynamicsEstimate,
-                    TabularMDP, TabularPolicy, make_noisy_pointmass,
+                    TabularPolicy, make_noisy_pointmass,
                     rollout_synthetic, tv_distance)
+from meairl.seeding import RunStreams
 
 
 def fit_by_adds(transitions, n_states, n_actions, alpha):
-    """A count model fed one add per transition, as a tabular training run feeds it."""
-    est = TabularDynamicsEstimate(n_states, n_actions, alpha=alpha)
+    """A one-run count model fed one add per transition, as a tabular
+    training run feeds it."""
+    est = TabularDynamicsEstimate(n_states, n_actions, alpha=alpha, runs=1)
     for s, a, s_next in transitions:
-        est.add(s, a, s_next)
+        est.add(np.array([s]), np.array([a]), np.array([s_next]))
     return est
 
 
+def one_run(probs):
+    """An (S, A) table as the (1, S, A) policy of one stacked run."""
+    return TabularPolicy(np.asarray(probs)[None])
+
+
+def one_stream(seed):
+    return RunStreams([np.random.default_rng(seed)])
+
+
 class TestFitTabular:
+    def test_runs_is_required(self):
+        with pytest.raises(TypeError):
+            TabularDynamicsEstimate(3, 2, alpha=0.1)
+        assert TabularDynamicsEstimate(3, 2, alpha=0.1, runs=4).kernel.shape == (4, 3, 2, 3)
+
     def test_empirical_frequencies(self):
         est = fit_by_adds([(0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 2)],
                           n_states=3, n_actions=1, alpha=0.0)
-        assert np.allclose(est.kernel[0, 0], [0.0, 0.75, 0.25], atol=1e-12)
+        assert np.allclose(est.kernel[0, 0, 0], [0.0, 0.75, 0.25], atol=1e-12)
 
     def test_pure_prior_uniform(self):
         est = fit_by_adds([], n_states=3, n_actions=2, alpha=1.0)
@@ -32,8 +48,8 @@ class TestFitTabular:
 
     def test_zero_alpha_empty_row_falls_back_uniform(self):
         est = fit_by_adds([(0, 0, 1)], n_states=2, n_actions=2, alpha=0.0)
-        assert np.allclose(est.kernel[1, 0], 0.5, atol=1e-12)
-        assert np.allclose(est.kernel[0, 0], [0.0, 1.0], atol=1e-12)
+        assert np.allclose(est.kernel[0, 1, 0], 0.5, atol=1e-12)
+        assert np.allclose(est.kernel[0, 0, 0], [0.0, 1.0], atol=1e-12)
 
     def test_law_of_large_numbers(self):
         row = np.array([0.5, 0.3, 0.2])
@@ -41,7 +57,7 @@ class TestFitTabular:
         draws = rng.choice(3, size=10 ** 5, p=row)
         est = fit_by_adds(((0, 0, n) for n in draws.tolist()),
                           n_states=3, n_actions=1, alpha=0.0)
-        assert 0.5 * np.abs(est.kernel[0, 0] - row).sum() < 0.01
+        assert 0.5 * np.abs(est.kernel[0, 0, 0] - row).sum() < 0.01
 
     def test_incremental_matches_batch_fit(self):
         # the row refreshed after each add equals the smoothed frequency of all counts
@@ -52,14 +68,44 @@ class TestFitTabular:
         counts = np.zeros((3, 2, 3))
         np.add.at(counts, tuple(np.array(triples).T), 1.0)
         batch = (counts + 0.1) / (counts + 0.1).sum(axis=2, keepdims=True)
-        assert np.max(np.abs(inc.kernel - batch)) < 1e-12
+        assert np.max(np.abs(inc.kernel[0] - batch)) < 1e-12
 
     def test_rows_always_stochastic(self):
         rng = np.random.default_rng(2)
-        est = TabularDynamicsEstimate(4, 2, alpha=0.1)
+        est = TabularDynamicsEstimate(4, 2, alpha=0.1, runs=1)
         for _ in range(50):
-            est.add(int(rng.integers(4)), int(rng.integers(2)), int(rng.integers(4)))
-            assert np.allclose(est.kernel.sum(axis=2), 1.0, atol=1e-12)
+            est.add(rng.integers(4, size=1), rng.integers(2, size=1), rng.integers(4, size=1))
+            assert np.allclose(est.kernel.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_each_run_counts_only_its_own_transitions(self):
+        # one add of three runs equals three one-run models fed their own entry
+        rng = np.random.default_rng(11)
+        est = TabularDynamicsEstimate(4, 2, alpha=0.1, runs=3)
+        triples = rng.integers(0, [4, 2, 4], size=(60, 3, 3))  # (step, run, s/a/s')
+        for step in triples:
+            est.add(*step.T)
+        for k in range(3):
+            alone = fit_by_adds(triples[:, k].tolist(), 4, 2, alpha=0.1)
+            assert np.array_equal(est.kernel[k], alone.kernel[0])
+            assert np.array_equal(est.counts[k], alone.counts[0])
+
+    @pytest.mark.parametrize("layout", ["columns", "rows"])
+    def test_stacked_nll_equals_each_runs_1d_mean(self, layout):
+        # each run's float is np.mean over that run's row alone; the training
+        # loop hands its (n, R) buffer columns transposed, where a 2-D
+        # mean(axis=-1) would sum the rows in another order
+        rng = np.random.default_rng(12)
+        est = TabularDynamicsEstimate(6, 3, alpha=0.01, runs=3)
+        for _ in range(400):
+            est.add(rng.integers(0, 6, 3), rng.integers(0, 3, 3), rng.integers(0, 6, 3))
+        columns = [rng.integers(0, bound, size=(256, 3)) for bound in (6, 3, 6)]
+        batch = [c.T if layout == "columns" else np.ascontiguousarray(c.T) for c in columns]
+        got = est.nll(*batch)
+        assert isinstance(got, list) and len(got) == 3
+        for k, value in enumerate(got):
+            s, a, s_next = (c[:, k].copy() for c in columns)
+            probs = est.kernel[k][s, a, s_next]
+            assert value == float(-np.mean(np.log(np.maximum(probs, 1e-300))))
 
 
 class TestTvDistance:
@@ -175,51 +221,41 @@ class TestGaussianModel:
 
 class TestRolloutSynthetic:
     def test_one_hot_row_deterministic(self):
-        est = TabularDynamicsEstimate(2, 1, alpha=0.0)
-        est.add(0, 0, 1)
-        est.add(1, 0, 1)
-        pol = TabularPolicy(np.ones((2, 1)))
-        s, a, n = rollout_synthetic(est, pol, np.array([0]), horizon=1, seed=0)
-        assert list(s) == [0] and list(a) == [0] and list(n) == [1]
+        est = fit_by_adds([(0, 0, 1), (1, 0, 1)], 2, 1, alpha=0.0)
+        pol = one_run(np.ones((2, 1)))
+        s, a, n = rollout_synthetic(est, pol, np.array([[0]]), horizon=1, seed=one_stream(0))
+        assert s.tolist() == [[0]] and a.tolist() == [[0]] and n.tolist() == [[1]]
 
     def test_seeded_repeatability(self):
-        rng = np.random.default_rng(8)
-        mdp = random_mdp(rng, n_states=4, n_actions=2)
-        est = TabularDynamicsEstimate(4, 2, alpha=1.0)
-        pol = TabularPolicy(np.full((4, 2), 0.5))
-        starts = np.array([0, 1, 2])
-        r1 = rollout_synthetic(est, pol, starts, horizon=3, seed=123)
-        r2 = rollout_synthetic(est, pol, starts, horizon=3, seed=123)
+        est = TabularDynamicsEstimate(4, 2, alpha=1.0, runs=1)
+        pol = one_run(np.full((4, 2), 0.5))
+        starts = np.array([[0, 1, 2]])
+        r1 = rollout_synthetic(est, pol, starts, horizon=3, seed=one_stream(123))
+        r2 = rollout_synthetic(est, pol, starts, horizon=3, seed=one_stream(123))
         for x, y in zip(r1, r2):
+            assert x.shape == (1, 9)
             assert np.array_equal(x, y)
 
     def test_chain_uses_model_successors(self):
-        rng = np.random.default_rng(9)
-        mdp = random_mdp(rng, n_states=3, n_actions=2)
-        est = TabularDynamicsEstimate(3, 2, alpha=0.0)
-        for s in range(3):
-            for a in range(2):
-                est.add(s, a, (s + 1) % 3)  # deterministic cycle
-        pol = TabularPolicy(np.full((3, 2), 0.5))
-        s, a, n = rollout_synthetic(est, pol, np.array([0]), horizon=3, seed=1)
-        assert list(s) == [0, 1, 2]
-        assert list(n) == [1, 2, 0]
+        # a deterministic cycle
+        est = fit_by_adds([(s, a, (s + 1) % 3) for s in range(3) for a in range(2)],
+                          3, 2, alpha=0.0)
+        pol = one_run(np.full((3, 2), 0.5))
+        s, a, n = rollout_synthetic(est, pol, np.array([[0]]), horizon=3, seed=one_stream(1))
+        assert s.tolist() == [[0, 1, 2]]
+        assert n.tolist() == [[1, 2, 0]]
 
     def test_matched_model_frequency(self):
         row = np.array([0.5, 0.3, 0.2])
         kernel = np.broadcast_to(row, (3, 1, 3)).copy()
-        mdp = TabularMDP(kernel, np.zeros((3, 1)), 0.9, [1.0, 0.0, 0.0])
         # feed counts proportional to the row, so the estimate is the kernel exactly
-        est = TabularDynamicsEstimate(3, 1, alpha=0.0)
-        for s_next, count in ((0, 5), (1, 3), (2, 2)):
-            for s in range(3):
-                for _ in range(count):
-                    est.add(s, 0, s_next)
-        assert np.max(np.abs(est.kernel - kernel)) < 1e-12
-        pol = TabularPolicy(np.ones((3, 1)))
-        starts = np.zeros(10 ** 5, dtype=np.int64)
-        _, _, n = rollout_synthetic(est, pol, starts, horizon=1, seed=5)
-        freqs = np.bincount(n, minlength=3) / n.size
+        est = fit_by_adds([(s, 0, s_next) for s_next, count in ((0, 5), (1, 3), (2, 2))
+                           for s in range(3) for _ in range(count)], 3, 1, alpha=0.0)
+        assert np.max(np.abs(est.kernel[0] - kernel)) < 1e-12
+        pol = one_run(np.ones((3, 1)))
+        starts = np.zeros((1, 10 ** 5), dtype=np.int64)
+        _, _, n = rollout_synthetic(est, pol, starts, horizon=1, seed=one_stream(5))
+        freqs = np.bincount(n[0], minlength=3) / n.size
         assert 0.5 * np.abs(freqs - row).sum() < 0.01
 
     def test_continuous_rollout_stays_in_bounds(self):

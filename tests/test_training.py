@@ -1,5 +1,6 @@
 """The training loop: schedules, mixing, determinism, expert generation."""
 
+import copy
 import dataclasses
 import hashlib
 import math
@@ -8,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import instance, scalar_evaluation
+from helpers import instance, scalar_evaluation, searchsorted_draw
 from meairl import (ExpertBuffer, Mlp, TabularEnv, TabularMDP, TabularPolicy,
                     TrainingConfig, build_env, generate_expert, load_config, load_demos,
                     make_gridworld, make_noisy_pointmass, policy_value, run_meairl,
@@ -122,7 +123,55 @@ def to_state_one():
     return StubModel(kernel)
 
 
+class CountModelOfRun:
+    """One run's rows of a stacked count model as a `mix_state` model: a
+    uniform per draw, mapped by `searchsorted`."""
+
+    def __init__(self, kernel):
+        self.cum = np.cumsum(kernel, axis=-1)
+
+    def sample_next(self, s, a, rng):
+        return searchsorted_draw(self.cum[s, a], rng)
+
+
+class StandInRecorder:
+    """A policy stub that records the states it is asked to act at and draws nothing."""
+
+    def sample_batch(self, states, rng):
+        self.states = states[:, 0].copy()
+        return np.zeros_like(states)
+
+
 class TestMixAction:
+    @pytest.mark.parametrize("mix_prob", [0.0, 0.5, 1.0])
+    def test_run_axis_mixing_equals_per_run_mix_state(self, mix_prob, tmp_path):
+        # the stacked runs' stand-ins, and every run's mix generator after the
+        # draws, equal `mix_state` run by run on that run's own counts
+        env = small_grid_env(slip=0.3)
+        cfg = TrainingConfig(mix_prob=mix_prob)
+        runs = _TabularRuns(env, expert_for(env, tmp_path), cfg, [4, 9, 13])
+        rng = np.random.default_rng(20)
+        for _ in range(300):  # distinct counts per run
+            runs.model.add(rng.integers(0, 9, 3), rng.integers(0, 4, 3), rng.integers(0, 9, 3))
+        runs.policy = recorder = StandInRecorder()
+        generators = runs.streams["mix"].generators
+        moved = 0
+        for trial in range(40):
+            state = rng.integers(0, 9, 3)
+            prev = None if trial % 4 == 0 else (rng.integers(0, 9, 3), rng.integers(0, 4, 3))
+            real = state.copy()
+            refs = [copy.deepcopy(g) for g in generators]
+            want = [mix_state(int(state[k]), CountModelOfRun(runs.model.kernel[k]), mix_prob,
+                              None if prev is None else (prev[0][k], prev[1][k]), refs[k])
+                    for k in range(3)]
+            runs.act(cfg.pretrain_steps + 1, state, prev)
+            assert recorder.states.tolist() == want
+            assert np.array_equal(state, real)
+            for g, ref in zip(generators, refs):
+                assert g.bit_generator.state == ref.bit_generator.state
+            moved += sum(w != s for w, s in zip(want, real.tolist()))
+        assert (moved > 0) == (mix_prob > 0)
+
     def test_zero_prob_never_uses_model(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -329,8 +378,7 @@ class TestTabularLoop:
     def test_discriminator_reads_the_count_model_in_place(self, tmp_path):
         # model shaping reads the stacked count model's own kernel array, so
         # a row the model step refreshes reaches every run's discriminator at
-        # once, and the per-run views that mixing and eps_T read see it too;
-        # a copy or a rebound array would leave them on the stale row
+        # once; a copy or a rebound array would leave it on the stale row
         env = small_grid_env()
         runs = _TabularRuns(env, expert_for(env, tmp_path), TrainingConfig(), [4, 9])
         runs.disc.params = np.random.default_rng(0).normal(size=(2, runs.disc.n_params))
@@ -339,9 +387,9 @@ class TestTabularLoop:
         runs.model_step(1, s, a, s_next)
         f = runs.disc.f_values(s[:, None], a[:, None])
         for k in range(2):
-            row = runs.model.kernel[k, s[k], a[k]]
+            row = runs.model.kernel[k][s[k], a[k]]
             assert not np.array_equal(row, stale[k])
-            assert np.array_equal(runs.run_models[k].kernel[s[k], a[k]], row)
+            assert row.argmax() == s_next[k]
             g, phi = runs.disc.r_table[k], runs.disc.phi_table[k]
             want = g[s[k]] + env.mdp.discount * (row @ phi) - phi[s[k]]
             assert abs(f[k, 0] - want) < 1e-12
