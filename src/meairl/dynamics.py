@@ -6,15 +6,16 @@ learns one transition per run at a time through `add`, the call the loop
 makes on every step, which refreshes the visited rows. The Gaussian model
 predicts the state *delta*; its mean successor is
 state + mean_net(state, action). Synthetic rollouts draw batched
-successors from either: `sample_next_batch` for counts, `sample_next`
-for the Gaussian.
+successors from either: `sample_next_batch` for counts, which maps
+uniforms that the rollout draws up front, `sample_next` for the Gaussian,
+which draws from the generator it is given.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mdp import _inverse_cdf, _row_sample_batch
+from .mdp import _inverse_cdf
 from .neural import Mlp
 from .seeding import as_generator
 
@@ -30,7 +31,7 @@ class TabularDynamicsEstimate:
     is run k's estimate, kernel (R, S, A, S). With alpha = 0 an unvisited
     (s, a) row falls back to uniform. `add` takes one transition per run
     as (R,) arrays; `sample_next_batch` and `nll` take (R, n) batches, row
-    k for run k.
+    k for run k, and `sample_next_batch` one uniform per transition.
     """
 
     def __init__(self, n_states: int, n_actions: int, alpha: float, runs: int):
@@ -60,10 +61,10 @@ class TabularDynamicsEstimate:
     def kernel(self) -> np.ndarray:
         return self._kernel
 
-    def sample_next_batch(self, states, actions, rng) -> np.ndarray:
+    def sample_next_batch(self, states, actions, u) -> np.ndarray:
         cum = self._cum
         rows = (states + self._offsets) * cum.shape[-2] + actions
-        return _row_sample_batch(np.take(cum.reshape(-1, cum.shape[-1]), rows, axis=0), rng)
+        return _inverse_cdf(np.take(cum.reshape(-1, cum.shape[-1]), rows, axis=0), u)
 
     def successors(self, runs, states, actions, u) -> np.ndarray:
         """Entry i: run runs[i]'s successor of (states[i], actions[i]) at uniform u[i]."""
@@ -194,25 +195,33 @@ def rollout_synthetic(model, policy, start_states, horizon: int, seed):
     Returns transition columns (states, actions, next_states), the
     horizon steps one after another along the batch axis. A count model
     of R runs takes an (R, S, A) TabularPolicy, (R, n) start states and
-    RunStreams, and returns (R, horizon * n) columns; continuous models
-    take a callable act(states, rng) -> actions operating on batches.
-    Deterministic given the seed.
+    RunStreams, and returns (R, horizon * n) columns. It draws all of
+    them in one call per run, 2 * horizon * n uniforms in the order a
+    step-by-step rollout reads them: each step's actions, then its
+    successors. Continuous models take a callable act(states, rng) ->
+    actions operating on batches. Deterministic given the seed.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = as_generator(seed)
-    if isinstance(model, TabularDynamicsEstimate):
+    tabular = isinstance(model, TabularDynamicsEstimate)
+    if tabular:
         states = np.asarray(start_states, dtype=np.int64)
-        act, step, batch_axis = policy.sample_batch, model.sample_next_batch, -1
     else:
         states = np.atleast_2d(np.asarray(start_states, dtype=np.float64))
-        act, step, batch_axis = policy, model.sample_next, 0
+    batch_axis = -1 if tabular else 0
     if states.shape[batch_axis] == 0:
         raise ValueError("start_states must be nonempty")
+    if tabular:
+        u = rng.random((horizon, 2, states.shape[-1]))  # (R, horizon, 2, n) with RunStreams
     out_s, out_a, out_n = [], [], []
-    for _ in range(horizon):
-        actions = act(states, rng)
-        nxt = step(states, actions, rng)
+    for h in range(horizon):
+        if tabular:
+            actions = policy.sample_batch(states, u[..., h, 0, :])
+            nxt = model.sample_next_batch(states, actions, u[..., h, 1, :])
+        else:
+            actions = policy(states, rng)
+            nxt = model.sample_next(states, actions, rng)
         out_s.append(states)
         out_a.append(actions)
         out_n.append(nxt)

@@ -2,9 +2,11 @@
 
 Conventions used everywhere in the package: transition kernels are float
 arrays indexed [state, action, next_state], rewards [state, action],
-policies [state, action]. Sampling goes through caller-supplied numpy
-Generators so any run is reproducible from a single 64-bit seed, and
-every discrete draw maps a uniform to an index by one rule, `_inverse_cdf`.
+policies [state, action]. Every discrete draw maps a uniform to an index
+by one rule, `_inverse_cdf`. The one-state and batch samplers take their
+uniforms from the caller, who draws them from numpy Generators in blocks
+or one by one; `sample_episodes` draws a whole call's uniforms from the
+generator it is given. So any run is reproducible from a single 64-bit seed.
 """
 
 from __future__ import annotations
@@ -49,15 +51,6 @@ def _inverse_cdf(cum_rows, u):
     if isinstance(cum_rows, list):
         return min(bisect_right(cum_rows, u), len(cum_rows) - 1)
     return np.minimum((cum_rows <= u[..., None]).sum(axis=-1), cum_rows.shape[-1] - 1)
-
-
-def _row_sample_batch(cumulative_rows, rng):
-    """One inverse-CDF draw per row of an (n, K) stack of cumulative rows.
-
-    With RunStreams the rows are (R, n, K) and run k draws the n uniforms
-    of its own rows.
-    """
-    return _inverse_cdf(cumulative_rows, rng.random(cumulative_rows.shape[-2]))
 
 
 class TabularMDP:
@@ -119,15 +112,17 @@ class TabularMDP:
     def sample_next(self, state: int, action: int, u: float) -> int:
         return _inverse_cdf(self._kernel_cum_rows[state][action], u)
 
-    def sample_next_batch(self, states, actions, rng) -> np.ndarray:
-        return _row_sample_batch(self._kernel_cum[states, actions], rng)
+    def sample_next_batch(self, states, actions, u) -> np.ndarray:
+        """Successors of a batch of (state, action) pairs, one uniform each."""
+        return _inverse_cdf(self._kernel_cum[states, actions], u)
 
 
 class TabularPolicy:
     """Stochastic policy over a finite MDP, rows pi[s, :] summing to one.
 
     An (R, S, A) table holds the policies of R runs; its batch methods
-    take (R, n) states, row k for run k.
+    take (R, n) states, row k for run k. `sample_batch` takes one uniform
+    per state, drawn by the caller.
     """
 
     def __init__(self, probs):
@@ -143,10 +138,10 @@ class TabularPolicy:
         self._offsets = (0 if probs.ndim == 2
                          else np.arange(probs.shape[0])[:, None] * probs.shape[1])
 
-    def sample_batch(self, states, rng) -> np.ndarray:
+    def sample_batch(self, states, u) -> np.ndarray:
         cum = self._cum
-        return _row_sample_batch(np.take(cum.reshape(-1, cum.shape[-1]),
-                                         states + self._offsets, axis=0), rng)
+        return _inverse_cdf(np.take(cum.reshape(-1, cum.shape[-1]), states + self._offsets,
+                                    axis=0), u)
 
     def at(self, states, actions) -> np.ndarray:
         """pi(a|s) at each (state, action) pair of a batch."""

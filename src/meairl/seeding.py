@@ -1,4 +1,24 @@
-"""Seed plumbing. Every random draw in the package flows through a numpy Generator."""
+"""Seed plumbing. Every random draw in the package flows through a numpy Generator.
+
+`RunStreams` holds the same named stream of several runs. Besides drawing
+call by call, it serves a stream that makes one kind of draw in blocks,
+one generator call per run for many draws, with every value and its order
+per run unchanged:
+
+- integers through `prefetch`: a plan of the bounded draws ahead is drawn
+  in one `Generator.integers(0, bounds)` call per run. numpy's bounded
+  integers (Lemire's method) read one 32-bit word per accepted draw,
+  whatever the bound, so an array of bounds gives the values, and leaves
+  the generator state, of the same draws made one call at a time;
+- uniforms through `uniform`: each run reads on through its own block of
+  `random(n)` doubles, with a cursor per run, and refills the block with
+  one call once it has read all of it.
+
+A stream must not block a mix of the two kinds: PCG64 serves 32-bit
+integer draws from halves of a 64-bit word and uniforms from whole words,
+so drawing one kind ahead would reorder the other. A stream read in blocks
+has its generator state run ahead of the values its runs have read.
+"""
 
 from __future__ import annotations
 
@@ -12,16 +32,83 @@ class RunStreams:
     the same name. Run k's values come from run k's generator, exactly as
     that run alone would draw them, stacked on a leading run axis. A draw
     that only some runs make goes to their entries of `generators`.
+    `integers` serves a pending `prefetch` plan first. A stream read
+    through `uniform` draws nothing else.
     """
 
     def __init__(self, generators):
         self.generators = list(generators)
+        self._plan = []  # the prefetched (high, size) draws, in order
+        self._next = 0  # index of the next unread entry of _plan
+        self._at = 0  # its first column in _planned
+        self._planned = None  # (R, total size) values of the plan
+        self._block = None  # (R, n) uniforms; run k has read _cursor[k] of its row
+        self._cursor = None
+        self._offsets = None  # of each run's row in the raveled block
+        self._left = 0  # reads every run can make before a refill
+
+    def _no_blocks(self) -> None:
+        if self._block is not None:
+            raise RuntimeError("a stream read through uniform blocks draws nothing else")
 
     def random(self, size=None) -> np.ndarray:
+        self._no_blocks()
         return np.array([g.random(size) for g in self.generators])
 
     def integers(self, low, high, size=None) -> np.ndarray:
+        if self._next < len(self._plan):
+            if low != 0 or (high, size) != self._plan[self._next]:
+                raise RuntimeError(f"integers({low}, {high}, size={size}) is off the plan, "
+                                   f"whose next (high, size) is {self._plan[self._next]}")
+            self._next += 1
+            start, self._at = self._at, self._at + size
+            return self._planned[:, start:self._at]
+        self._no_blocks()
         return np.array([g.integers(low, high, size) for g in self.generators])
+
+    def prefetch(self, plan) -> None:
+        """Draw the integers of `plan`, the (high, size) draws ahead, in
+        one generator call per run. Each later `integers(0, high, size)`
+        returns the next entry's (R, size) values; a call off the plan
+        raises, and so does a new plan while an entry is unread."""
+        if self._next < len(self._plan):
+            raise RuntimeError(f"prefetch finds {len(self._plan) - self._next} planned "
+                               f"draws unread")
+        self._no_blocks()
+        plan = list(plan)
+        bounds = np.repeat(np.array([high for high, _ in plan], dtype=np.int64),
+                           [size for _, size in plan])
+        self._planned = np.array([g.integers(0, bounds) for g in self.generators])
+        self._plan, self._next, self._at = plan, 0, 0
+
+    def uniform(self, refill: int, runs=None) -> np.ndarray:
+        """The next uniform of every run, or of each run in the index
+        array `runs`. Each run reads on through its own block; a run that
+        has read all of it first refills it with one `random(refill)`
+        call, so its values come in the order of its per-call draws. The
+        first call sets the block size."""
+        if self._block is None:
+            if self._next < len(self._plan):
+                raise RuntimeError("a stream with planned draws unread reads no uniforms")
+            self._block = np.empty((len(self.generators), refill))
+            self._offsets = np.arange(len(self.generators)) * refill
+            self._cursor = np.full(len(self.generators), refill)
+        if self._left == 0:
+            width = self._block.shape[1]
+            for k in (self._cursor == width).nonzero()[0].tolist():
+                self._block[k] = self.generators[k].random(width)
+                self._cursor[k] = 0
+            self._left = width - int(self._cursor.max())
+        if runs is None:
+            values = self._block.take(self._offsets + self._cursor)
+            self._cursor += 1
+            self._left -= 1
+        else:
+            cursor = self._cursor[runs]
+            values = self._block.take(self._offsets[runs] + cursor)
+            self._cursor[runs] = cursor + 1
+            self._left = self._block.shape[1] - int(self._cursor.max())
+        return values
 
 
 def as_generator(seed):

@@ -14,12 +14,17 @@ discriminator tables, the count model, replay buffers and the policy carry
 a leading run axis, so each numpy call serves every run, and a single run
 is the case of one seed. Each run draws from its own named streams in the
 order it would alone (`seeding.RunStreams`), so its record is
-byte-identical to its solo run. Mixing, the model columns and the
-discriminator read the one stacked count model on that axis. One
-`evaluate_tabular_policy` call scores all runs, through
-`mdp.sample_episodes`, which also writes the tabular expert's demos.
-Continuous runs train one at a time and mix through `mix_state`.
-Variants:
+byte-identical to its solo run. A stream that makes one kind of draw is
+read in blocks, one generator call per run for many draws of the same
+values: the `disc` and `policy` integers of DRAW_BLOCK trained steps come
+from one prefetched plan, and the `interact` and `mix` uniforms from
+per-run blocks. Only `rollout`, which draws both kinds, and `eval` draw
+per call. Mixing, the model columns and the discriminator read the one
+stacked count model on that axis. One `evaluate_tabular_policy` call
+scores all runs, through `mdp.sample_episodes`, which also writes the
+tabular expert's demos. Continuous runs train one at a time and mix
+through `mix_state`. Behavior cloning takes no environment step, since
+nothing it learns or evaluates reads one. Variants:
 
   meairl               model inside the shaping term + synthetic data
   airl_sample_baseline single-sample shaping, no model, real data only
@@ -123,6 +128,11 @@ MODEL_LR = 3e-4
 MODEL_ALPHA = 0.01
 MODEL_CLIP_NORM = 10.0
 POLICY_TD_RATE = 0.5  # step size of the tabular soft TD backup
+# Tabular runs prefetch the `disc` and `policy` integer draws of this many
+# trained steps in one generator call per run, and refill the uniform
+# blocks of `interact` and `mix` with 16 times as many uniforms (about 2
+# are read a step).
+DRAW_BLOCK = 16
 
 
 @dataclass
@@ -253,10 +263,15 @@ class _Run:
         self.shaping = "model" if self.model_based else "sample"
         self.synthetic = self.model_based and config.use_synthetic
         self.ratio = config.ratio_schedule()
-        self.d_env = ReplayBuffer(ENV_BUFFER_CAPACITY, **buffer_kwargs)
-        # Storage for the most rows the schedule ever keeps: GEN_BUFFER_MAX,
-        # or less in a shorter run. Samples read rows by their age, so the
-        # storage size changes no draw.
+        # Each buffer's storage holds the most rows it ever keeps: a run of
+        # fewer than ENV_BUFFER_CAPACITY steps keeps every transition, and
+        # the synthetic buffer at most GEN_BUFFER_MAX rows, or less in a
+        # shorter run. Samples read rows by their age, so the storage size
+        # changes no draw. Storage a run never fills still costs memory: once
+        # a freed buffer raises malloc's mmap threshold, the next run's
+        # buffer comes zeroed from the heap, all of it resident.
+        self.d_env = ReplayBuffer(min(ENV_BUFFER_CAPACITY, max(config.total_steps, 1)),
+                                  **buffer_kwargs)
         self.d_gen = ReplayBuffer(GEN_BUFFER_INIT,
                                   phys_capacity=self.ratio.capacity(config.total_steps),
                                   **buffer_kwargs)
@@ -267,22 +282,26 @@ class _Run:
         config = self.config
         disc_loss = [float("nan")] * len(self.seeds)
         records = [TrainingRecord() for _ in self.seeds]
-        state = self.reset()
+        # behavior cloning learns from the demos alone and evaluates on its
+        # own stream, so it skips the environment steps that nothing reads
+        interacts = self.disc is not None
+        state = self.reset() if interacts else None
         ep_t = 0
         prev = None
         for t in range(1, config.total_steps + 1):
-            action = self.act(t, state, prev)
-            s_next = self.step(state, action)
-            self.d_env.add(state, action, s_next)
-            if self.model is not None:
-                self.model_step(t, state, action, s_next)
-            prev = (state, action)
-            ep_t += 1
-            if ep_t >= self.horizon:
-                state = self.reset()
-                ep_t, prev = 0, None
-            else:
-                state = s_next
+            if interacts:
+                action = self.act(t, state, prev)
+                s_next = self.step(state, action)
+                self.d_env.add(state, action, s_next)
+                if self.model is not None:
+                    self.model_step(t, state, action, s_next)
+                prev = (state, action)
+                ep_t += 1
+                if ep_t >= self.horizon:
+                    state = self.reset()
+                    ep_t, prev = 0, None
+                else:
+                    state = s_next
             if t > config.pretrain_steps:
                 if self.disc is not None:
                     disc_loss = self.disc_step(t)
@@ -336,12 +355,15 @@ class _Run:
             return self.ratio.fraction(t)
         return 0.0
 
+    def n_synthetic(self, t, n_gen) -> int:
+        """Synthetic rows of step t's policy batch, with n_gen rows stored."""
+        return int(round(self.synthetic_fraction(t) * self.config.batch_size)) if n_gen else 0
+
     def mixed_batch(self, t):
         """A policy batch: real transitions, then synthetic ones once there are any."""
         rng = self.streams["policy"]
-        batch_size = self.config.batch_size
-        n_syn = int(round(self.synthetic_fraction(t) * batch_size)) if len(self.d_gen) else 0
-        real = self.d_env.sample(batch_size - n_syn, rng)
+        n_syn = self.n_synthetic(t, len(self.d_gen))
+        real = self.d_env.sample(self.config.batch_size - n_syn, rng)
         if n_syn == 0:
             return real
         return tuple(np.concatenate(pair, axis=self.batch_axis)
@@ -397,6 +419,7 @@ class _TabularRuns(_Run):
                                  f"outside [0, {bound}) for {n_states} states and "
                                  f"{n_actions} actions")
         self.run_index = np.arange(n_runs)[:, None]  # row k of an (R, n) batch is run k's
+        self.refill = 16 * DRAW_BLOCK  # uniforms per refill of a run's block
         if self.model_based:
             self.model = TabularDynamicsEstimate(n_states, n_actions, alpha=MODEL_ALPHA,
                                                  runs=n_runs)
@@ -420,26 +443,53 @@ class _TabularRuns(_Run):
 
     def reset(self):
         mdp = self.env.mdp
-        return np.array([mdp.sample_init(u) for u in self.streams["interact"].random().tolist()])
+        return np.array([mdp.sample_init(u)
+                         for u in self.streams["interact"].uniform(self.refill).tolist()])
 
     def act(self, t, state, prev):
         if self.model_based and t > self.config.pretrain_steps:
             # `mix_state` on the run axis: every run's coin, then one uniform
-            # from each run that mixes, in the order each run alone draws them
+            # from each run that mixes, then every run's action uniform, in
+            # the order each run alone draws them
             rng = self.streams["mix"]
-            mixing = (rng.random() < self.config.mix_prob).nonzero()[0]
+            mixing = (rng.uniform(self.refill) < self.config.mix_prob).nonzero()[0]
             if prev is not None and mixing.size:
-                u = np.array([rng.generators[k].random() for k in mixing.tolist()])
                 state = state.copy()
-                state[mixing] = self.model.successors(mixing, prev[0][mixing],
-                                                      prev[1][mixing], u)
+                state[mixing] = self.model.successors(mixing, prev[0][mixing], prev[1][mixing],
+                                                      rng.uniform(self.refill, mixing))
         else:
             rng = self.streams["interact"]
-        return self.policy.sample_batch(state[:, None], rng)[:, 0]
+        return self.policy.sample_batch(state[:, None], rng.uniform(self.refill)[:, None])[:, 0]
 
     def step(self, state, action):
-        return self.env.mdp.sample_next_batch(state[:, None], action[:, None],
-                                              self.streams["interact"])[:, 0]
+        return self.env.mdp.sample_next_batch(state, action,
+                                              self.streams["interact"].uniform(self.refill))
+
+    def disc_step(self, t) -> list:
+        if (t - self.config.pretrain_steps - 1) % DRAW_BLOCK == 0:
+            self.prefetch_block(t)
+        return super().disc_step(t)
+
+    def prefetch_block(self, t) -> None:
+        """Prefetch the `disc` and `policy` draws of trained steps t to
+        t + DRAW_BLOCK - 1 (or the last step). A step samples the real
+        buffer at one more row than the step before, up to its capacity,
+        and the synthetic buffer at the rows that `rollout`'s set_capacity
+        and add_batch leave; a wrong count here raises at the draw."""
+        batch = self.config.batch_size
+        n_expert = len(self.expert.states)
+        rows = self.config.rollout_horizon * ROLLOUT_STARTS
+        n_gen = len(self.d_gen)
+        disc, policy = [], []
+        for step in range(t, min(t + DRAW_BLOCK, self.config.total_steps + 1)):
+            n_env = min(len(self.d_env) + step - t, self.d_env.capacity)
+            if self.synthetic:
+                n_gen = min(n_gen + rows, self.ratio.capacity(step))
+            n_syn = self.n_synthetic(step, n_gen)
+            disc += [(n_expert, batch), (n_env, batch)]
+            policy += [(n_env, batch - n_syn)] + ([(n_gen, n_syn)] if n_syn else [])
+        self.streams["disc"].prefetch(disc)
+        self.streams["policy"].prefetch(policy)
 
     def model_step(self, t, state, action, s_next) -> None:
         self.model.add(state, action, s_next)

@@ -405,8 +405,9 @@ def count_model_eps_t_means(feed=lambda s, a, s_next: (s, a, s_next)) -> list:
         for seed in range(10):
             sub = np.random.default_rng(1000 * n + seed)
             states = sub.integers(0, 6, size=n)
-            actions = pol.sample_batch(states, sub)
-            columns.append(feed(states, actions, mdp.sample_next_batch(states, actions, sub)))
+            actions = pol.sample_batch(states, sub.random(n))
+            columns.append(feed(states, actions,
+                                mdp.sample_next_batch(states, actions, sub.random(n))))
         est = TabularDynamicsEstimate(6, 3, alpha=0.1, runs=10)
         for s, a, s_next in zip(*(np.stack(runs, axis=1) for runs in zip(*columns))):
             est.add(s, a, s_next)

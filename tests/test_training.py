@@ -14,6 +14,7 @@ from meairl import (ExpertBuffer, Mlp, TabularEnv, TabularMDP, TabularPolicy,
                     TrainingConfig, build_env, generate_expert, load_config, load_demos,
                     make_gridworld, make_noisy_pointmass, policy_value, run_meairl,
                     save_continuous_demos, soft_optimal_policy, soft_value_iteration)
+from meairl import seeding, training
 from meairl.cli import main
 from meairl.seeding import RunStreams, spawn_streams
 from meairl.training import (CSV_HEADER, EvalRow, TrainingDivergedError, TrainingRecord,
@@ -135,18 +136,24 @@ class CountModelOfRun:
 
 
 class StandInRecorder:
-    """A policy stub that records the states it is asked to act at and draws nothing."""
+    """A policy stub that records the states it is asked to act at and the
+    uniforms it is given."""
 
-    def sample_batch(self, states, rng):
+    def sample_batch(self, states, u):
         self.states = states[:, 0].copy()
+        self.u = u[:, 0].tolist()
         return np.zeros_like(states)
 
 
 class TestMixAction:
     @pytest.mark.parametrize("mix_prob", [0.0, 0.5, 1.0])
-    def test_run_axis_mixing_equals_per_run_mix_state(self, mix_prob, tmp_path):
-        # the stacked runs' stand-ins, and every run's mix generator after the
-        # draws, equal `mix_state` run by run on that run's own counts
+    def test_run_axis_mixing_equals_per_run_mix_state(self, mix_prob, tmp_path,
+                                                      monkeypatch):
+        # the stacked runs' stand-ins equal `mix_state` run by run on that
+        # run's own counts, and after the action's uniform each run's next
+        # uniform through the stacked stream is its reference generator's
+        # next one; blocks of 16 uniforms make the runs refill in between
+        monkeypatch.setattr(training, "DRAW_BLOCK", 1)
         env = small_grid_env(slip=0.3)
         cfg = TrainingConfig(mix_prob=mix_prob)
         runs = _TabularRuns(env, expert_for(env, tmp_path), cfg, [4, 9, 13])
@@ -154,21 +161,21 @@ class TestMixAction:
         for _ in range(300):  # distinct counts per run
             runs.model.add(rng.integers(0, 9, 3), rng.integers(0, 4, 3), rng.integers(0, 9, 3))
         runs.policy = recorder = StandInRecorder()
-        generators = runs.streams["mix"].generators
+        stream = runs.streams["mix"]
+        refs = [copy.deepcopy(g) for g in stream.generators]
         moved = 0
         for trial in range(40):
             state = rng.integers(0, 9, 3)
             prev = None if trial % 4 == 0 else (rng.integers(0, 9, 3), rng.integers(0, 4, 3))
             real = state.copy()
-            refs = [copy.deepcopy(g) for g in generators]
             want = [mix_state(int(state[k]), CountModelOfRun(runs.model.kernel[k]), mix_prob,
                               None if prev is None else (prev[0][k], prev[1][k]), refs[k])
                     for k in range(3)]
             runs.act(cfg.pretrain_steps + 1, state, prev)
             assert recorder.states.tolist() == want
+            assert recorder.u == [ref.random() for ref in refs]
             assert np.array_equal(state, real)
-            for g, ref in zip(generators, refs):
-                assert g.bit_generator.state == ref.bit_generator.state
+            assert stream.uniform(runs.refill).tolist() == [ref.random() for ref in refs]
             moved += sum(w != s for w, s in zip(want, real.tolist()))
         assert (moved > 0) == (mix_prob > 0)
 
@@ -189,7 +196,8 @@ class TestMixAction:
                 real_next = int(np.argmax(mdp.kernel[prev_s, prev_a]))
                 mixed = mix_state(real_next, model, 1.0, (prev_s, prev_a), rng)
                 assert mixed == real_next
-                at_mixed, at_real = policy.sample_batch(np.array([mixed, real_next]), rng)
+                at_mixed, at_real = policy.sample_batch(np.array([mixed, real_next]),
+                                                        rng.random(2))
                 assert at_mixed == at_real
 
     def test_missing_prev_transition_falls_back_to_real(self):
@@ -472,6 +480,97 @@ class TestStackedRuns:
         for (alg, seed), want in solo.items():
             assert (tmp_path / f"{alg}_seed{seed}.csv").read_bytes() == want, (alg, seed)
 
+
+# SHA-256 of the three runs' CSVs of `blocked_records`, taken when every
+# run drew each value with its own generator call; with a 300-row real
+# buffer, the runs' oldest transitions are evicted past step 300
+DRAWN_PER_CALL = {
+    ("meairl", None): "041561be73bb75aa9f0dfdbc31b68274587b8bb9032a6241694889dbc202b867",
+    ("airl_sample_baseline", None):
+        "598b91b2ddde40f60213992c50df7e947b8a6ba19ed9a112530ba84b0a8aa098",
+    ("bc_none", None): "9ce807505ef1ad6b1b1285fd615ddfc68e03f6e89fef2e530fd95dc0eebe3073",
+    ("meairl", 300): "95db022141dd763b31e633efbbdc09e484b1ce771bcaebfdc86fd6e14c94ca95",
+    ("airl_sample_baseline", 300):
+        "a83f4e522fd4dd0ffa8b53323694fda7505d5241431f4bac620fcaef581b46b7",
+}
+
+
+def blocked_records(env, expert, algorithm) -> str:
+    cfg = TrainingConfig(total_steps=1200, pretrain_steps=200, eval_period=200,
+                         eval_episodes=3, batch_size=32, mix_prob=0.5, algorithm=algorithm)
+    return "".join(r.to_csv_text() for r in run_meairl(env, expert, cfg, seeds=[3, 1, 4]))
+
+
+class CountingGenerator:
+    """A Generator whose `random` and `integers` calls are counted."""
+
+    def __init__(self, generator, counts):
+        self.generator, self.counts = generator, counts
+
+    def random(self, *args, **kwargs):
+        self.counts["calls"] += 1
+        return self.generator.random(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.counts["calls"] += 1
+        return self.generator.integers(*args, **kwargs)
+
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize("block", [1, None])
+    @pytest.mark.parametrize("algorithm, capacity", list(DRAWN_PER_CALL))
+    def test_stacked_records_equal_per_call_draws(self, algorithm, capacity, block, tmp_path,
+                                                  monkeypatch):
+        # a stacked R = 3 run writes the same bytes with blocks of one step
+        # (uniforms refilled 16 at a time) and at the default block
+        if block is not None:
+            monkeypatch.setattr(training, "DRAW_BLOCK", block)
+        if capacity is not None:
+            monkeypatch.setattr(training, "ENV_BUFFER_CAPACITY", capacity)
+        env = small_grid_env(slip=0.3)
+        text = blocked_records(env, expert_for(env, tmp_path), algorithm)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            DRAWN_PER_CALL[algorithm, capacity]
+
+    def test_generator_calls_per_run_step(self, tmp_path, monkeypatch):
+        # the cost guard: Generator calls per run per trained step, a
+        # 1,600-step run minus a 600-step run, at R = 1 and R = 4; one call
+        # per run per draw made about 14 (meairl) and 5 (baseline)
+        counts = {"calls": 0}
+
+        def counting_streams(seeds, names):
+            streams = seeding.run_streams(seeds, names)
+            for stream in streams.values():
+                stream.generators = [CountingGenerator(g, counts) for g in stream.generators]
+            return streams
+
+        monkeypatch.setattr(training, "run_streams", counting_streams)
+        env = small_grid_env(slip=0.3)
+        expert = expert_for(env, tmp_path)
+
+        def calls(algorithm, runs, steps):
+            counts["calls"] = 0
+            run_meairl(env, expert, TrainingConfig(total_steps=steps, pretrain_steps=200,
+                                                   algorithm=algorithm),
+                       seeds=list(range(runs)))
+            return counts["calls"]
+
+        for algorithm, most in (("meairl", 3.0), ("airl_sample_baseline", 1.0)):
+            for runs in (1, 4):
+                per_step = (calls(algorithm, runs, 1600) - calls(algorithm, runs, 600)) / 1000
+                assert per_step / runs <= most, (algorithm, runs, per_step / runs)
+
+    def test_behavior_cloning_takes_no_environment_step(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bc_none stepped the environment")
+
+        for name in ("reset", "act", "step"):
+            monkeypatch.setattr(_TabularRuns, name, refuse)
+        env = small_grid_env()
+        record = run_meairl(env, expert_for(env, tmp_path), TrainingConfig(
+            total_steps=300, pretrain_steps=100, eval_period=100, eval_episodes=2,
+            algorithm="bc_none"))
+        assert len(record.rows) == 3
 
 class TestContinuousLoop:
     def test_smoke_runs_and_records(self, tmp_path):
