@@ -11,18 +11,18 @@ switches to the classic single-sample form
 
     f(s, a, s') = R(s, a) + gamma * phi(s') - phi(s)
 
-for A/B comparisons. Tabular mode keeps R and phi as plain tables of shape
-(S,): R is the state-only reward g(s), the form AIRL's disentanglement
-result is stated for (Fu et al., arXiv:1710.11248). A free per-pair
-r(s, a) could fit any advantage by itself, so the shaping rule would not
-matter; with g(s) it does. When the true reward is state-only, g = r and
-phi = soft V under model shaping through the true kernel give
-f = soft Q - soft V exactly, while under sample shaping f(s, a, s')
-depends on the observed successor and cannot equal that advantage on a
-stochastic kernel. Continuous mode backs r(s, a) and phi with two relu
-nets and estimates the model expectation with a fixed number of Monte
-Carlo successor draws, reused pathwise so gradients flow to phi at the
-sampled points.
+for A/B comparisons. Tabular mode keeps R and phi as tables of shape
+(R, S), one row per stacked run: R is the state-only reward g(s), the
+form AIRL's disentanglement result is stated for (Fu et al.,
+arXiv:1710.11248). A free per-pair r(s, a) could fit any advantage by
+itself, so the shaping rule would not matter; with g(s) it does. When
+the true reward is state-only, g = r and phi = soft V under model
+shaping through the true kernel give f = soft Q - soft V exactly, while
+under sample shaping f(s, a, s') depends on the observed successor and
+cannot equal that advantage on a stochastic kernel. Continuous mode backs
+r(s, a) and phi with two relu nets and estimates the model expectation
+with a fixed number of Monte Carlo successor draws, reused pathwise so
+gradients flow to phi at the sampled points.
 
 Training minimizes the usual cross-entropy
 
@@ -85,26 +85,26 @@ class Discriminator:
         self.r_net = r_net
         self.phi_net = phi_net
         self.n_model_samples = int(n_model_samples)
-        # Tabular batches index the tables raveled: row k of an (R, B) batch
-        # is offset to run k's block, so one flat gather serves every run.
-        self._offsets = (0 if r_table is None or r_table.ndim == 1
+        # Tabular batches index the (R, S) tables raveled: row k of an (R, B)
+        # batch is offset to run k's block, so one flat gather serves every run.
+        self._offsets = (None if r_table is None
                          else np.arange(r_table.shape[0])[:, None] * r_table.shape[-1])
 
     @classmethod
-    def tabular(cls, n_states, discount, dynamics=None, shaping="model",
-                runs=None) -> "Discriminator":
-        """Zero-initialised tables of shape (S,): the state-only reward g(s) and phi.
+    def tabular(cls, n_states, discount, dynamics=None, shaping="model", *,
+                runs) -> "Discriminator":
+        """Zero-initialised (R, S) tables for R = `runs` stacked runs: the
+        state-only reward g(s) and phi.
 
         g(s) rather than a free r(s, a), so that the shaping rule decides
         which advantages f can represent (see the module docstring).
-        `dynamics` is the (S, A, S) kernel array, read afresh on every call.
-        With `runs=R` the tables are (R, S), the kernel (R, S, A, S), the
-        parameters (R, 2S), and batches (R, B) with row k for run k.
+        `dynamics` is the (R, S, A, S) kernel array, read afresh on every
+        call. The parameters are (R, 2S), batches (R, B) with row k for
+        run k, and the policy an (R, S, A) TabularPolicy.
         """
-        shape = (n_states,) if runs is None else (runs, n_states)
         return cls("tabular", discount, dynamics, shaping,
-                   r_table=np.zeros(shape),
-                   phi_table=np.zeros(shape))
+                   r_table=np.zeros((runs, n_states)),
+                   phi_table=np.zeros((runs, n_states)))
 
     @classmethod
     def continuous(cls, state_dim, action_dim, discount, dynamics=None, shaping="model",
@@ -246,8 +246,8 @@ def discriminator_loss_and_grads(disc: Discriminator, expert_batch, policy_batch
     Batches are (states, actions, next_states) column triples; the expert
     batch is scored as positive, the policy batch as negative. `policy`
     supplies pi(a|s): a TabularPolicy or anything with .log_prob. A
-    discriminator with R stacked tables takes (R, B) batches and a stacked
-    policy, and returns R losses and (R, 2S) gradients.
+    tabular discriminator takes (R, B) batches and an (R, S, A) policy,
+    and returns R losses and (R, 2S) gradients.
 
     Continuous mode finishes the expert batch (forward, loss terms,
     backward) before it forwards the policy batch. The per-sample
@@ -366,7 +366,8 @@ def gradient_alignment_gap(cases, dp_tol: float = 1e-12) -> AlignmentGaps:
     holds on deterministic kernels only.
 
     One stacked soft value iteration solves every case, and one stacked
-    occupancy iteration gives every policy and expert occupancy.
+    occupancy iteration gives every policy and expert occupancy. Each
+    gradient is that of a one-run discriminator, the form training stacks.
     """
     solved = soft_value_iteration(
         [(mdp.kernel, np.repeat(np.asarray(g, dtype=np.float64)[:, None], mdp.n_actions, axis=1),
@@ -380,10 +381,13 @@ def gradient_alignment_gap(cases, dp_tol: float = 1e-12) -> AlignmentGaps:
     for (mdp, g, _), values, policy, d_pi, d_exp in zip(cases, solved, policies, d_pis, d_exps):
         mce = mce_irl_gradient(d_exp, d_pi)
         gaps.mce.append(float(np.abs(mce).max()))
+        stacked = TabularPolicy(policy.probs[None])
         for shaping, out in (("model", gaps.model), ("sample", gaps.sample)):
-            disc = Discriminator.tabular(mdp.n_states, mdp.discount, mdp.kernel, shaping)
-            disc.params = np.concatenate([g, values.v])
-            g_r, g_phi = np.split(-2.0 * _exact_grads(disc, policy, mdp.kernel, d_exp, d_pi), 2)
+            disc = Discriminator.tabular(mdp.n_states, mdp.discount, mdp.kernel[None], shaping,
+                                         runs=1)
+            disc.params = np.concatenate([g, values.v])[None]
+            [grads] = _exact_grads(disc, stacked, mdp.kernel, d_exp, d_pi)
+            g_r, g_phi = np.split(-2.0 * grads, 2)
             out.append(max(float(np.abs(g_r - mce).max()), float(np.abs(g_phi).max())))
     return AlignmentGaps(*(np.array(column) for column in gaps))
 
@@ -391,23 +395,24 @@ def gradient_alignment_gap(cases, dp_tol: float = 1e-12) -> AlignmentGaps:
 def _exact_grads(disc, policy, kernel, d_exp, d_pi):
     """`_tabular_grads` on the enumerated batch of `gradient_alignment_gap`.
 
-    Each row's d loss / d f from `_cross_entropy_terms` (a batch mean) is
-    rescaled to that row's exact probability.
+    The batch is one run's (1, n) rows. Each row's d loss / d f from
+    `_cross_entropy_terms` (a batch mean) is rescaled to that row's exact
+    probability.
     """
     n_states, n_actions = d_pi.shape
     if disc.shaping == "model":
-        states, actions = np.divmod(np.arange(n_states * n_actions), n_actions)
+        states, actions = np.divmod(np.arange(n_states * n_actions)[None], n_actions)
         next_states = None
         weights = (d_exp.ravel(), d_pi.ravel())
     else:
-        states, rest = np.divmod(np.arange(n_states * n_actions * n_states),
+        states, rest = np.divmod(np.arange(n_states * n_actions * n_states)[None],
                                  n_actions * n_states)
         actions, next_states = np.divmod(rest, n_states)
         weights = ((d_exp[:, :, None] * kernel).ravel(), (d_pi[:, :, None] * kernel).ravel())
     batch = disc._tabular_batch(states, actions, next_states)
     f = disc._f_batch(*batch)
     log_pi = _log_policy(policy, states, actions)
-    batches = [(*batch, _cross_entropy_terms(f, log_pi, expert)[1] * (f.shape[0] * weight))
+    batches = [(*batch, _cross_entropy_terms(f, log_pi, expert)[1] * (f.shape[-1] * weight))
                for expert, weight in zip((True, False), weights)]
     return _tabular_grads(disc, *batches)
 

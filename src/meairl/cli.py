@@ -219,8 +219,11 @@ def cmd_train(args) -> int:
 
 def cmd_compare(args) -> int:
     config = load_config(args.config)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    seeds = list(dict.fromkeys(config.run.seeds))  # a repeated seed trains once
+    # a repeated algorithm or seed trains, and is summarised, once
+    algorithms = list(dict.fromkeys(a.strip() for a in args.algorithms.split(",") if a.strip()))
+    if not algorithms:
+        raise ConfigError(f"--algorithms names no algorithm: {args.algorithms!r}")
+    seeds = list(dict.fromkeys(config.run.seeds))
     trains = {alg: _with_train(config, algorithm=alg).train for alg in algorithms}
     env, out_dir, expert = _training_setup(args, config)
     target = expert_return_target(env, config)  # before training: it may refuse the config
@@ -237,8 +240,7 @@ def cmd_compare(args) -> int:
         fh.write(summary_csv_text(rows))
     agg_lines = ["algorithm,final_return_mean,final_return_std,steps_to_target"]
     for alg in algorithms:
-        summary = aggregate([results[(alg, seed)] for seed in config.run.seeds],
-                            threshold)
+        summary = aggregate([results[(alg, seed)] for seed in seeds], threshold)
         agg_lines.append(",".join([alg, repr(float(summary.return_mean[-1])),
                                    repr(float(summary.return_std[-1])),
                                    render_steps(summary.steps_to_expert)]))

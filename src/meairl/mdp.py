@@ -60,7 +60,7 @@ class TabularMDP:
     of the kernel and of the start distribution are cached for sampling.
     """
 
-    def __init__(self, kernel, reward, discount, init_dist, r_max=None):
+    def __init__(self, kernel, reward, discount, init_dist):
         kernel = np.array(kernel, dtype=np.float64)
         reward = np.array(reward, dtype=np.float64)
         init_dist = np.array(init_dist, dtype=np.float64)
@@ -77,19 +77,12 @@ class TabularMDP:
         _check_distribution(init_dist, "init_dist")
         if not np.all(np.isfinite(reward)):
             raise ValueError("reward entries must be finite")
-        if r_max is None:
-            r_max = max(float(np.abs(reward).max()), 1.0)
-        if r_max <= 0.0:
-            raise ValueError(f"r_max must be positive, got {r_max}")
-        if float(np.abs(reward).max()) > r_max + 1e-12:
-            raise ValueError(f"|reward| exceeds r_max={r_max}")
         for arr in (kernel, reward, init_dist):
             arr.flags.writeable = False
         self.kernel = kernel
         self.reward = reward
         self.discount = float(discount)
         self.init_dist = init_dist
-        self.r_max = float(r_max)
         self._kernel_cum = np.cumsum(kernel, axis=-1)
         self._init_cum = np.cumsum(init_dist).tolist()
 
@@ -183,7 +176,6 @@ def sample_episodes(mdp: TabularMDP, policy: TabularPolicy, horizon: int, episod
 # environments
 
 
-GRID_ACTIONS = ("up", "down", "left", "right")
 _GRID_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))  # (dy, dx) per action index
 
 
@@ -226,8 +218,7 @@ def make_gridworld(width: int, height: int, slip_prob: float, goal_reward: float
         init[:goal] = 1.0 / (n_states - 1)
     else:
         init[goal] = 1.0
-    r_max = max(abs(goal_reward), 1.0)
-    return TabularMDP(kernel, reward, discount, init, r_max=r_max)
+    return TabularMDP(kernel, reward, discount, init)
 
 
 @dataclass

@@ -183,30 +183,34 @@ def mlp_gradient_errors(rng) -> list:
 
 
 def tabular_disc_gradient_errors(rng) -> list:
-    """The state-only g(s) discriminator every tabular run trains, against
-    finite differences: the max relative error under model and sample shaping."""
+    """The state-only g(s) discriminator every tabular run trains, three
+    runs stacked, each with its own kernel, policy, parameters and batches,
+    against finite differences of the sum of the runs' losses: the max
+    relative error under model and sample shaping."""
+    runs = 3
     errors = []
     for shaping in ("model", "sample"):
-        mdp = fixed_size_mdp(rng, n_states=5, n_actions=3, gamma=0.9)
-        disc = Discriminator.tabular(5, 0.9, dynamics=mdp.kernel,
-                                     shaping=shaping)
-        assert disc.r_table.shape == (5,)
-        disc.params = 0.3 * rng.normal(size=disc.n_params)
-        policy = TabularPolicy(rng.dirichlet(np.ones(3), size=5))
-        expert = (rng.integers(0, 5, 10), rng.integers(0, 3, 10),
-                  rng.integers(0, 5, 10))
-        gen = (rng.integers(0, 5, 10), rng.integers(0, 3, 10),
-               rng.integers(0, 5, 10))
+        kernels = np.stack([fixed_size_mdp(rng, n_states=5, n_actions=3, gamma=0.9).kernel
+                            for _ in range(runs)])
+        disc = Discriminator.tabular(5, 0.9, dynamics=kernels, shaping=shaping, runs=runs)
+        assert disc.r_table.shape == (runs, 5)
+        disc.params = 0.3 * rng.normal(size=(runs, disc.n_params))
+        policy = TabularPolicy(rng.dirichlet(np.ones(3), size=(runs, 5)))
+        expert = (rng.integers(0, 5, (runs, 10)), rng.integers(0, 3, (runs, 10)),
+                  rng.integers(0, 5, (runs, 10)))
+        gen = (rng.integers(0, 5, (runs, 10)), rng.integers(0, 3, (runs, 10)),
+               rng.integers(0, 5, (runs, 10)))
         _, dgrads = discriminator_loss_and_grads(disc, expert, gen, policy)
 
         def disc_loss(flat, d=disc, e=expert, g=gen, p=policy):
             keep = d.params
-            d.params = flat
+            d.params = flat.reshape(keep.shape)
             out, _ = discriminator_loss_and_grads(d, e, g, p)
             d.params = keep
-            return out
+            return float(out.sum())
 
-        errors.append(max_rel_err(dgrads, finite_difference_grad(disc_loss, disc.params)))
+        errors.append(max_rel_err(dgrads,
+                                  finite_difference_grad(disc_loss, disc.params.ravel())))
     return errors
 
 

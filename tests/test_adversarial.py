@@ -16,9 +16,10 @@ from meairl.adversarial import mce_irl_gradient
 
 
 def two_state_kernel():
-    kernel = np.zeros((2, 1, 2))
-    kernel[0, 0] = [0.5, 0.5]
-    kernel[1, 0] = [0.5, 0.5]
+    """One run's kernel, (1, S, A, S): every row [0.5, 0.5]."""
+    kernel = np.zeros((1, 2, 1, 2))
+    kernel[0, 0, 0] = [0.5, 0.5]
+    kernel[0, 1, 0] = [0.5, 0.5]
     return kernel
 
 
@@ -26,64 +27,64 @@ class TestFValue:
     def test_hand_value_model_shaping(self):
         # R = 0, phi = [1, 2], rows [0.5, 0.5], gamma = 0.9:
         # f(0, 0) = 0 + 0.9 * 1.5 - 1 = 0.35
-        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel())
+        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel(), runs=1)
         disc.phi_table[:] = [1.0, 2.0]
-        assert abs(disc.f_values([0], [0])[0] - 0.35) < 1e-12
+        assert abs(disc.f_values([[0]], [[0]])[0, 0] - 0.35) < 1e-12
 
     def test_hand_value_sample_shaping(self):
         # single-sample form uses the observed successor instead of the row
-        disc = Discriminator.tabular(2, 0.9, shaping="sample")
+        disc = Discriminator.tabular(2, 0.9, shaping="sample", runs=1)
         disc.phi_table[:] = [1.0, 2.0]
-        assert abs(disc.f_values([0], [0], [1])[0] - (0.9 * 2.0 - 1.0)) < 1e-12
-        assert abs(disc.f_values([0], [0], [0])[0] - (0.9 * 1.0 - 1.0)) < 1e-12
+        assert abs(disc.f_values([[0]], [[0]], [[1]])[0, 0] - (0.9 * 2.0 - 1.0)) < 1e-12
+        assert abs(disc.f_values([[0]], [[0]], [[0]])[0, 0] - (0.9 * 1.0 - 1.0)) < 1e-12
 
     def test_model_shaping_ignores_observed_successor(self):
-        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel())
+        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel(), runs=1)
         disc.phi_table[:] = [1.0, 2.0]
-        disc.r_table[0] = 0.25
+        disc.r_table[0, 0] = 0.25
         for ns in (0, 1):
-            assert abs(disc.f_values([0], [0], [ns])[0] - 0.6) < 1e-12
+            assert abs(disc.f_values([[0]], [[0]], [[ns]])[0, 0] - 0.6) < 1e-12
 
     def test_sample_shaping_requires_next_state(self):
-        disc = Discriminator.tabular(2, 0.9, shaping="sample")
+        disc = Discriminator.tabular(2, 0.9, shaping="sample", runs=1)
         with pytest.raises(ValueError):
-            disc.f_values(np.array([0]), np.array([0]))
+            disc.f_values(np.array([[0]]), np.array([[0]]))
 
     def test_model_shaping_requires_dynamics(self):
         with pytest.raises(ValueError):
-            Discriminator.tabular(2, 0.9, dynamics=None, shaping="model")
+            Discriminator.tabular(2, 0.9, dynamics=None, shaping="model", runs=1)
 
 
 class TestDiscriminatorProb:
     """D = exp(f) / (exp(f) + pi), read off the loss with one pair in both batches,
     where the loss is -log D - log(1 - D)."""
 
-    PAIR = ([0], [0], [0])
+    PAIR = ([[0]], [[0]], [[0]])
 
     def test_hand_value(self):
         # f = log 3 against pi = 1 gives D = 3 / (3 + 1) = 0.75
-        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel())
+        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel(), runs=1)
         disc.r_table[:] = math.log(3.0)
-        policy = TabularPolicy([[1.0], [1.0]])
-        loss, _ = discriminator_loss_and_grads(disc, self.PAIR, self.PAIR, policy)
+        policy = TabularPolicy([[[1.0], [1.0]]])
+        [loss], _ = discriminator_loss_and_grads(disc, self.PAIR, self.PAIR, policy)
         assert abs(loss - (-math.log(0.75) - math.log(0.25))) < 1e-12
 
     def test_matched_point_is_half(self):
         # f = log pi gives D = 1/2, where equal batches pull f both ways equally
-        disc = Discriminator.tabular(2, 0.9, dynamics=np.full((2, 2, 2), 0.5))
+        disc = Discriminator.tabular(2, 0.9, dynamics=np.full((1, 2, 2, 2), 0.5), runs=1)
         disc.r_table[:] = math.log(0.5)
-        policy = TabularPolicy(np.full((2, 2), 0.5))
-        batch = (np.array([0, 1]), np.array([1, 0]), np.array([1, 1]))
-        loss, grads = discriminator_loss_and_grads(disc, batch, batch, policy)
+        policy = TabularPolicy(np.full((1, 2, 2), 0.5))
+        batch = (np.array([[0, 1]]), np.array([[1, 0]]), np.array([[1, 1]]))
+        [loss], grads = discriminator_loss_and_grads(disc, batch, batch, policy)
         assert abs(loss - 2 * math.log(2)) < 1e-12
         assert np.max(np.abs(grads)) < 1e-15
 
     def test_clamped_into_open_interval(self):
-        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel())
-        policy = TabularPolicy([[1.0], [1.0]])
+        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel(), runs=1)
+        policy = TabularPolicy([[[1.0], [1.0]]])
         for r in (100.0, -100.0):
             disc.r_table[:] = r
-            loss, grads = discriminator_loss_and_grads(disc, self.PAIR, self.PAIR, policy)
+            [loss], grads = discriminator_loss_and_grads(disc, self.PAIR, self.PAIR, policy)
             # D sits on 1 - 1e-6 or on 1e-6; either way one term is about -log(1e-6)
             assert abs(loss - (-math.log(1.0 - 1e-6) - math.log(1e-6))) < 1e-9
             assert np.max(np.abs(grads)) == 0.0
@@ -93,42 +94,42 @@ class TestExtractReward:
     def test_matches_f_minus_log_pi(self):
         rng = np.random.default_rng(3)
         mdp = random_mdp(rng, n_states=4, n_actions=2, gamma=0.9)
-        disc = Discriminator.tabular(4, 0.9, dynamics=mdp.kernel)
-        disc.params = rng.normal(size=disc.n_params)
-        states = np.array([0, 1, 2, 3])
-        actions = np.array([0, 1, 0, 1])
-        log_pi = np.log(np.full(4, 0.5))
+        disc = Discriminator.tabular(4, 0.9, dynamics=mdp.kernel[None], runs=1)
+        disc.params = rng.normal(size=(1, disc.n_params))
+        states = np.array([[0, 1, 2, 3]])
+        actions = np.array([[0, 1, 0, 1]])
+        log_pi = np.log(np.full((1, 4), 0.5))
         got = extract_reward(disc, states, actions, log_policy_prob=log_pi)
         want = disc.f_values(states, actions) - log_pi
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_clipped_to_fifty(self):
-        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel())
+        disc = Discriminator.tabular(2, 0.9, dynamics=two_state_kernel(), runs=1)
         disc.r_table[:] = 1000.0
-        assert extract_reward(disc, [0], [0], log_policy_prob=[0.0])[0] == 50.0
+        assert extract_reward(disc, [[0]], [[0]], log_policy_prob=[[0.0]])[0, 0] == 50.0
         disc.r_table[:] = -1000.0
-        assert extract_reward(disc, [0], [0], log_policy_prob=[0.0])[0] == -50.0
+        assert extract_reward(disc, [[0]], [[0]], log_policy_prob=[[0.0]])[0, 0] == -50.0
 
 
 class TestDiscriminatorLoss:
     def test_uninformative_loss_is_two_log_two(self):
         # f = log pi everywhere gives D = 1/2 on both batches
-        disc = Discriminator.tabular(2, 0.9, dynamics=np.full((2, 2, 2), 0.5))
+        disc = Discriminator.tabular(2, 0.9, dynamics=np.full((1, 2, 2, 2), 0.5), runs=1)
         disc.r_table[:] = math.log(0.5)
-        policy = TabularPolicy(np.full((2, 2), 0.5))
-        batch = (np.array([0, 1]), np.array([0, 1]), np.array([0, 0]))
-        loss, _ = discriminator_loss_and_grads(disc, batch, batch, policy)
+        policy = TabularPolicy(np.full((1, 2, 2), 0.5))
+        batch = (np.array([[0, 1]]), np.array([[0, 1]]), np.array([[0, 0]]))
+        [loss], _ = discriminator_loss_and_grads(disc, batch, batch, policy)
         assert abs(loss - 2 * math.log(2)) < 1e-12
 
     def test_perfect_separation_loss_near_clamp_floor(self):
         # g scores the expert's state +100 and the policy's -100: both terms
         # hit the 1e-6 clamp whatever the action
-        disc = Discriminator.tabular(2, 0.9, dynamics=np.full((2, 2, 2), 0.5))
+        disc = Discriminator.tabular(2, 0.9, dynamics=np.full((1, 2, 2, 2), 0.5), runs=1)
         disc.r_table[:] = [100.0, -100.0]
-        policy = TabularPolicy(np.full((2, 2), 0.5))
-        expert = (np.array([0, 0]), np.array([0, 1]), np.array([0, 0]))
-        gen = (np.array([1, 1]), np.array([0, 1]), np.array([0, 0]))
-        loss, grads = discriminator_loss_and_grads(disc, expert, gen, policy)
+        policy = TabularPolicy(np.full((1, 2, 2), 0.5))
+        expert = (np.array([[0, 0]]), np.array([[0, 1]]), np.array([[0, 0]]))
+        gen = (np.array([[1, 1]]), np.array([[0, 1]]), np.array([[0, 0]]))
+        [loss], grads = discriminator_loss_and_grads(disc, expert, gen, policy)
         assert abs(loss - 2e-6) < 1e-8
         # saturated probabilities pass no gradient
         assert np.max(np.abs(grads)) == 0.0
@@ -190,45 +191,45 @@ class TestDiscriminatorLoss:
 
 class TestStateOnlyTabular:
     def test_param_round_trip(self):
-        disc = Discriminator.tabular(4, 0.9, dynamics=np.full((4, 3, 4), 0.25))
-        assert disc.r_table.shape == (4,)
+        disc = Discriminator.tabular(4, 0.9, dynamics=np.full((1, 4, 3, 4), 0.25), runs=1)
+        assert disc.r_table.shape == (1, 4)
         assert disc.n_params == 2 * 4
-        flat = np.random.default_rng(0).normal(size=disc.n_params)
+        flat = np.random.default_rng(0).normal(size=(1, disc.n_params))
         disc.params = flat
         assert np.array_equal(disc.params, flat)
-        assert np.array_equal(disc.r_table, flat[:4])
+        assert np.array_equal(disc.r_table, flat[:, :4])
 
     def test_reward_term_ignores_the_action(self):
-        disc = Discriminator.tabular(2, 0.9, shaping="sample")
+        disc = Discriminator.tabular(2, 0.9, shaping="sample", runs=1)
         disc.r_table[:] = [0.7, -0.2]
-        f = disc.f_values(np.array([0, 0, 0, 1]), np.array([0, 1, 2, 1]),
-                          np.array([1, 1, 1, 1]))
-        assert np.array_equal(f, [0.7, 0.7, 0.7, -0.2])
+        f = disc.f_values(np.array([[0, 0, 0, 1]]), np.array([[0, 1, 2, 1]]),
+                          np.array([[1, 1, 1, 1]]))
+        assert np.array_equal(f, [[0.7, 0.7, 0.7, -0.2]])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(17)
         for shaping in ("model", "sample"):
             mdp = random_mdp(rng, n_states=5, n_actions=3, gamma=0.9)
-            disc = Discriminator.tabular(5, 0.9, dynamics=mdp.kernel,
-                                         shaping=shaping)
-            disc.params = 0.3 * rng.normal(size=disc.n_params)
-            policy = TabularPolicy(rng.dirichlet(np.ones(3), size=5))
+            disc = Discriminator.tabular(5, 0.9, dynamics=mdp.kernel[None],
+                                         shaping=shaping, runs=1)
+            disc.params = 0.3 * rng.normal(size=(1, disc.n_params))
+            policy = TabularPolicy(rng.dirichlet(np.ones(3), size=(1, 5)))
             # repeated states with different actions exercise the scatter by state
-            expert = (rng.integers(0, 5, 12), rng.integers(0, 3, 12),
-                      rng.integers(0, 5, 12))
-            gen = (rng.integers(0, 5, 12), rng.integers(0, 3, 12),
-                   rng.integers(0, 5, 12))
+            expert = (rng.integers(0, 5, (1, 12)), rng.integers(0, 3, (1, 12)),
+                      rng.integers(0, 5, (1, 12)))
+            gen = (rng.integers(0, 5, (1, 12)), rng.integers(0, 3, (1, 12)),
+                   rng.integers(0, 5, (1, 12)))
             _, grads = discriminator_loss_and_grads(disc, expert, gen, policy)
-            assert grads.shape == (2 * 5,)
+            assert grads.shape == (1, 2 * 5)
 
             def loss_at(flat, d=disc, e=expert, g=gen, p=policy):
                 keep = d.params
-                d.params = flat
-                out, _ = discriminator_loss_and_grads(d, e, g, p)
+                d.params = flat.reshape(keep.shape)
+                [out], _ = discriminator_loss_and_grads(d, e, g, p)
                 d.params = keep
                 return out
 
-            fd = finite_difference_grad(loss_at, disc.params)
+            fd = finite_difference_grad(loss_at, disc.params.ravel())
             assert max_rel_err(grads, fd) < 1e-4
 
     def test_model_shaping_with_true_kernel_gives_soft_advantage(self):
@@ -239,20 +240,57 @@ class TestStateOnlyTabular:
         assert np.array_equal(mdp.reward, np.repeat(mdp.reward[:, :1], 4, axis=1))
         [values] = soft_value_iteration([instance(mdp)], tol=1e-12)
         disc = Discriminator.tabular(mdp.n_states, mdp.discount,
-                                     dynamics=mdp.kernel)
+                                     dynamics=mdp.kernel[None], runs=1)
         disc.r_table[:] = mdp.reward[:, 0]
         disc.phi_table[:] = values.v
-        s, a = np.divmod(np.arange(mdp.n_states * mdp.n_actions), mdp.n_actions)
+        s, a = np.divmod(np.arange(mdp.n_states * mdp.n_actions)[None], mdp.n_actions)
         f = disc.f_values(s, a).reshape(mdp.n_states, mdp.n_actions)
         assert np.max(np.abs(f - (values.q - values.v[:, None]))) < 1e-10
         # the same tables under sample shaping miss the advantage on some
         # successor the slippery kernel reaches
         sample = Discriminator.tabular(mdp.n_states, mdp.discount,
-                                       shaping="sample")
+                                       shaping="sample", runs=1)
         sample.params = disc.params
         ss, aa, nn = np.nonzero(mdp.kernel > 0.0)
-        gap = np.abs(sample.f_values(ss, aa, nn) - values.adv[ss, aa])
+        gap = np.abs(sample.f_values(ss[None], aa[None], nn[None])[0] - values.adv[ss, aa])
         assert gap.max() > 0.1
+
+
+class TestStackedRuns:
+    """R stacked runs, each with its own kernel, tables, policy and batches:
+    every run gets the bits of a one-run discriminator holding its slices."""
+
+    RUNS, STATES, ACTIONS, BATCH = 3, 5, 3, 12
+
+    def test_runs_is_required(self):
+        with pytest.raises(TypeError):
+            Discriminator.tabular(2, 0.9, shaping="sample")
+        assert Discriminator.tabular(2, 0.9, shaping="sample", runs=4).r_table.shape == (4, 2)
+
+    @pytest.mark.parametrize("shaping", ["model", "sample"])
+    def test_each_run_equals_its_one_run_discriminator(self, shaping):
+        rng = np.random.default_rng(31)
+        runs, n_states, n_actions = self.RUNS, self.STATES, self.ACTIONS
+        kernels = np.stack([random_mdp(rng, n_states, n_actions, 0.9).kernel
+                            for _ in range(runs)])
+        disc = Discriminator.tabular(n_states, 0.9, kernels, shaping, runs=runs)
+        disc.params = rng.normal(size=(runs, disc.n_params))
+        policy = TabularPolicy(rng.dirichlet(np.ones(n_actions), size=(runs, n_states)))
+        expert, gen = ((rng.integers(0, n_states, (runs, self.BATCH)),
+                        rng.integers(0, n_actions, (runs, self.BATCH)),
+                        rng.integers(0, n_states, (runs, self.BATCH))) for _ in range(2))
+        losses, grads = discriminator_loss_and_grads(disc, expert, gen, policy)
+        f = disc.f_values(*gen)
+        for k in range(runs):
+            one = Discriminator.tabular(n_states, 0.9, kernels[k:k + 1], shaping, runs=1)
+            one.params = disc.params[k:k + 1]
+            run_expert, run_gen = (tuple(col[k:k + 1] for col in batch)
+                                   for batch in (expert, gen))
+            loss_k, grads_k = discriminator_loss_and_grads(
+                one, run_expert, run_gen, TabularPolicy(policy.probs[k:k + 1]))
+            assert np.array_equal(loss_k, losses[k:k + 1])
+            assert np.array_equal(grads_k, grads[k:k + 1])
+            assert np.array_equal(one.f_values(*run_gen), f[k:k + 1])
 
 
 class TestModelExpectation:

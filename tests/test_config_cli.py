@@ -394,6 +394,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("flags, key", [
         (["train", "--seed", "-1"], "seed"),
         (["compare", "--algorithms", "meairl,airl"], "algorithm"),
+        (["compare", "--algorithms", ","], "--algorithms"),
         (["verify-invariance", "--cases", "0"], "--cases"),
         (["verify-invariance", "--cases", "-3"], "--cases"),
         (["verify-invariance", "--alignment-cases", "0"], "--alignment-cases"),
@@ -403,7 +404,7 @@ class TestCliExitCodes:
         (["verify-invariance", "--tol", "inf"], "--tol"),
         (["verify-bounds", "--instances", "0"], "--instances"),
         (["verify-bounds", "--seed", "-1"], "--seed"),
-    ], ids=["train_negative_seed", "compare_unknown_algorithm",
+    ], ids=["train_negative_seed", "compare_unknown_algorithm", "compare_no_algorithm",
             "invariance_zero_cases", "invariance_negative_cases",
             "invariance_zero_alignment_cases", "invariance_negative_seed",
             "invariance_zero_tol", "invariance_nan_tol", "invariance_infinite_tol",
@@ -510,6 +511,38 @@ class TestCliTrain:
         assert len(agg) == 3
         printed = capsys.readouterr().out
         assert "median steps to target" in printed
+
+    @staticmethod
+    def _compare(tmp_path, capsys, name, config_text, algorithms):
+        """The files and stdout of one `compare` into tmp_path / name."""
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_text(config_text)
+        out = tmp_path / name
+        code = main(["compare", "--config", str(cfg_path), "--algorithms", algorithms,
+                     "--out", str(out), "--demos", str(tmp_path / "demos.txt")])
+        assert code == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()
+                 if path.name != "resolved.cfg"}
+        return files, capsys.readouterr().out
+
+    def test_compare_repeated_seed_trains_and_counts_once(self, tmp_path, capsys):
+        # every output but the echoed config equals that of the seeds listed once,
+        # so the aggregate averages the two trained seeds, not seed 0 twice
+        once = self._compare(tmp_path, capsys, "once", MICRO_CONFIG, "meairl")
+        repeated = self._compare(tmp_path, capsys, "repeated",
+                                 MICRO_CONFIG.replace("seeds = 0,1", "seeds = 0,0,1"),
+                                 "meairl")
+        assert repeated == once
+        finals = [line.split(",")[2] for line in
+                  once[0]["summary.csv"].decode().strip().split("\n")[1:]]
+        assert len(finals) == 2 and finals[0] != finals[1]
+
+    def test_compare_repeated_algorithm_trains_and_counts_once(self, tmp_path, capsys):
+        once = self._compare(tmp_path, capsys, "once", MICRO_CONFIG, "bc_none")
+        repeated = self._compare(tmp_path, capsys, "repeated", MICRO_CONFIG,
+                                 "bc_none, bc_none")
+        assert repeated == once
+        assert once[1].count("median steps to target [bc_none]") == 1
 
     def test_expert_subcommand_writes_demos(self, tmp_path, capsys):
         cfg_path = tmp_path / "micro.cfg"

@@ -20,8 +20,8 @@ def one_state_mdp(gamma=0.5, reward=1.0):
     return TabularMDP(np.ones((1, 1, 1)), [[reward]], gamma, [1.0])
 
 
-def with_reward(mdp, reward, r_max=None):
-    return TabularMDP(mdp.kernel, reward, mdp.discount, mdp.init_dist, r_max=r_max)
+def with_reward(mdp, reward):
+    return TabularMDP(mdp.kernel, reward, mdp.discount, mdp.init_dist)
 
 
 def soft_vi(mdp, **kwargs):
@@ -281,7 +281,7 @@ class TestHardSoftConsistency:
             # unique-argmax states only; ties are allowed to differ
             gaps = np.sort(hard.q, axis=1)
             unique = (gaps[:, -1] - gaps[:, -2]) > 1e-6
-            scaled = with_reward(mdp, mdp.reward * 1e3, r_max=1e3)
+            scaled = with_reward(mdp, mdp.reward * 1e3)
             soft = soft_vi(scaled, tol=1e-9)
             soft_argmax = np.argmax(soft.adv, axis=1)
             hard_argmax = hard.q.argmax(axis=1)

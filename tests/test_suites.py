@@ -95,6 +95,15 @@ class TestAlignmentSuite:
         assert report.max_mce == max(gap.mce[0] for gap in gaps)
         assert report.sample_defect == max(gap.sample[0] for gap in gaps)
 
+    def test_default_run_is_pinned(self):
+        # the worst gaps of `verify-invariance`'s default alignment run, bit
+        # for bit: a change to how the check builds its discriminator or
+        # enumerates its batch must not move them, which no tolerance shows
+        report = run_alignment_suite(50, seed=0)
+        assert report.max_gap == 6.339373470609644e-13
+        assert report.sample_defect == 0.18170214048409472
+        assert report.max_mce == 0.20951028541225625
+
     def test_same_seed_same_gaps(self):
         a = run_alignment_suite(n_cases=5, seed=9)
         b = run_alignment_suite(n_cases=5, seed=9)
