@@ -59,8 +59,7 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-u)) for u >= 0 and exp(u) / (1 + exp(u)) below, so no
     exp overflows; exp(-|u|) is the exp of either branch."""
     e = np.exp(-np.abs(u))
-    d = 1.0 + e
-    return np.where(u >= 0.0, 1.0 / d, e / d)
+    return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
 
 
 class Discriminator:
@@ -80,15 +79,23 @@ class Discriminator:
         self.discount = float(discount)
         self.dynamics = dynamics
         self.shaping = shaping
-        self.r_table = r_table
-        self.phi_table = phi_table
+        self.r_table = self.phi_table = self._table = None
+        if r_table is not None:
+            # One (R, 2S) array holds both tables side by side, run k's g then
+            # its phi in row k, so the parameters and their gradient are that
+            # array with no concatenate or split. Row k of an (R, B) batch is
+            # offset to run k's row of it raveled, so one flat gather serves
+            # every run, and to run k's (S, A) block of kernel rows.
+            self._table = np.concatenate([r_table, phi_table], axis=-1)
+            runs, n_states = r_table.shape
+            self.r_table, self.phi_table = self._table[:, :n_states], self._table[:, n_states:]
+            run = np.arange(runs)[:, None]
+            self._offsets = run * (2 * n_states)
+            self._phi_offsets = self._offsets + n_states
+            self._kernel_offsets = run * n_states
         self.r_net = r_net
         self.phi_net = phi_net
         self.n_model_samples = int(n_model_samples)
-        # Tabular batches index the (R, S) tables raveled: row k of an (R, B)
-        # batch is offset to run k's block, so one flat gather serves every run.
-        self._offsets = (None if r_table is None
-                         else np.arange(r_table.shape[0])[:, None] * r_table.shape[-1])
 
     @classmethod
     def tabular(cls, n_states, discount, dynamics=None, shaping="model", *,
@@ -100,7 +107,8 @@ class Discriminator:
         which advantages f can represent (see the module docstring).
         `dynamics` is the (R, S, A, S) kernel array, read afresh on every
         call. The parameters are (R, 2S), batches (R, B) with row k for
-        run k, and the policy an (R, S, A) TabularPolicy.
+        run k, and the policy an (R, S, A) TabularPolicy; other shapes
+        raise ValueError.
         """
         return cls("tabular", discount, dynamics, shaping,
                    r_table=np.zeros((runs, n_states)),
@@ -124,58 +132,65 @@ class Discriminator:
 
     @property
     def params(self) -> np.ndarray:
+        """A copy: later steps do not change it."""
         if self.mode == "tabular":
-            return np.concatenate([self.r_table, self.phi_table], axis=-1)
+            return self._table.copy()
         return np.concatenate([self.r_net.params, self.phi_net.params])
 
     @params.setter
     def params(self, value):
         value = np.asarray(value, dtype=np.float64)
-        runs = self.r_table.shape[:-1] if self.mode == "tabular" else ()
+        runs = self._table.shape[:-1] if self.mode == "tabular" else ()
         if value.shape != runs + (self.n_params,):
             raise ValueError(f"expected params of shape {runs + (self.n_params,)}, "
                              f"got {value.shape}")
         if self.mode == "tabular":
-            split = self.r_table.shape[-1]
-            self.r_table[...] = value[..., :split]
-            self.phi_table[...] = value[..., split:]
+            self._table[...] = value
         else:
             split = self.r_net.n_params
             self.r_net.params = value[:split]
             self.phi_net.params = value[split:]
 
-    def _flat(self, states):
-        """Indices of a batch's states into the raveled (R, S) tables."""
-        return np.asarray(states, dtype=np.int64) + self._offsets
-
-    def _kernel_rows(self, flat_states, actions):
-        """The model's successor rows at a batch's (state, action) pairs."""
-        kernel = self.dynamics
-        return np.take(kernel.reshape(-1, kernel.shape[-1]),
-                       flat_states * kernel.shape[-2] + np.asarray(actions, dtype=np.int64),
-                       axis=0)
-
     def _tabular_batch(self, states, actions, next_states):
-        """A batch as tabular f and its gradient read it: the states' flat
-        indices and what the successor term reads, the model's kernel rows
-        at the batch's pairs (model shaping) or the successors' flat
-        indices (sample shaping)."""
-        states = self._flat(states)
+        """A batch as tabular f and its gradient read it: the flat indices
+        of its states' g and phi in the raveled (R, 2S) table, and what the
+        successor term reads, the model's kernel rows at the batch's pairs
+        (model shaping) or the flat indices of phi at the successors
+        (sample shaping). Every column given must be (R, B)."""
+        states = np.asarray(states, dtype=np.int64)
+        runs = self._table.shape[0]
+        if states.ndim != 2 or states.shape[0] != runs or np.shape(actions) != states.shape:
+            raise ValueError(f"a discriminator of {runs} runs takes (R, B) = ({runs}, B) "
+                             f"batch columns, got states {states.shape} and actions "
+                             f"{np.shape(actions)}")
+        g_index = states + self._offsets
         if self.shaping == "model":
-            return states, self._kernel_rows(states, actions)
-        if next_states is None:
+            kernel = self.dynamics
+            rows = (states + self._kernel_offsets) * kernel.shape[-2] + actions
+            successors = kernel.reshape(-1, kernel.shape[-1]).take(rows, axis=0)
+        elif next_states is None:
             raise ValueError("sample shaping needs observed next states")
-        return states, self._flat(next_states)
-
-    def _f_batch(self, states, successors):
-        """f on a batch from `_tabular_batch`."""
-        phi = self.phi_table.reshape(-1)
-        if self.shaping == "model":
-            # (R, B, S) @ (R, S, 1) gives each run the bits of its own (B, S) @ (S,)
-            expected_phi = (successors @ self.phi_table[..., None])[..., 0]
+        elif np.shape(next_states) != states.shape:
+            raise ValueError(f"next states {np.shape(next_states)} differ in shape from "
+                             f"states {states.shape}")
         else:
-            expected_phi = phi[successors]
-        return self.r_table.reshape(-1)[states] + self.discount * expected_phi - phi[states]
+            successors = np.asarray(next_states, dtype=np.int64) + self._phi_offsets
+        return g_index, states + self._phi_offsets, successors
+
+    def _f_batch(self, g_index, phi_index, successors, halves=1):
+        """f on a batch from `_tabular_batch`. Under model shaping, each of
+        `halves` equal column blocks of the batch takes its expectation
+        in its own product (see `discriminator_loss_and_grads`)."""
+        table = self._table  # `take` reads it raveled
+        if self.shaping == "model":
+            runs, width = g_index.shape
+            # (R, h, b, S) @ (R, 1, S, 1) gives each run and block the bits of
+            # its own (b, S) @ (S,)
+            expected_phi = (successors.reshape(runs, halves, width // halves, -1)
+                            @ self.phi_table[:, None, :, None]).reshape(runs, width)
+        else:
+            expected_phi = table.take(successors)
+        return table.take(g_index) + self.discount * expected_phi - table.take(phi_index)
 
     def _f_tabular(self, states, actions, next_states):
         return self._f_batch(*self._tabular_batch(states, actions, next_states))
@@ -246,8 +261,15 @@ def discriminator_loss_and_grads(disc: Discriminator, expert_batch, policy_batch
     Batches are (states, actions, next_states) column triples; the expert
     batch is scored as positive, the policy batch as negative. `policy`
     supplies pi(a|s): a TabularPolicy or anything with .log_prob. A
-    tabular discriminator takes (R, B) batches and an (R, S, A) policy,
-    and returns R losses and (R, 2S) gradients.
+    tabular discriminator takes two (R, B) batches and an (R, S, A)
+    policy, and returns R losses and (R, 2S) gradients; other shapes raise
+    ValueError.
+
+    Tabular mode scores both batches in one pass over their (R, 2B)
+    concatenation, expert rows first. Each batch's successor term is its
+    own (B, S) @ (S,) product: BLAS sums a row in an order that depends on
+    where the row falls in the product's blocks of rows, so one product
+    over 2B rows would change the bits of f unless B is a multiple of 4.
 
     Continuous mode finishes the expert batch (forward, loss terms,
     backward) before it forwards the policy batch. The per-sample
@@ -258,56 +280,86 @@ def discriminator_loss_and_grads(disc: Discriminator, expert_batch, policy_batch
     The rng still draws the expert batch's successors before the policy
     batch's, and the gradients still add expert then policy.
     """
-    exp_s, exp_a, exp_n = expert_batch
-    pol_s, pol_a, pol_n = policy_batch
     if disc.mode == "tabular":
-        exp_b = disc._tabular_batch(exp_s, exp_a, exp_n)
-        pol_b = disc._tabular_batch(pol_s, pol_a, pol_n)
-        log_e, df_e = _cross_entropy_terms(disc._f_batch(*exp_b),
-                                           _log_policy(policy, exp_s, exp_a), True)
-        log_p, df_p = _cross_entropy_terms(disc._f_batch(*pol_b),
-                                           _log_policy(policy, pol_s, pol_a), False)
-        grads = _tabular_grads(disc, (*exp_b, df_e), (*pol_b, df_p))
-    else:
-        g_r = np.zeros(disc.r_net.n_params)
-        g_phi = np.zeros(disc.phi_net.n_params)
-        log_e = _continuous_batch_step(disc, expert_batch, policy, rng, True, g_r, g_phi)
-        log_p = _continuous_batch_step(disc, policy_batch, policy, rng, False, g_r, g_phi)
-        grads = np.concatenate([g_r, g_phi])
-    # np.mean is this sum and division, minus its Python wrapper
-    loss = (-np.add.reduce(log_e, axis=-1) / log_e.shape[-1]
-            - np.add.reduce(log_p, axis=-1) / log_p.shape[-1])
-    return (float(loss) if loss.ndim == 0 else loss), grads
+        states, actions, next_states = _tabular_pair(disc, expert_batch, policy_batch, policy)
+        batch = disc._tabular_batch(states, actions, next_states)
+        runs = states.shape[0]
+        logits = disc._f_batch(*batch, halves=2) - _log_policy(policy, states, actions)
+        log_d, df = _cross_entropy_terms(logits.reshape(runs, 2, -1), EXPERT_HALF)
+        grads = _tabular_grads(disc, *batch, df)
+        # np.mean is this sum and division, minus its Python wrapper
+        sums = np.add.reduce(log_d, axis=-1)
+        n = log_d.shape[-1]
+        return -sums[:, 0] / n - sums[:, 1] / n, grads
+    g_r = np.zeros(disc.r_net.n_params)
+    g_phi = np.zeros(disc.phi_net.n_params)
+    log_e = _continuous_batch_step(disc, expert_batch, policy, rng, True, g_r, g_phi)
+    log_p = _continuous_batch_step(disc, policy_batch, policy, rng, False, g_r, g_phi)
+    loss = -np.add.reduce(log_e) / log_e.shape[-1] - np.add.reduce(log_p) / log_p.shape[-1]
+    return float(loss), np.concatenate([g_r, g_phi])
 
 
-def _cross_entropy_terms(f, log_pi, expert):
-    """Per-sample log D (expert) or log(1 - D) (policy), clamped, and
-    d loss / d f, which is zero where the clamp saturates."""
-    d = _sigmoid(f - log_pi)
+# Which half of a tabular pair's (R, 2, B) rows is the expert batch's.
+EXPERT_HALF = np.array([[True], [False]])
+
+
+def _tabular_pair(disc, expert_batch, policy_batch, policy):
+    """The two batches' columns side by side, (R, 2B), expert rows first,
+    once the policy is (R, S, A) and every column has one shape (the
+    run axis is `_tabular_batch`'s check). Model shaping reads no next
+    states, so it gets None for them."""
+    runs, width = disc._table.shape
+    probs = policy.probs if isinstance(policy, TabularPolicy) else None
+    if probs is None or probs.ndim != 3 or probs.shape[:2] != (runs, width // 2):
+        raise ValueError(f"a discriminator of {runs} runs and {width // 2} states scores "
+                         f"against an (R, S, A) TabularPolicy, got "
+                         f"{type(policy).__name__} {np.shape(probs)}")
+    pairs = list(zip(expert_batch, policy_batch))
+    if disc.shaping == "model" or any(column is None for column in pairs[2]):
+        pairs.pop()  # unread, or refused under sample shaping by `_tabular_batch`
+    shapes = {np.shape(column) for pair in pairs for column in pair}
+    if len(shapes) > 1:
+        raise ValueError(f"the batches' columns differ in shape: {sorted(shapes)}")
+    columns = [np.concatenate(pair, axis=-1) for pair in pairs]
+    return columns if len(columns) == 3 else columns + [None]
+
+
+def _cross_entropy_terms(logits, expert):
+    """From the logits f - log pi: per sample log D (expert rows) or
+    log(1 - D) (policy rows), clamped, and d loss / d f, which is D - 1
+    (expert) or D (policy) over the batch size, the last axis, and zero
+    where the clamp saturates. `expert` is a bool for the whole batch, or
+    an array of them that broadcasts against the rows."""
+    d = _sigmoid(logits)
     dc = np.minimum(np.maximum(d, PROB_CLAMP), 1.0 - PROB_CLAMP)  # np.clip's bits
     live = (d > PROB_CLAMP) & (d < 1.0 - PROB_CLAMP)
-    batch = f.shape[-1]
-    if expert:
-        return np.log(dc), np.where(live, -(1.0 - d), 0.0) / batch
-    return np.log(1.0 - dc), np.where(live, d, 0.0) / batch
+    return (np.log(np.where(expert, dc, 1.0 - dc)),
+            np.where(live, d - expert, 0.0) / logits.shape[-1])
 
 
-def _tabular_grads(disc, expert, policy):
-    """Gradient from each batch's `_tabular_batch` pair and d loss / d f,
-    scatter-added into the raveled tables, expert batch then policy batch."""
-    g_r = np.zeros(disc.r_table.size)
-    g_phi = np.zeros(disc.phi_table.size)
-    for states, successors, df in (expert, policy):
-        flat_states, flat_df = states.ravel(), np.ravel(df)
-        np.add.at(g_r, flat_states, flat_df)
-        np.add.at(g_phi, flat_states, -flat_df)
-        if disc.shaping == "model":
-            # per run the "b,bp->p" reduction, in the same order
-            g_phi += disc.discount * np.einsum("...b,...bp->...p", df, successors).ravel()
-        else:
-            np.add.at(g_phi, successors.ravel(), disc.discount * flat_df)
-    shape = disc.r_table.shape
-    return np.concatenate([g_r.reshape(shape), g_phi.reshape(shape)], axis=-1)
+def _tabular_grads(disc, g_index, phi_index, successors, df):
+    """The (R, 2S) gradient from a pair of batches: their `_tabular_batch`
+    indices, (R, 2B) with the expert rows first, and d loss / d f, (R, 2,
+    B). One scatter-add from zero takes every term in the order of the
+    expert batch, then the policy batch: per batch, g and phi at the
+    states, then the successor term, which model shaping adds to every
+    phi entry at once."""
+    runs, _, batch = df.shape
+    if disc.shaping == "sample":
+        index = np.concatenate([column.reshape(runs, 2, batch)
+                                for column in (g_index, phi_index, successors)], axis=-1)
+        weights = np.concatenate((df, -df, disc.discount * df), axis=-1)
+    else:
+        # per run and batch the "b,bp->p" reduction, one term per phi entry
+        term = disc.discount * np.einsum("...b,...bp->...p", df,
+                                         successors.reshape(runs, 2, batch, -1))
+        entries = disc._phi_offsets + np.arange(term.shape[-1])
+        index = np.concatenate((g_index, phi_index[:, :batch], entries,
+                                phi_index[:, batch:], entries), axis=-1)
+        weights = np.concatenate((df.reshape(runs, -1), -df[:, 0], term[:, 0],
+                                  -df[:, 1], term[:, 1]), axis=-1)
+    return np.bincount(index.ravel(), weights.ravel(),
+                       minlength=disc._table.size).reshape(runs, -1)
 
 
 def _continuous_batch_step(disc, batch, policy, rng, expert, g_r, g_phi):
@@ -317,7 +369,7 @@ def _continuous_batch_step(disc, batch, policy, rng, expert, g_r, g_phi):
     states, actions, next_states = batch
     f, (r_tape, phi_tape, next_tape) = disc._f_continuous(states, actions, next_states,
                                                           rng, tape=True)
-    log_terms, df = _cross_entropy_terms(f, _log_policy(policy, states, actions), expert)
+    log_terms, df = _cross_entropy_terms(f - _log_policy(policy, states, actions), expert)
     col = df[:, None]
     g_r += disc.r_net.backward(r_tape, col)[0]
     g_phi += disc.phi_net.backward(phi_tape, -col)[0]
@@ -395,9 +447,9 @@ def gradient_alignment_gap(cases, dp_tol: float = 1e-12) -> AlignmentGaps:
 def _exact_grads(disc, policy, kernel, d_exp, d_pi):
     """`_tabular_grads` on the enumerated batch of `gradient_alignment_gap`.
 
-    The batch is one run's (1, n) rows. Each row's d loss / d f from
-    `_cross_entropy_terms` (a batch mean) is rescaled to that row's exact
-    probability.
+    The batch is one run's (1, n) rows, both as the expert batch and as
+    the policy batch. Each row's d loss / d f from `_cross_entropy_terms`
+    (a batch mean) is rescaled to that row's exact probability.
     """
     n_states, n_actions = d_pi.shape
     if disc.shaping == "model":
@@ -409,12 +461,13 @@ def _exact_grads(disc, policy, kernel, d_exp, d_pi):
                                  n_actions * n_states)
         actions, next_states = np.divmod(rest, n_states)
         weights = ((d_exp[:, :, None] * kernel).ravel(), (d_pi[:, :, None] * kernel).ravel())
-    batch = disc._tabular_batch(states, actions, next_states)
-    f = disc._f_batch(*batch)
-    log_pi = _log_policy(policy, states, actions)
-    batches = [(*batch, _cross_entropy_terms(f, log_pi, expert)[1] * (f.shape[-1] * weight))
-               for expert, weight in zip((True, False), weights)]
-    return _tabular_grads(disc, *batches)
+    n = states.shape[-1]
+    pair = [None if column is None else np.tile(column, 2)
+            for column in (states, actions, next_states)]
+    batch = disc._tabular_batch(*pair)
+    logits = disc._f_batch(*batch, halves=2) - _log_policy(policy, *pair[:2])
+    _, df = _cross_entropy_terms(logits.reshape(1, 2, n), EXPERT_HALF)
+    return _tabular_grads(disc, *batch, df * (n * np.stack(weights)))
 
 
 class ExpertBuffer:

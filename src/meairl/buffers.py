@@ -82,18 +82,31 @@ class ReplayBuffer:
         cols = (self.states[idx], self.actions[idx], self.next_states[idx])
         return cols if self.rewards is None else cols + (self.rewards[idx],)
 
-    def sample(self, n, rng):
+    def _gather(self, columns, n, rng):
+        """`columns` at n rows drawn uniformly from the live window."""
         if self._count == 0:
             raise ValueError("cannot sample from an empty buffer")
         offsets = rng.integers(0, self._count, size=n)
-        idx = (self._head - self._count + offsets) % self._phys
+        start = (self._head - self._count) % self._phys
+        idx = offsets + start
+        if start + self._count > self._phys:  # the live window wraps past the end
+            idx %= self._phys
         if idx.ndim == 1:
-            return self._columns(idx)
-        # one row of offsets per run: run k's entries of the raveled columns
+            return tuple(column[idx] for column in columns)
+        # one row of offsets per run: run k's entries of the raveled columns,
+        # which `take` reads
         runs = idx.shape[0]
         flat = idx * runs + np.arange(runs)[:, None]
-        return tuple(column.reshape(-1)[flat]
-                     for column in (self.states, self.actions, self.next_states))
+        return tuple(column.take(flat) for column in columns)
+
+    def sample(self, n, rng):
+        columns = (self.states, self.actions, self.next_states)
+        return self._gather(columns if self.rewards is None else columns + (self.rewards,),
+                            n, rng)
+
+    def sample_states(self, n, rng):
+        """The states of `sample(n, rng)`, from the same draws."""
+        return self._gather((self.states,), n, rng)[0]
 
     def newest(self, k: int):
         """The k most recently added transitions, oldest first, no randomness involved."""

@@ -55,7 +55,7 @@ class TabularDynamicsEstimate:
         # the row holds the count just added, so its sum is >= 1
         row = row / row.sum(axis=-1, keepdims=True)
         self._kernel[row_index] = row
-        self._cum[row_index] = np.cumsum(row, axis=-1)
+        self._cum[row_index] = row.cumsum(axis=-1)
 
     @property
     def kernel(self) -> np.ndarray:
@@ -64,7 +64,7 @@ class TabularDynamicsEstimate:
     def sample_next_batch(self, states, actions, u) -> np.ndarray:
         cum = self._cum
         rows = (states + self._offsets) * cum.shape[-2] + actions
-        return _inverse_cdf(np.take(cum.reshape(-1, cum.shape[-1]), rows, axis=0), u)
+        return _inverse_cdf(cum.reshape(-1, cum.shape[-1]).take(rows, axis=0), u)
 
     def successors(self, runs, states, actions, u) -> np.ndarray:
         """Entry i: run runs[i]'s successor of (states[i], actions[i]) at uniform u[i]."""

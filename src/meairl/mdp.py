@@ -50,7 +50,9 @@ def _inverse_cdf(cum_rows, u):
     row, never decreasing, so `bisect_right` is that count."""
     if isinstance(cum_rows, list):
         return min(bisect_right(cum_rows, u), len(cum_rows) - 1)
-    return np.minimum((cum_rows <= u[..., None]).sum(axis=-1), cum_rows.shape[-1] - 1)
+    # np.add.reduce is ndarray.sum minus its Python wrapper
+    count = np.add.reduce(cum_rows <= u[..., None], axis=-1)
+    return np.minimum(count, cum_rows.shape[-1] - 1)
 
 
 class TabularMDP:
@@ -131,10 +133,18 @@ class TabularPolicy:
         self._offsets = (0 if probs.ndim == 2
                          else np.arange(probs.shape[0])[:, None] * probs.shape[1])
 
+    def _refresh(self, probs) -> None:
+        """Take new rows of the same shape, a softmax the caller computed and
+        hands over: they are a distribution by construction, so they are
+        neither copied nor checked."""
+        probs.flags.writeable = False
+        self.probs = probs
+        self._cum = probs.cumsum(axis=-1)
+
     def sample_batch(self, states, u) -> np.ndarray:
         cum = self._cum
-        return _inverse_cdf(np.take(cum.reshape(-1, cum.shape[-1]), states + self._offsets,
-                                    axis=0), u)
+        rows = cum.reshape(-1, cum.shape[-1]).take(states + self._offsets, axis=0)
+        return _inverse_cdf(rows, u)
 
     def at(self, states, actions) -> np.ndarray:
         """pi(a|s) at each (state, action) pair of a batch."""

@@ -43,7 +43,7 @@ def logsumexp(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarr
     """
     m = np.maximum.reduce(x, axis=axis, keepdims=True)
     out = m + np.log(np.add.reduce(np.exp(x - m), axis=axis, keepdims=True))
-    return out if keepdims else np.squeeze(out, axis=axis)
+    return out if keepdims else out.squeeze(axis)
 
 
 @dataclass

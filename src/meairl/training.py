@@ -14,17 +14,18 @@ discriminator tables, the count model, replay buffers and the policy carry
 a leading run axis, so each numpy call serves every run, and a single run
 is the case of one seed. Each run draws from its own named streams in the
 order it would alone (`seeding.RunStreams`), so its record is
-byte-identical to its solo run. A stream that makes one kind of draw is
-read in blocks, one generator call per run for many draws of the same
-values: the `disc` and `policy` integers of DRAW_BLOCK trained steps come
-from one prefetched plan, and the `interact` and `mix` uniforms from
-per-run blocks. Only `rollout`, which draws both kinds, and `eval` draw
-per call. Mixing, the model columns and the discriminator read the one
-stacked count model on that axis. One `evaluate_tabular_policy` call
-scores all runs, through `mdp.sample_episodes`, which also writes the
-tabular expert's demos. Continuous runs train one at a time and mix
-through `mix_state`. Behavior cloning takes no environment step, since
-nothing it learns or evaluates reads one. Variants:
+byte-identical to its solo run. The streams are read in blocks, one
+generator call per run for many draws of the same values: the `disc` and
+`policy` integers and the `rollout` start states and uniforms of
+DRAW_BLOCK trained steps come from one prefetched plan per stream, and
+the `interact` and `mix` uniforms from per-run blocks. Only `eval` draws
+per call, once per evaluation row. Mixing, the model columns and the
+discriminator read the one stacked count model on that axis. One
+`evaluate_tabular_policy` call scores all runs, through
+`mdp.sample_episodes`, which also writes the tabular expert's demos.
+Continuous runs train one at a time and mix through `mix_state`.
+Behavior cloning takes no environment step, since nothing it learns or
+evaluates reads one. Variants:
 
   meairl               model inside the shaping term + synthetic data
   airl_sample_baseline single-sample shaping, no model, real data only
@@ -64,7 +65,7 @@ from .adversarial import (REWARD_CLAMP, Discriminator, ExpertBuffer,
 from .buffers import GEN_BUFFER_INIT, RatioSchedule, ReplayBuffer
 from .dynamics import (GaussianDynamicsModel, TabularDynamicsEstimate,
                        rollout_synthetic, tv_distance)
-from .mdp import (ContinuousEnv, TabularEnv, TabularPolicy,
+from .mdp import (ContinuousEnv, TabularEnv, TabularPolicy, _inverse_cdf,
                   sample_episodes, save_continuous_demos, save_tabular_demos)
 from .neural import AdamState, Mlp, adam_step
 from .policy_opt import SAC_LR, SacAgent
@@ -128,10 +129,10 @@ MODEL_LR = 3e-4
 MODEL_ALPHA = 0.01
 MODEL_CLIP_NORM = 10.0
 POLICY_TD_RATE = 0.5  # step size of the tabular soft TD backup
-# Tabular runs prefetch the `disc` and `policy` integer draws of this many
-# trained steps in one generator call per run, and refill the uniform
-# blocks of `interact` and `mix` with 16 times as many uniforms (about 2
-# are read a step).
+# Tabular runs prefetch the `disc`, `policy` and `rollout` draws of this
+# many trained steps in one generator call per run and stream, and refill
+# the uniform blocks of `interact` and `mix` with 16 times as many uniforms
+# (about 2 are read a step).
 DRAW_BLOCK = 16
 
 
@@ -280,7 +281,7 @@ class _Run:
     def run(self) -> list:
         """One record per run."""
         config = self.config
-        disc_loss = [float("nan")] * len(self.seeds)
+        disc_loss = np.full(len(self.seeds), np.nan)
         records = [TrainingRecord() for _ in self.seeds]
         # behavior cloning learns from the demos alone and evaluates on its
         # own stream, so it skips the environment steps that nothing reads
@@ -313,7 +314,8 @@ class _Run:
             if t % config.eval_period == 0:
                 fraction = self.synthetic_fraction(t)
                 for record, loss, (mean, std), (model_nll, eps_t) in zip(
-                        records, disc_loss, self.evaluate(), self.model_columns()):
+                        records, np.reshape(disc_loss, -1).tolist(), self.evaluate(),
+                        self.model_columns()):
                     record.rows.append(EvalRow(t, mean, std, loss, model_nll, eps_t,
                                                fraction))
         return records
@@ -330,7 +332,8 @@ class _Run:
             name: float(v[k, 0]) if v.shape[1] == 1 else "non-finite"
             for name, v in rows.items()}})
 
-    def disc_step(self, t) -> list:
+    def disc_step(self, t):
+        """The discriminator's loss: one per run, or a float."""
         rng = self.streams["disc"]
         e_batch = self.expert.sample(self.config.batch_size, rng)
         p_batch = self.d_env.sample(self.config.batch_size, rng)
@@ -338,12 +341,12 @@ class _Run:
                                                    rng=rng)
         self.check_finite(t, disc_loss=loss)
         self.disc.params = adam_step(self.disc_adam, self.disc.params, grads)
-        return np.reshape(loss, -1).tolist()
+        return loss
 
     def rollout(self, t) -> None:
         rng = self.streams["rollout"]
         self.d_gen.set_capacity(self.ratio.capacity(t))
-        starts, _, _ = self.d_env.sample(ROLLOUT_STARTS, rng)
+        starts = self.d_env.sample_states(ROLLOUT_STARTS, rng)
         columns = rollout_synthetic(self.model, self.actor, starts,
                                     self.config.rollout_horizon, rng)
         # batch axis first: the buffer's rows are transitions (one per run)
@@ -419,6 +422,7 @@ class _TabularRuns(_Run):
                                  f"outside [0, {bound}) for {n_states} states and "
                                  f"{n_actions} actions")
         self.run_index = np.arange(n_runs)[:, None]  # row k of an (R, n) batch is run k's
+        self.init_cum = np.cumsum(mdp.init_dist)
         self.refill = 16 * DRAW_BLOCK  # uniforms per refill of a run's block
         if self.model_based:
             self.model = TabularDynamicsEstimate(n_states, n_actions, alpha=MODEL_ALPHA,
@@ -442,9 +446,7 @@ class _TabularRuns(_Run):
     pi = actor
 
     def reset(self):
-        mdp = self.env.mdp
-        return np.array([mdp.sample_init(u)
-                         for u in self.streams["interact"].uniform(self.refill).tolist()])
+        return _inverse_cdf(self.init_cum, self.streams["interact"].uniform(self.refill))
 
     def act(self, t, state, prev):
         if self.model_based and t > self.config.pretrain_steps:
@@ -465,31 +467,36 @@ class _TabularRuns(_Run):
         return self.env.mdp.sample_next_batch(state, action,
                                               self.streams["interact"].uniform(self.refill))
 
-    def disc_step(self, t) -> list:
+    def disc_step(self, t):
         if (t - self.config.pretrain_steps - 1) % DRAW_BLOCK == 0:
             self.prefetch_block(t)
         return super().disc_step(t)
 
     def prefetch_block(self, t) -> None:
-        """Prefetch the `disc` and `policy` draws of trained steps t to
-        t + DRAW_BLOCK - 1 (or the last step). A step samples the real
-        buffer at one more row than the step before, up to its capacity,
-        and the synthetic buffer at the rows that `rollout`'s set_capacity
-        and add_batch leave; a wrong count here raises at the draw."""
+        """Prefetch the `disc`, `policy` and `rollout` draws of trained
+        steps t to t + DRAW_BLOCK - 1 (or the last step). A step samples
+        the real buffer at one more row than the step before, up to its
+        capacity, and the synthetic buffer at the rows that `rollout`'s
+        set_capacity and add_batch leave; a rollout draws its start states,
+        then the uniforms of `rollout_synthetic`. A wrong count or shape
+        here raises at the draw."""
         batch = self.config.batch_size
+        horizon = self.config.rollout_horizon
         n_expert = len(self.expert.states)
-        rows = self.config.rollout_horizon * ROLLOUT_STARTS
         n_gen = len(self.d_gen)
-        disc, policy = [], []
+        disc, policy, rollout = [], [], []
         for step in range(t, min(t + DRAW_BLOCK, self.config.total_steps + 1)):
             n_env = min(len(self.d_env) + step - t, self.d_env.capacity)
             if self.synthetic:
-                n_gen = min(n_gen + rows, self.ratio.capacity(step))
+                n_gen = min(n_gen + horizon * ROLLOUT_STARTS, self.ratio.capacity(step))
+                rollout += [(n_env, ROLLOUT_STARTS), (None, (horizon, 2, ROLLOUT_STARTS))]
             n_syn = self.n_synthetic(step, n_gen)
             disc += [(n_expert, batch), (n_env, batch)]
             policy += [(n_env, batch - n_syn)] + ([(n_gen, n_syn)] if n_syn else [])
         self.streams["disc"].prefetch(disc)
         self.streams["policy"].prefetch(policy)
+        if rollout:
+            self.streams["rollout"].prefetch(rollout)
 
     def model_step(self, t, state, action, s_next) -> None:
         self.model.add(state, action, s_next)
@@ -516,7 +523,8 @@ class _TabularRuns(_Run):
         flat = q_pol.ravel()
         flat[hit] = decay * flat[hit] + (1.0 - decay) * (sums[hit] / counts[hit])
         self.v_pol = logsumexp(q_pol, axis=-1)
-        self.policy = TabularPolicy(np.exp(q_pol - self.v_pol[..., None]))
+        # a softmax of finite values: its rows need no check
+        self.policy._refresh(np.exp(q_pol - self.v_pol[..., None]))
 
     def bc_step(self) -> None:
         pass

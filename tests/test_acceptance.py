@@ -90,10 +90,10 @@ def test_criterion_3_negative_control_a_flipped_shaping_sign_fails(monkeypatch):
     # the gamma * phi(s') term of the gradient taken with the wrong sign
     true_grads = adversarial._tabular_grads
 
-    def flipped(disc, expert, policy):
+    def flipped(disc, *batch):
         wrong = copy.copy(disc)
         wrong.discount = -disc.discount
-        return true_grads(wrong, expert, policy)
+        return true_grads(wrong, *batch)
 
     monkeypatch.setattr(adversarial, "_tabular_grads", flipped)
     report = run_alignment_suite(n_cases=50, tol=1e-8, seed=0)
@@ -303,10 +303,10 @@ def test_criterion_6_negative_control_a_gradient_without_successor_term_fails(mo
     # the tabular gradient with its gamma * E[phi(s')] term dropped
     true_grads = adversarial._tabular_grads
 
-    def without_successor_term(disc, expert, policy):
+    def without_successor_term(disc, *batch):
         wrong = copy.copy(disc)
         wrong.discount = 0.0
-        return true_grads(wrong, expert, policy)
+        return true_grads(wrong, *batch)
 
     monkeypatch.setattr(adversarial, "_tabular_grads", without_successor_term)
     errors = tabular_disc_gradient_errors(np.random.default_rng(0))

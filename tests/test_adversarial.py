@@ -199,6 +199,18 @@ class TestStateOnlyTabular:
         assert np.array_equal(disc.params, flat)
         assert np.array_equal(disc.r_table, flat[:, :4])
 
+    def test_params_do_not_alias_the_live_tables(self):
+        # the parameters are one (R, 2S) array with r_table and phi_table as
+        # its views; a value read from `params` must keep its bits when the
+        # tables move on, as a saved copy for finite differences needs
+        disc = Discriminator.tabular(3, 0.9, shaping="sample", runs=2)
+        before = disc.params
+        disc.r_table[:] = 1.0
+        disc.phi_table[1] = -2.0
+        disc.params = disc.params + 0.5
+        assert np.array_equal(before, np.zeros((2, 6)))
+        assert np.array_equal(disc.params, [[1.5] * 3 + [0.5] * 3, [1.5] * 3 + [-1.5] * 3])
+
     def test_reward_term_ignores_the_action(self):
         disc = Discriminator.tabular(2, 0.9, shaping="sample", runs=1)
         disc.r_table[:] = [0.7, -0.2]
@@ -266,6 +278,33 @@ class TestStackedRuns:
         with pytest.raises(TypeError):
             Discriminator.tabular(2, 0.9, shaping="sample")
         assert Discriminator.tabular(2, 0.9, shaping="sample", runs=4).r_table.shape == (4, 2)
+
+    @pytest.mark.parametrize("shaping", ["model", "sample"])
+    def test_batch_without_the_run_axis_raises(self, shaping):
+        # a (B,) batch would broadcast to every run's row of the tables
+        disc = Discriminator.tabular(4, 0.9, np.full((3, 4, 2, 4), 0.25), shaping, runs=3)
+        flat = (np.array([0, 1]), np.array([0, 1]), np.array([1, 2]))
+        stacked = tuple(np.tile(column, (3, 1)) for column in flat)
+        policy = TabularPolicy(np.full((3, 4, 2), 0.5))
+        with pytest.raises(ValueError, match="3 runs"):
+            disc.f_values(*flat)
+        longer = tuple(np.tile(column, (3, 2)) for column in flat)
+        cases = [(flat, flat), (stacked[:1] + flat[1:], stacked), (stacked, longer)]
+        if shaping == "sample":  # the only rule that reads the next states
+            cases.append((stacked[:2] + flat[2:], stacked))
+        for expert, gen in cases:
+            with pytest.raises(ValueError, match="3 runs|differ in shape"):
+                discriminator_loss_and_grads(disc, expert, gen, policy)
+
+    @pytest.mark.parametrize("shaping", ["model", "sample"])
+    def test_policy_without_the_run_axis_raises(self, shaping):
+        # an (S, A) policy would stand in for every run's own policy
+        disc = Discriminator.tabular(4, 0.9, np.full((3, 4, 2, 4), 0.25), shaping, runs=3)
+        batch = tuple(np.tile(column, (3, 1)) for column in
+                      (np.array([0, 1]), np.array([0, 1]), np.array([1, 2])))
+        for probs in (np.full((4, 2), 0.5), np.full((2, 4, 2), 0.5), np.full((3, 5, 2), 0.5)):
+            with pytest.raises(ValueError, match=r"\(R, S, A\) TabularPolicy"):
+                discriminator_loss_and_grads(disc, batch, batch, TabularPolicy(probs))
 
     @pytest.mark.parametrize("shaping", ["model", "sample"])
     def test_each_run_equals_its_one_run_discriminator(self, shaping):

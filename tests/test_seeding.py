@@ -76,6 +76,49 @@ class TestPrefetch:
             streams.prefetch([(50, 8)])
 
 
+class TestPlannedUniforms:
+    BOUNDS = [1, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 7, 40_000]
+
+    def test_interleaved_with_integers_equal_per_call_draws(self):
+        # a uniform entry is drawn as integers(0, 2**53), one 64-bit word
+        # each, and scaled by 2**-53: the bits of Generator.random. Integer
+        # entries of odd counts leave half a word buffered across it
+        rng = np.random.default_rng(5)
+        for case in range(200):
+            streams, refs = stacked_and_refs([case, 500 + case, 900 + case])
+            plan = []
+            for _ in range(int(rng.integers(1, 8))):
+                if rng.random() < 0.5:
+                    plan.append((int(rng.choice(self.BOUNDS)), int(rng.integers(0, 6))))
+                else:
+                    shape = tuple(int(n) for n in rng.integers(1, 4, int(rng.integers(0, 4))))
+                    plan.append((None, shape if rng.random() < 0.7 else int(rng.integers(1, 6))))
+            streams.prefetch(plan)
+            for high, size in plan:
+                if high is None:
+                    got = streams.random(size)
+                    want = [ref.random(size) for ref in refs]
+                else:
+                    got = streams.integers(0, high, size=size)
+                    want = [ref.integers(0, high, size=size) for ref in refs]
+                assert got.shape == (3, *np.shape(want[0]))
+                assert got.tolist() == [w.tolist() for w in want]
+            for g, ref in zip(streams.generators, refs):
+                assert g.bit_generator.state == ref.bit_generator.state
+
+    def test_off_the_plan_uniform_raises(self):
+        streams, _ = stacked_and_refs([0, 1])
+        streams.prefetch([(9, 3), (None, (3, 2, 4))])
+        streams.integers(0, 9, size=3)
+        for size in ((3, 2, 5), 24, None):
+            with pytest.raises(RuntimeError, match="off the plan"):
+                streams.random(size)
+        streams, _ = stacked_and_refs([0, 1])
+        streams.prefetch([(9, 3), (None, 4)])
+        with pytest.raises(RuntimeError, match="off the plan"):
+            streams.random(4)
+
+
 class TestUniformBlocks:
     @pytest.mark.parametrize("refill", [1, 5, 64])
     def test_diverging_cursors_equal_per_call_draws(self, refill):
