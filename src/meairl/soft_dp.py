@@ -11,21 +11,24 @@ whose fixed point gives the soft-optimal policy pi(a|s) = exp(Q - V).
 `soft_value_iteration`, `hard_value_iteration` and `policy_value` take a
 list of (kernel, reward, discount) instances, `discounted_occupancy` a
 list of (kernel, init_dist, discount) instances, and a single MDP is a
-list of one. Every solver runs one stacked kernel, `_iterate`, over the
-instances that share (S, A): a sweep is one `soft_backup` or `hard_backup`
-of the whole stack, so each numpy call serves every instance. Each
-instance stops at its own sweep, and stacking changes
-neither its arithmetic nor its result: an instance solved in a stack
-gets, bit for bit, what it gets in a stack of one. Instances are plain
-arrays, not validated `TabularMDP`s, so a verifier pays no validation per
-instance. Policy evaluation and the discounted occupancy are the
-one-action case of the hard backup.
+list of one. Every solver runs one engine, `_iterate`, over each class of
+instances that share an action count A, swept in lockstep: a sweep is one
+`soft_backup` or `hard_backup` of the whole class, whatever its mix of
+state counts, so each numpy call serves every instance but the kernel
+products, one matmul per (S, A) group. Convergence is checked once per
+block of SWEEP_BLOCK sweeps, and each instance's result is still its
+first iterate within tol. Grouping changes neither an instance's
+arithmetic nor its result: solved among others it gets, bit for bit, what
+it gets alone, for A < 8 (see `_solve`). A kernel that does not fit its
+reward is a ValueError. Instances are plain arrays, not validated
+`TabularMDP`s, so a verifier pays no validation per instance. Policy
+evaluation and the discounted occupancy are the one-action case of the
+hard backup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .mdp import ConvergenceError, TabularMDP, TabularPolicy
 
 ORACLE_TOL = 1e-10
 ORACLE_MAX_ITERS = 10 ** 6
+SWEEP_BLOCK = 4  # sweeps between convergence checks
 
 
 def logsumexp(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
@@ -61,95 +65,199 @@ class HardValues:
     v: np.ndarray
 
 
-class _Stack(NamedTuple):
-    """Instances of one (S, A): kernels (B, S*A, S), rewards (B, S, A) and
-    discounts (B, S*A, 1), each repeated down its rows so that the product
-    with the kernel needs no broadcasting."""
+class _Lockstep:
+    """The instances of one action count A, swept side by side.
 
-    kernel_2d: np.ndarray
-    reward: np.ndarray
-    discount: np.ndarray
-
-    def keep(self, rows) -> "_Stack":
-        """The stack without the rows not kept, for a stack that owns its kernels.
-
-        Kernels move down inside their own buffer (a row is never read
-        after a lower one is written), because a fancy-indexed copy would
-        hold the largest array twice.
-        """
-        kept = np.flatnonzero(rows)
-        for dst, src in enumerate(kept):
-            if dst != src:
-                self.kernel_2d[dst] = self.kernel_2d[src]
-        return _Stack(self.kernel_2d[:len(kept)], self.reward[rows], self.discount[rows])
-
-
-def soft_backup(stack: _Stack, q: np.ndarray) -> np.ndarray:
-    """One application of the soft Bellman operator to every instance of a
-    stack, q of shape (B, S, A)."""
-    v = logsumexp(q, axis=-1, keepdims=True)
-    return stack.reward + (stack.discount * (stack.kernel_2d @ v)).reshape(q.shape)
-
-
-def hard_backup(stack: _Stack, q: np.ndarray) -> np.ndarray:
-    v = np.maximum.reduce(q, axis=-1, keepdims=True)
-    return stack.reward + (stack.discount * (stack.kernel_2d @ v)).reshape(q.shape)
-
-
-def _iterate(backup, stack: _Stack, q: np.ndarray, tol, max_iters, what):
-    """Sweep every instance of the stack from q until its residual is <= tol.
-
-    An instance's result is its first iterate within tol of the one before,
-    and it leaves the stack on that sweep, so the stack is compacted only
-    on sweeps where some instance converges. Returns q, ordered like the stack.
+    The iterate is action-major, (A, N) with N the live instances' total
+    state count: instance j owns the columns starts[j]:starts[j] + S_j, and
+    the instances of one (S, A) group sit next to each other, so each
+    group is one contiguous block with its own (B, S*A, S) kernel stack.
+    `ring` holds SWEEP_BLOCK + 1 iterates, slot 0 the one a block starts
+    from. Every buffer is allocated once, for the first N, and
+    viewed at the live N as converged instances leave.
     """
-    q_out = np.empty_like(q)
-    live = np.arange(len(q))
-    res = np.full(len(q), np.inf)
-    for _ in range(max_iters):
-        q_new = backup(stack, q)
-        res = np.maximum.reduce(np.abs(q_new - q), axis=(1, 2))
-        q = q_new
-        if res[res.argmin()] <= tol:  # a third the cost of a ufunc reduction
-            done = res <= tol
-            q_out[live[done]] = q[done]
-            if done.all():
-                return q_out
-            keep = ~done
-            stack, q, live = stack.keep(keep), q[keep], live[keep]
-    worst = float(res.max())
-    raise ConvergenceError(
-        f"{what}: residual {worst:.3e} > tol {tol:g} after {max_iters} sweeps",
-        residual=worst)
+
+    def __init__(self, instances, groups, q_inits):
+        self.ids = np.array([i for idx in groups for i in idx])
+        self.sizes = np.array([instances[i][1].shape[0] for i in self.ids])
+        # each instance's (S, A) group, named by its first instance
+        self.leaders = np.repeat([idx[0] for idx in groups], [len(idx) for idx in groups])
+        self.kernels = [np.stack([instances[i][0].reshape(-1, len(instances[i][1]))
+                                  for i in idx], dtype=np.float64) for idx in groups]
+        self.reward = np.ascontiguousarray(
+            np.concatenate([instances[i][1] for i in self.ids], dtype=np.float64).T)
+        self.discount = np.repeat(np.array([instances[i][2] for i in self.ids],
+                                           dtype=np.float64), self.sizes)
+        n_actions, n = self.reward.shape
+        self._ring = np.empty((SWEEP_BLOCK + 1) * n_actions * n)
+        self._diff = np.empty(SWEEP_BLOCK * n_actions * n)
+        self._ev = np.empty(n * n_actions)
+        self._v = np.empty(n)
+        self._views()
+        if q_inits is None:
+            self.ring[0] = 0.0
+        else:
+            self.ring[0] = np.concatenate(
+                [np.asarray(q_inits[i], dtype=np.float64) for i in self.ids]).T
+
+    def _views(self) -> None:
+        """Views of the buffers at the live N, and each group's matmul operands."""
+        n_actions, n = self.reward.shape
+        self.ring = self._ring[:(SWEEP_BLOCK + 1) * n_actions * n].reshape(-1, n_actions, n)
+        self.diff = self._diff[:SWEEP_BLOCK * n_actions * n].reshape(-1, n_actions, n)
+        self.ev = self._ev[:n * n_actions].reshape(n, n_actions)
+        self.v = self._v[:n]
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.products, lo = [], 0
+        for kernels in self.kernels:
+            count, rows, n_states = kernels.shape
+            hi = lo + count * n_states
+            self.products.append((kernels, self.v[lo:hi].reshape(count, n_states, 1),
+                                  self.ev[lo:hi].reshape(count, rows, 1)))
+            lo = hi
+
+    def residuals(self, k: int) -> np.ndarray:
+        """(k, B): each instance's max |change| at each of the block's k sweeps."""
+        diff = self.diff[:k]
+        np.subtract(self.ring[1:k + 1], self.ring[:k], out=diff)
+        np.abs(diff, out=diff)
+        return np.maximum.reduceat(np.maximum.reduce(diff, axis=1), self.starts, axis=1)
+
+    def result(self, j: int, slot: int) -> np.ndarray:
+        """Instance j's (S, A) iterate in that slot, copied out of the ring."""
+        lo = self.starts[j]
+        return self.ring[slot, :, lo:lo + self.sizes[j]].T.copy()
+
+    def keep(self, kept, k: int) -> None:
+        """Only the kept instances, from the iterate in slot k, in slot 0.
+
+        Kernels move down inside their own stack (a row is never read after
+        a lower one is written), because a fancy-indexed copy would hold the
+        largest arrays twice.
+        """
+        columns = np.repeat(kept, self.sizes)
+        last = self.ring[k][:, columns]
+        self.reward, self.discount = self.reward[:, columns], self.discount[columns]
+        stacks, first = [], 0
+        for kernels in self.kernels:
+            rows = np.flatnonzero(kept[first:first + len(kernels)])
+            first += len(kernels)
+            for dst, src in enumerate(rows):
+                if dst != src:
+                    kernels[dst] = kernels[src]
+            if len(rows):
+                stacks.append(kernels[:len(rows)])
+        self.kernels = stacks
+        self.ids, self.sizes = self.ids[kept], self.sizes[kept]
+        self.leaders = self.leaders[kept]
+        self._views()
+        self.ring[0] = last
 
 
-def _by_shape(arrays) -> list:
-    """Indices of the arrays grouped by shape, groups in first-seen order."""
-    groups = {}
-    for i, array in enumerate(arrays):
-        groups.setdefault(array.shape, []).append(i)
-    return list(groups.values())
+def _expect(lockstep: _Lockstep, out: np.ndarray) -> None:
+    """out = reward + discount * E_T[v] for the v in lockstep.v, one matmul per (S, A) group."""
+    for kernels, v, ev in lockstep.products:
+        np.matmul(kernels, v, out=ev)
+    np.multiply(lockstep.discount, lockstep.ev.T, out=out)
+    np.add(lockstep.reward, out, out=out)
+
+
+def soft_backup(lockstep: _Lockstep, q: np.ndarray, out: np.ndarray) -> None:
+    """One soft Bellman backup of every instance of a class, q and out (A, N).
+
+    The action sum runs left to right down axis 0 (see `_solve` on A >= 8).
+    """
+    m = np.maximum.reduce(q, axis=0)
+    np.add(m, np.log(np.add.reduce(np.exp(q - m), axis=0)), out=lockstep.v)
+    _expect(lockstep, out)
+
+
+def hard_backup(lockstep: _Lockstep, q: np.ndarray, out: np.ndarray) -> None:
+    np.maximum.reduce(q, axis=0, out=lockstep.v)
+    _expect(lockstep, out)
+
+
+def _iterate(backup, lockstep: _Lockstep, tol, max_iters, out: list) -> dict:
+    """Sweep every instance of the class from slot 0 until its residual is <= tol.
+
+    The class is swept in lockstep, SWEEP_BLOCK sweeps to a block, and
+    convergence is checked once per block from the ring of its iterates.
+    An instance's result, copied into out, is its first iterate within tol
+    of the one before, the one a check after every sweep would return;
+    converged instances leave at the block's end. Returns, for every
+    (S, A) group with an instance still out of tol after max_iters sweeps,
+    its leader's index -> the group's largest last residual.
+    """
+    res = np.full((1, len(lockstep.ids)), np.inf)
+    swept = 0
+    while swept < max_iters:
+        k = min(SWEEP_BLOCK, max_iters - swept)
+        ring = lockstep.ring
+        for t in range(k):
+            backup(lockstep, ring[t], ring[t + 1])
+        swept += k
+        res = lockstep.residuals(k)
+        within = res <= tol
+        done = np.logical_or.reduce(within, axis=0)
+        if not done.any():
+            ring[0] = ring[k]
+            continue
+        first = within.argmax(axis=0)
+        for j in np.flatnonzero(done):
+            out[lockstep.ids[j]] = lockstep.result(j, first[j] + 1)
+        if done.all():
+            return {}
+        kept = ~done
+        res = res[:, kept]
+        lockstep.keep(kept, k)
+    leaders = lockstep.leaders
+    bounds = np.flatnonzero(np.r_[True, leaders[1:] != leaders[:-1]])
+    return dict(zip(leaders[bounds].tolist(),
+                    np.maximum.reduceat(res[-1], bounds).tolist()))
+
+
+def _shape(i: int, kernel, reward) -> tuple:
+    """The (S, A) of instance i, whose kernel must be (S, A, S) or (S*A, S)."""
+    if reward.ndim == 2 and reward.size:
+        n_states, n_actions = reward.shape
+        if kernel.shape in ((n_states, n_actions, n_states), (n_states * n_actions, n_states)):
+            return reward.shape
+    raise ValueError(f"instance {i}: kernel shape {kernel.shape} does not fit reward "
+                     f"shape {reward.shape}; want (S, A, S) or (S*A, S) for an (S, A) reward")
 
 
 def _solve(backup, instances, q_inits, tol, max_iters, what) -> list:
-    """The q of every (kernel, reward, discount) instance, solved in stacks of one (S, A).
+    """The q of every (kernel, reward, discount) instance, solved a class of one A at a time.
 
-    A kernel is (S, A, S), or already flattened to (S*A, S). S is never
-    padded to stack unequal instances: a padded kernel changes the BLAS
-    reduction and so the last bits.
+    The instances of one action count are swept in lockstep by `_iterate`:
+    one backup call per sweep serves every (S, A) group of the class. S
+    is never padded and kernel rows are never reordered, so each group's
+    matmul gives every row the bits a stack of one gives it, and the
+    action reductions run left to right over axis 0, as numpy reduces an
+    action axis shorter than 8. From A = 8 up, numpy sums a last axis
+    pairwise, so there the soft backup's action sum is left to right
+    where a per-instance (S, A) logsumexp would not be. An instance out of
+    sweeps raises ConvergenceError for the first (S, A) group, in order of
+    first appearance, that has one.
     """
+    instances = [(np.asarray(kernel), np.asarray(reward), discount)
+                 for kernel, reward, discount in instances]
+    groups = {}
+    for i, (kernel, reward, _) in enumerate(instances):
+        groups.setdefault(_shape(i, kernel, reward), []).append(i)
+    classes = {}
+    for (_, n_actions), idx in groups.items():
+        classes.setdefault(n_actions, []).append(idx)
     out = [None] * len(instances)
-    for idx in _by_shape([reward for _, reward, _ in instances]):
-        kernels = np.stack([instances[i][0] for i in idx])
-        kernels = kernels.reshape(len(idx), -1, kernels.shape[-1])
-        discounts = np.array([instances[i][2] for i in idx], dtype=np.float64)
-        stack = _Stack(kernels, np.stack([instances[i][1] for i in idx]),
-                       np.repeat(discounts[:, None, None], kernels.shape[1], axis=1))
-        q = np.zeros(stack.reward.shape) if q_inits is None \
-            else np.stack([np.asarray(q_inits[i], dtype=np.float64) for i in idx])
-        q = _iterate(backup, stack, q, tol, max_iters, what)
-        for j, i in enumerate(idx):
-            out[i] = q[j]
+    failed = {}
+    for class_groups in classes.values():
+        failed.update(_iterate(backup, _Lockstep(instances, class_groups, q_inits),
+                               tol, max_iters, out))
+    if failed:
+        worst = failed[min(failed)]
+        raise ConvergenceError(
+            f"{what}: residual {worst:.3e} > tol {tol:g} after {max_iters} sweeps",
+            residual=worst)
     return out
 
 

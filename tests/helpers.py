@@ -1,9 +1,9 @@
-"""Shared test utilities: finite-difference, linear-solve and scalar-rollout
-oracles, random instances."""
+"""Shared test utilities: finite-difference, linear-solve, scalar-rollout and
+per-shape value-iteration oracles, random instances."""
 
 import numpy as np
 
-from meairl import Mlp, TabularMDP, TabularPolicy
+from meairl import ConvergenceError, Mlp, TabularMDP, TabularPolicy
 
 
 def finite_difference_grad(fn, params, h=1e-5):
@@ -68,6 +68,51 @@ def scalar_rollouts(mdp, probs, horizon, episodes, rng):
         states.append(visited)
         actions.append(taken)
     return np.array(states), np.array(actions)
+
+
+def per_shape_value_iteration(instances, soft, q_inits=None, tol=1e-10, max_iters=10 ** 6):
+    """The q of every (kernel, reward, discount) instance, by the loop the
+    solvers ran before they swept each action count in lockstep.
+
+    The instances of one (S, A) are stacked and swept on their own; the
+    residual is checked after every sweep, and an instance leaves the
+    stack on the sweep it comes within tol. The first (S, A) group, in
+    order of first appearance, with an instance out of sweeps raises
+    ConvergenceError with that group's largest residual. It shares no
+    code with the library.
+    """
+    groups = {}
+    for i, (_, reward, _) in enumerate(instances):
+        groups.setdefault(np.shape(reward), []).append(i)
+    out = [None] * len(instances)
+    for (n_states, _), idx in groups.items():
+        kernels = np.stack([instances[i][0] for i in idx]).reshape(len(idx), -1, n_states)
+        reward = np.stack([instances[i][1] for i in idx])
+        discounts = np.array([instances[i][2] for i in idx], dtype=np.float64)
+        discount = np.repeat(discounts[:, None, None], kernels.shape[1], axis=1)
+        q = np.zeros(reward.shape) if q_inits is None \
+            else np.stack([np.asarray(q_inits[i], dtype=np.float64) for i in idx])
+        live = np.array(idx)
+        res = np.full(len(idx), np.inf)
+        for _ in range(max_iters):
+            v = np.maximum.reduce(q, axis=-1, keepdims=True)
+            if soft:
+                v = v + np.log(np.add.reduce(np.exp(q - v), axis=-1, keepdims=True))
+            q_new = reward + (discount * (kernels @ v)).reshape(q.shape)
+            res = np.maximum.reduce(np.abs(q_new - q), axis=(1, 2))
+            q = q_new
+            done = res <= tol
+            for j in np.flatnonzero(done):
+                out[live[j]] = q[j]
+            if done.all():
+                break
+            keep = ~done
+            kernels, reward, discount = kernels[keep], reward[keep], discount[keep]
+            q, live = q[keep], live[keep]
+        else:
+            worst = float(res.max())
+            raise ConvergenceError(f"residual {worst:.3e} > tol {tol:g}", residual=worst)
+    return out
 
 
 def scalar_evaluation(mdp, probs, horizon, episodes, rng):

@@ -1,6 +1,8 @@
 """Soft and hard dynamic programming against independent oracles."""
 
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from helpers import instance, random_mdp, random_policy, soft_policy_value_by_solve
+from helpers import (instance, per_shape_value_iteration, random_mdp, random_policy,
+                     soft_policy_value_by_solve)
 from meairl import (ConvergenceError, SoftValues, TabularMDP, TabularPolicy,
                     discounted_occupancy, finite_horizon_policy_value, greedy_policy,
                     hard_value_iteration, policy_value, soft_optimal_policy,
                     soft_value_iteration)
-from meairl.soft_dp import ORACLE_MAX_ITERS
+from meairl import soft_dp
+from meairl.soft_dp import ORACLE_MAX_ITERS, ORACLE_TOL
 
 
 def one_state_mdp(gamma=0.5, reward=1.0):
@@ -295,25 +299,34 @@ def _solve_or_none(solve, *args, **kwargs):
         return None
 
 
+# S from 1 to 10 and A from 1 to 7, so several (S, A) groups share an action count
+MIXED_SPECS = st.lists(st.tuples(st.integers(1, 10), st.integers(1, 7),
+                                 st.sampled_from([0.5, 0.9, 0.99])),
+                       min_size=1, max_size=12)
+
+
+def mixed_instances(specs, rng):
+    """(kernel, reward, discount) instances, an (S, A) policy for each, and
+    (kernel, init_dist, discount) starts, one per (S, A, gamma) spec."""
+    instances, policies, starts = [], [], []
+    for n_states, n_actions, gamma in specs:
+        kernel = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
+        reward = rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
+        instances.append((kernel, reward, gamma))
+        policies.append(rng.dirichlet(np.ones(n_actions), size=n_states))
+        starts.append((kernel, rng.dirichlet(np.ones(n_states)), gamma))
+    return instances, policies, starts
+
+
 class TestStackedSolves:
     """Solving instances side by side must give each one its solo result, bit for bit."""
 
     @settings(max_examples=20, deadline=None)
-    @given(specs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3),
-                                    st.sampled_from([0.5, 0.9, 0.99])),
-                          min_size=1, max_size=7),
-           seed=st.integers(0, 2 ** 32 - 1),
-           max_iters=st.sampled_from([40, 400, ORACLE_MAX_ITERS]))
+    @given(specs=MIXED_SPECS, seed=st.integers(0, 2 ** 32 - 1),
+           max_iters=st.sampled_from([40, 41, 403, ORACLE_MAX_ITERS]))
     def test_stack_matches_one_at_a_time(self, specs, seed, max_iters):
         # a stack of B instances against B stacks of one
-        rng = np.random.default_rng(seed)
-        instances, policies, starts = [], [], []
-        for n_states, n_actions, gamma in specs:
-            kernel = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
-            reward = rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
-            instances.append((kernel, reward, gamma))
-            policies.append(rng.dirichlet(np.ones(n_actions), size=n_states))
-            starts.append((kernel, rng.dirichlet(np.ones(n_states)), gamma))
+        instances, policies, starts = mixed_instances(specs, np.random.default_rng(seed))
         for solve, columns in ((soft_value_iteration, [instances]),
                                (hard_value_iteration, [instances]),
                                (policy_value, [instances, policies]),
@@ -341,3 +354,115 @@ class TestStackedSolves:
         with pytest.raises(ConvergenceError) as err:
             hard_value_iteration(instances, max_iters=60)
         assert err.value.residual > 1e-10
+
+
+def _reference_or_residual(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except ConvergenceError as err:
+        return err.residual
+
+
+class TestLockstep:
+    """The lockstep engine against the per-(S, A), per-sweep loop it replaced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(specs=MIXED_SPECS, seed=st.integers(0, 2 ** 32 - 1),
+           max_iters=st.sampled_from([1, 41, 403, ORACLE_MAX_ITERS]))
+    def test_matches_per_shape_loop(self, specs, seed, max_iters):
+        rng = np.random.default_rng(seed)
+        instances, policies, starts = mixed_instances(specs, rng)
+        q_inits = [rng.uniform(-2.0, 2.0, size=reward.shape) for _, reward, _ in instances]
+        evaluations = [(np.einsum("sa,sap->sp", probs, kernel),
+                        np.einsum("sa,sa->s", probs, reward)[:, None], gamma)
+                       for (kernel, reward, gamma), probs in zip(instances, policies)]
+        flows, rho0s = [], []
+        for (kernel, init_dist, gamma), probs in zip(starts, policies):
+            rho0 = init_dist[:, None]
+            p_pi = np.einsum("sa,sap->sp", probs, kernel)
+            flows.append((p_pi.T, (1.0 - gamma) * rho0, gamma))
+            rho0s.append(rho0)
+        cases = [  # (library call, reference call, library result -> q)
+            (lambda: soft_value_iteration(instances, max_iters=max_iters),
+             lambda: per_shape_value_iteration(instances, True, max_iters=max_iters),
+             lambda values: values.q),
+            (lambda: hard_value_iteration(instances, max_iters=max_iters),
+             lambda: per_shape_value_iteration(instances, False, max_iters=max_iters),
+             lambda values: values.q),
+            (lambda: policy_value(instances, policies, max_iters=max_iters),
+             lambda: per_shape_value_iteration(evaluations, False, max_iters=max_iters),
+             lambda v: v[:, None]),
+            (lambda: discounted_occupancy(starts, policies, max_iters=max_iters),
+             lambda: [probs * d for probs, d in zip(policies, per_shape_value_iteration(
+                 flows, False, q_inits=rho0s, max_iters=max_iters))],
+             lambda d: d),
+        ]
+        for backup, soft in ((soft_dp.soft_backup, True), (soft_dp.hard_backup, False)):
+            # the engine from given starting iterates, as the occupancy uses it
+            cases.append((partial(soft_dp._solve, backup, instances, q_inits, ORACLE_TOL,
+                                  max_iters, ""),
+                          partial(per_shape_value_iteration, instances, soft, q_inits=q_inits,
+                                  max_iters=max_iters),
+                          lambda q: q))
+        for library, reference, as_q in cases:
+            want = _reference_or_residual(reference)
+            if isinstance(want, float):
+                with pytest.raises(ConvergenceError) as err:
+                    library()
+                assert err.value.residual == want
+                continue
+            for got, q in zip(library(), want, strict=True):
+                assert as_q(got).tobytes() == q.tobytes()
+
+    def test_one_backup_per_action_count_per_sweep(self, monkeypatch):
+        # three action counts, two (S, A) groups each, instances interleaved
+        rng = np.random.default_rng(3)
+        specs = [(s, a, gamma) for s, gamma in ((3, 0.9), (6, 0.5)) for a in (1, 2, 4)]
+        instances, _, _ = mixed_instances(specs * 2, rng)
+        calls = []
+
+        def counted(backup):
+            def wrapped(sweep, q, out):
+                calls.append(q.shape[0])
+                return backup(sweep, q, out)
+            return wrapped
+
+        monkeypatch.setattr(soft_dp, "soft_backup", counted(soft_dp.soft_backup))
+        monkeypatch.setattr(soft_dp, "hard_backup", counted(soft_dp.hard_backup))
+        for solve in (soft_value_iteration, hard_value_iteration):
+            solo = {}
+            for inst in instances:
+                calls.clear()
+                solve([inst])
+                n_actions = inst[1].shape[1]
+                solo[n_actions] = max(solo.get(n_actions, 0), len(calls))
+            calls.clear()
+            solve(instances)
+            # a class sweeps until its slowest instance is within tol, once a
+            # sweep; a backup per (S, A) group would add the groups' sweeps up
+            assert {a: calls.count(a) for a in solo} == solo
+            assert len(calls) == sum(solo.values())
+
+    @pytest.mark.parametrize("reshape", [lambda k: k.transpose(1, 0, 2),
+                                         lambda k: np.concatenate([k, k[..., :1]], axis=-1)],
+                             ids=["transposed", "extra-column"])
+    def test_kernel_must_fit_its_reward(self, reshape):
+        rng = np.random.default_rng(4)
+        kernel = rng.dirichlet(np.ones(5), size=(5, 3))
+        reward = rng.uniform(-1.0, 1.0, size=(5, 3))
+        good = (kernel, reward, 0.9)
+        bad = reshape(kernel)
+        with pytest.raises(ValueError, match=r"instance 1: kernel shape "
+                           + re.escape(f"{bad.shape}") + r".*reward shape \(5, 3\)"):
+            soft_value_iteration([good, (bad, reward, 0.9)])
+        soft_value_iteration([good, (kernel.reshape(15, 5), reward, 0.9)])  # flat is fine
+
+    @pytest.mark.parametrize("n_actions", range(1, 8))
+    def test_short_action_axis_sums_left_to_right_either_way(self, n_actions):
+        # the lockstep soft backup sums actions over axis 0 of an (A, N)
+        # iterate; it keeps the bits of a last-axis sum on (N, A) only
+        # because numpy sums a last axis shorter than 8 left to right
+        x = np.random.default_rng(n_actions).exponential(size=(4096, n_actions)) * 1e3
+        action_major = np.ascontiguousarray(x.T)
+        want = np.add.reduce(x, axis=-1)
+        assert np.add.reduce(action_major, axis=0).tobytes() == want.tobytes()
