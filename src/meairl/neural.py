@@ -11,11 +11,32 @@ array, which is all the backward pass reads: the relu mask is taken as
 `act > 0`, bit-identical to `pre > 0` because `act = max(pre, 0)`, so the
 pre-activations are not kept. `backward(x, upstream)` with an input
 array still works; it builds the tape with the same forward pass.
+
+Hidden activations and backward deltas live in buffers that persist
+across calls, so a training step does not hand megabyte arrays back to
+the allocator and fault them in again on the next step (`adam_step`
+likewise computes in its state's own work arrays). The tape lifecycle:
+- `forward(x, tape=True)` takes one buffer per hidden layer; the tape
+  owns them until its backward pass.
+- `backward(tape, ...)` writes each relu mask into the tape's own dead
+  activation, takes its deltas from the free buffers and hands every
+  buffer back as the pass leaves it. A tape is single-use: a second
+  backward on it raises ValueError.
+- An untaped `forward(x)` hands its hidden buffers back before it
+  returns. A tape that is dropped unused leaves its buffers to the
+  garbage collector.
+The net's output, the parameter gradient and the input gradient are
+fresh arrays that the caller owns and may keep. One process shares the
+free buffers across every net: `_take` hands out the smallest free
+buffer that fits, so the buffers held stay at the largest set a step
+has live at once. Nets are not thread-safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,7 +98,8 @@ class Mlp:
         acts = [h]
         last = len(self._layers) - 1
         for i, (w, b) in enumerate(self._layers):
-            h = h @ w.T
+            # hidden layers write into free buffers; the output is the caller's
+            h = np.matmul(h, w.T, out=_take((len(h), len(w))) if i < last else None)
             h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
@@ -91,12 +113,17 @@ class Mlp:
 
         With tape=True, returns (output, tape): the tape holds the input
         and the post-activation of every layer, which `backward` reads in
-        place of rerunning this pass.
+        place of rerunning this pass. Without it, the hidden buffers are
+        handed back before this returns.
         """
         record = self._forward_pass(x)
         out = record.acts[-1]
         out = out[0] if record.squeeze else out
-        return (out, record) if tape else out
+        if tape:
+            return out, record
+        for act in record.acts[1:-1]:
+            _give(act)
+        return out
 
     def backward(self, x, upstream):
         """Gradients of sum(upstream * forward(x)).
@@ -104,36 +131,47 @@ class Mlp:
         x is the tape of that forward pass, or the input itself, in which
         case the forward pass is run here. Returns (flat parameter
         gradient, gradient w.r.t. the input), both matching the shapes of
-        params and the input.
+        params and the input. The pass consumes the tape.
         """
         record = x if isinstance(x, _Tape) else self._forward_pass(x)
         acts, squeeze = record.acts, record.squeeze
+        if acts is None:
+            raise ValueError("this tape's backward pass already ran; a tape is single-use")
         upstream = np.asarray(upstream, dtype=np.float64)
         delta = upstream[None, :] if squeeze else upstream
         if delta.shape != acts[-1].shape:
             raise ValueError(f"upstream shape {delta.shape} != output shape {acts[-1].shape}")
+        record.acts = None
         if self.output == "tanh":
             delta = delta * (1.0 - acts[-1] ** 2)
         grads = np.empty_like(self._params)
         offset = self.n_params
-        for i in range(len(self._layers) - 1, -1, -1):
-            w, _ = self._layers[i]
-            gw = delta.T @ acts[i]
-            gb = delta.sum(axis=0)
-            offset -= gb.shape[0]
-            grads[offset:offset + gb.shape[0]] = gb
-            offset -= gw.size
-            grads[offset:offset + gw.size] = gw.ravel()
-            delta = delta @ w
-            if i > 0:
-                # acts[i] = max(pre, 0), so acts[i] > 0 exactly where pre > 0
-                delta *= acts[i] > 0.0
+        last = len(self._layers) - 1
+        for i in range(last, -1, -1):
+            w, b = self._layers[i]
+            offset -= b.size
+            np.add.reduce(delta, axis=0, out=grads[offset:offset + b.size])
+            offset -= w.size
+            np.matmul(delta.T, acts[i], out=grads[offset:offset + w.size].reshape(w.shape))
+            if i == 0:
+                new = delta @ w  # the input gradient is the caller's
+            else:
+                new = np.matmul(delta, w, out=_take((len(delta), w.shape[1])))
+                # acts[i] = max(pre, 0), so acts[i] > 0 exactly where pre > 0;
+                # the mask overwrites acts[i], which nothing reads again
+                np.greater(acts[i], 0.0, out=acts[i])
+                np.multiply(new, acts[i], out=new)
+                _give(acts[i])
+            if i < last:
+                _give(delta)
+            delta = new
         return grads, (delta[0] if squeeze else delta)
 
 
 class _Tape:
     """One forward pass as `Mlp.backward` reads it: the input, then each
-    layer's post-activation array (the last is the output)."""
+    layer's post-activation array (the last is the output). Its backward
+    pass sets acts to None."""
 
     __slots__ = ("acts", "squeeze")
 
@@ -142,9 +180,32 @@ class _Tape:
         self.squeeze = squeeze
 
 
+# Flat float64 buffers that no tape or pass holds, kept sorted by size.
+# One list for the process, not one per net: a step runs its nets one
+# after another, so they can share a few buffers, where per-net lists
+# would each hold their own largest set. Every view is written in full
+# before it is read, so what one caller left in a buffer never shows.
+_FREE = []
+
+
+def _take(shape) -> np.ndarray:
+    """A view of the given shape into the smallest free buffer that fits,
+    or into a new one."""
+    n = math.prod(shape)
+    i = bisect.bisect_left(_FREE, n, key=len)
+    flat = _FREE.pop(i) if i < len(_FREE) else np.empty(n)
+    return flat[:n].reshape(shape)
+
+
+def _give(view: np.ndarray) -> None:
+    """Hand the buffer under a `_take` view back for reuse."""
+    bisect.insort(_FREE, view.base, key=len)
+
+
 @dataclass
 class AdamState:
-    """Adam moments for one flat parameter vector."""
+    """Adam moments for one flat parameter vector, and two work arrays of
+    their shape that `adam_step` computes in."""
 
     m: np.ndarray
     v: np.ndarray
@@ -153,6 +214,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = np.empty((2, *np.shape(self.m)))
 
     @classmethod
     def for_params(cls, params, lr: float = 3e-4) -> "AdamState":
@@ -170,16 +235,37 @@ def clip_by_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
               clip_norm: float = None) -> np.ndarray:
-    """One bias-corrected Adam update; returns the new parameter vector."""
+    """One bias-corrected Adam update; returns the new parameter vector.
+
+    The moments are updated in place and the rest is computed in the
+    state's work arrays, so only the returned vector is a new array. Each
+    operation is one that the textbook expression evaluates, on the same
+    operands, so the bits are those of `params - lr * m_hat / (sqrt(v_hat)
+    + eps)`.
+    """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != state.m.shape:
         raise ValueError(f"grad shape {grads.shape} != moment shape {state.m.shape}")
     if clip_norm is not None:
         grads = clip_by_global_norm(grads, clip_norm)
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads ** 2
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m_hat, v_hat = state.work
+    m_hat[...] = grads
+    m_hat *= 1.0 - state.beta1
+    state.m *= state.beta1
+    state.m += m_hat
+    v_hat[...] = grads
+    v_hat *= grads  # grads ** 2
+    v_hat *= 1.0 - state.beta2
+    state.v *= state.beta2
+    state.v += v_hat
+    m_hat[...] = state.m
+    m_hat /= 1.0 - state.beta1 ** state.step
+    v_hat[...] = state.v
+    v_hat /= 1.0 - state.beta2 ** state.step
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += state.eps
+    m_hat *= state.lr
+    m_hat /= v_hat
+    return params - m_hat
 

@@ -82,10 +82,13 @@ class SacAgent:
         log_jac = np.sum(np.log(self.scale * (1.0 - t ** 2) + SQUASH_EPS), axis=1)
         return log_gauss - log_jac
 
-    def _sample_with_log_prob(self, states, eps):
-        """Reparameterized draw plus its log density, all intermediates returned,
-        with the actor's tape for the actor step's backward pass."""
-        out, tape = self.actor.forward(states, tape=True)
+    def _sample_with_log_prob(self, states, eps, tape: bool = False):
+        """Reparameterized draw plus its log density, all intermediates returned;
+        with `tape`, also the actor's tape for the actor step's backward pass."""
+        if tape:
+            out, record = self.actor.forward(states, tape=True)
+        else:
+            out, record = self.actor.forward(states), None
         mu, raw, log_std, std = self._actor_stats(out)
         u = mu + std * eps
         t = np.tanh(u)
@@ -95,7 +98,7 @@ class SacAgent:
         log_prob = log_gauss - np.sum(np.log(jac_arg), axis=1)
         return {"mu": mu, "raw": raw, "log_std": log_std, "std": std, "u": u,
                 "t": t, "a": a, "log_prob": log_prob, "jac_arg": jac_arg, "eps": eps,
-                "tape": tape}
+                "tape": record}
 
     def critic_targets(self, batch, rng) -> np.ndarray:
         """Bootstrapped target r + gamma (Q_target(s', a') - alpha log pi)."""
@@ -123,7 +126,7 @@ class SacAgent:
         function of the actor parameters (the critic is held fixed).
         """
         batch = float(states.shape[0])
-        samp = self._sample_with_log_prob(states, eps)
+        samp = self._sample_with_log_prob(states, eps, tape=True)
         x = np.concatenate([states, samp["a"]], axis=1)
         q, critic_tape = self.critic.forward(x, tape=True)
         loss = float(np.mean(self.alpha_ent * samp["log_prob"] - q.ravel()))

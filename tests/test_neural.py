@@ -1,12 +1,15 @@
 """MLP substrate: forward/backward against finite differences, Adam, initialisation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import finite_difference_grad, max_rel_err, reference_backward
-from meairl import AdamState, Mlp, adam_step
+from meairl import (AdamState, Discriminator, GaussianDynamicsModel, Mlp, SacAgent, adam_step,
+                    discriminator_loss_and_grads)
 from meairl.neural import clip_by_global_norm
 
 
@@ -126,6 +129,61 @@ class TestTape:
         assert np.shape(tape) == ()
 
 
+class TestBufferReuse:
+    """Hidden activations and deltas live in buffers reused across calls;
+    what a caller gets back is its own."""
+
+    def test_tape_is_single_use(self):
+        rng = np.random.default_rng(12)
+        net = Mlp([3, 16, 16, 2], rng=rng)
+        x, upstream = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
+        _, tape = net.forward(x, tape=True)
+        first = net.backward(tape, upstream)
+        with pytest.raises(ValueError, match="single-use"):
+            net.backward(tape, upstream)
+        again = net.backward(x, upstream)  # the input-array form builds its own tape
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    def test_outputs_and_gradients_survive_later_calls(self):
+        rng = np.random.default_rng(13)
+        net = Mlp([3, 16, 16, 2], output="tanh", rng=rng)
+        x, upstream = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
+        out, tape = net.forward(x, tape=True)
+        grads, dx = net.backward(tape, upstream)
+        returned = (out, grads, dx, net.forward(x))
+        kept = [a.copy() for a in returned]
+        for _ in range(3):  # reuse every freed buffer with other values
+            net.forward(rng.normal(size=(8, 3)))
+            _, other = net.forward(rng.normal(size=(8, 3)), tape=True)
+            net.backward(other, rng.normal(size=(8, 2)))
+        assert all(np.array_equal(a, b) for a, b in zip(returned, kept))
+
+    def test_model_shaping_step_allocates_no_hidden_arrays(self):
+        # The continuous model-shaping discriminator step at the shipped
+        # sizes runs phi forward and backward on 8 x 256 rows. Reusing its
+        # hidden buffers leaves about 0.34 MB of new traced memory live at
+        # the step's peak; allocating them afresh, as the nets did before,
+        # left about 7.8 MB. Traced bytes, unlike page faults, do not
+        # depend on the C allocator.
+        rng = np.random.default_rng(0)
+        model = GaussianDynamicsModel(1, 1, rng=rng)
+        disc = Discriminator.continuous(1, 1, 0.99, dynamics=model, hidden=(100, 100),
+                                        n_model_samples=8, rng=rng)
+        policy = SacAgent(1, 1, [-1.0], [1.0], 0.99, rng=rng)
+        expert, gen = ((rng.normal(size=(256, 1)), rng.uniform(-1.0, 1.0, (256, 1)),
+                        rng.normal(size=(256, 1))) for _ in range(2))
+        for _ in range(2):  # warm-up: the buffers come into being
+            discriminator_loss_and_grads(disc, expert, gen, policy, rng=rng)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            discriminator_loss_and_grads(disc, expert, gen, policy, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = np.array([1.0, -2.0])
@@ -164,6 +222,22 @@ class TestAdam:
         via_flag = adam_step(s1, params, grads, clip_norm=10.0)
         via_manual = adam_step(s2, params, clip_by_global_norm(grads, 10.0))
         assert np.array_equal(via_flag, via_manual)
+
+    def test_in_place_step_has_the_textbook_bits(self):
+        rng = np.random.default_rng(3)
+        params = rng.normal(size=(3, 40))
+        state = AdamState.for_params(params, lr=0.01)
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        for step in range(1, 6):
+            grads = rng.normal(size=params.shape) * 10.0 ** rng.uniform(-6, 2)
+            m = state.beta1 * m + (1.0 - state.beta1) * grads
+            v = state.beta2 * v + (1.0 - state.beta2) * grads ** 2
+            m_hat = m / (1.0 - state.beta1 ** step)
+            v_hat = v / (1.0 - state.beta2 ** step)
+            want = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            params = adam_step(state, params, grads)
+            assert params.tobytes() == want.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 class TestCheckpoints:

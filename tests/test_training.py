@@ -15,7 +15,7 @@ from meairl import (ExpertBuffer, Mlp, TabularEnv, TabularMDP, TabularPolicy,
                     TrainingConfig, build_env, generate_expert, load_config, load_demos,
                     make_gridworld, make_noisy_pointmass, policy_value, run_meairl,
                     save_continuous_demos, soft_optimal_policy, soft_value_iteration)
-from meairl import seeding, training
+from meairl import neural, seeding, training
 from meairl.cli import main
 from meairl.seeding import RunStreams, spawn_streams
 from meairl.training import (CSV_HEADER, EvalRow, TrainingDivergedError, TrainingRecord,
@@ -652,6 +652,25 @@ class TestContinuousLoop:
         run_meairl(env, expert, cfg)
         assert calls["backward"] >= 40
         assert calls["pass"] == calls["forward"]
+
+    @pytest.mark.parametrize("algorithm", ["meairl", "airl_sample_baseline", "bc_none"])
+    def test_reused_buffers_stop_growing(self, algorithm, tmp_path, monkeypatch):
+        # The nets' free hidden buffers reach the largest set a step holds at
+        # once and stay there: twice the steps leave the same bytes. A pool
+        # that never hands a buffer out again would grow with every step.
+        env = make_noisy_pointmass(0.5)
+        expert = pointmass_expert(env, tmp_path)
+        held = []
+        for steps in (40, 80):
+            monkeypatch.setattr(neural, "_FREE", [])
+            cfg = TrainingConfig(algorithm=algorithm, total_steps=steps, pretrain_steps=10,
+                                 eval_period=20, eval_episodes=1, batch_size=32,
+                                 model_hidden=(16,), disc_hidden=(16, 16), sac_hidden=(16,),
+                                 n_model_samples=2, seed=0)
+            run_meairl(env, expert, cfg)
+            held.append(sum(buf.nbytes for buf in neural._FREE))
+        assert held[0] > 0
+        assert held[0] == held[1]
 
     def test_run_reads_the_environment_discount(self, tmp_path):
         # the point mass fixes its discount like its horizon; SAC and the
